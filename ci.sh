@@ -15,6 +15,13 @@ cargo build --release
 echo "== cargo test"
 cargo test -q
 
+echo "== benchmark package builds and passes its tests"
+# e2ebench sits outside the workspace (its own lock file) and calls
+# fsanalysis, tracestore, tracestored and workload through their public
+# APIs; building and testing it here catches a signature change before
+# the benchmark itself has to run.
+cargo test --release --offline -q --manifest-path e2ebench/Cargo.toml
+
 echo "== metrics invariants and goldens"
 cargo test -q -p bsdtrace --test metrics --test goldens
 cargo test -q -p cachesim --test sharing

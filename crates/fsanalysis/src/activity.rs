@@ -3,10 +3,10 @@
 
 use std::collections::BTreeSet;
 
-use fstrace::{FastMap, OpenId, Trace, TraceEvent, TraceRecord, UserId};
+use fstrace::{Step, Trace, TraceEvent, TraceRecord, UserId};
 use simstat::{OnlineStats, WindowedSums};
 
-use crate::stream::Analyzer;
+use crate::stream::{drive, Analyzer};
 
 /// Activity measured over one window length.
 #[derive(Debug, Clone)]
@@ -59,11 +59,7 @@ impl ActivityAnalysis {
     ///
     /// A thin wrapper over the streaming [`ActivityBuilder`].
     pub fn analyze(trace: &Trace, window_secs: &[u64]) -> Self {
-        let mut b = ActivityBuilder::new(window_secs);
-        for rec in trace.records() {
-            b.observe(rec);
-        }
-        b.finish()
+        drive(ActivityBuilder::new(window_secs), trace.records())
     }
 }
 
@@ -72,16 +68,17 @@ impl ActivityAnalysis {
 ///
 /// Activity points — opens, run billings, closes, and user-attributed
 /// events — are folded into per-window sums as each record arrives, so
-/// memory is O(simultaneously open files + touched windows), never
-/// O(records). Run billing mirrors the session reconstruction: a run is
-/// charged at the `seek`/`close` record that ends it.
+/// memory is O(touched windows), never O(records). Runs are billed at
+/// the `seek`/`close` record that ends them, as the session builder
+/// reports in each record's [`Step`]; the builder keeps no open-id
+/// state of its own.
 pub struct ActivityBuilder {
     window_secs: Vec<u64>,
     windows: Vec<WindowedSums>,
-    /// Open id → (user, current position): enough state to bill runs at
-    /// the very record that ends them.
-    pending: FastMap<OpenId, (UserId, u64)>,
     users: BTreeSet<u32>,
+    /// The previous point's user: a run of points by one user inserts
+    /// into `users` once.
+    last_user: Option<u32>,
     total_bytes: u64,
     first_ms: Option<u64>,
     last_ms: u64,
@@ -96,8 +93,8 @@ impl ActivityBuilder {
                 .iter()
                 .map(|&secs| WindowedSums::new(secs * 1000))
                 .collect(),
-            pending: FastMap::default(),
             users: BTreeSet::new(),
+            last_user: None,
             total_bytes: 0,
             first_ms: None,
             last_ms: 0,
@@ -108,7 +105,10 @@ impl ActivityBuilder {
     /// time `t`.
     fn point(&mut self, t: u64, u: UserId, bytes: u64) {
         self.total_bytes += bytes;
-        self.users.insert(u.0);
+        if self.last_user != Some(u.0) {
+            self.users.insert(u.0);
+            self.last_user = Some(u.0);
+        }
         for w in &mut self.windows {
             w.add(t, u.0 as u64, bytes);
         }
@@ -118,46 +118,23 @@ impl ActivityBuilder {
 impl Analyzer for ActivityBuilder {
     type Output = ActivityAnalysis;
 
-    fn observe(&mut self, rec: &TraceRecord) {
+    fn observe(&mut self, rec: &TraceRecord, step: Step) {
         let now = rec.time.as_ms();
         self.first_ms = Some(self.first_ms.map_or(now, |f| f.min(now)));
         self.last_ms = self.last_ms.max(now);
         match rec.event {
-            TraceEvent::Open {
-                open_id, user_id, ..
-            } => {
-                self.point(now, user_id, 0);
-                self.pending.insert(open_id, (user_id, 0));
-            }
-            TraceEvent::Seek {
-                open_id,
-                old_pos,
-                new_pos,
-            } => {
-                let mut billed = None;
-                if let Some((u, pos)) = self.pending.get_mut(&open_id) {
-                    if old_pos > *pos {
-                        billed = Some((*u, old_pos - *pos));
+            TraceEvent::Open { user_id, .. }
+            | TraceEvent::Unlink { user_id, .. }
+            | TraceEvent::Truncate { user_id, .. }
+            | TraceEvent::Execve { user_id, .. } => self.point(now, user_id, 0),
+            TraceEvent::Seek { .. } | TraceEvent::Close { .. } => {
+                // Only a session's own seeks and closes count: orphans
+                // have no user.
+                if let Some(u) = step.user {
+                    if step.billed > 0 {
+                        self.point(now, u, step.billed);
                     }
-                    *pos = new_pos;
-                }
-                if let Some((u, len)) = billed {
-                    self.point(now, u, len);
-                }
-            }
-            TraceEvent::Close { open_id, final_pos } => {
-                if let Some((u, pos)) = self.pending.remove(&open_id) {
-                    if final_pos > pos {
-                        self.point(now, u, final_pos - pos);
-                    }
-                    self.point(now, u, 0);
-                }
-            }
-            _ => {
-                // Events carrying their own user id: unlink, truncate,
-                // execve.
-                if let Some(u) = rec.event.user_id() {
-                    if rec.event.open_id().is_none() {
+                    if matches!(rec.event, TraceEvent::Close { .. }) {
                         self.point(now, u, 0);
                     }
                 }

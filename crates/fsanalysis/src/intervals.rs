@@ -5,10 +5,10 @@
 //! measured 75% of intervals under 0.5 s, 90% under 10 s, and 99% under
 //! 30 s, justifying the no-read-write tracing approach.
 
-use fstrace::{FastMap, OpenId, Trace, TraceEvent, TraceRecord};
+use fstrace::{Step, Trace, TraceRecord};
 use simstat::Distribution;
 
-use crate::stream::Analyzer;
+use crate::stream::{drive, Analyzer};
 
 /// Distribution of gaps between successive events for one open file.
 #[derive(Debug, Clone, Default)]
@@ -22,11 +22,7 @@ impl EventGapAnalysis {
     ///
     /// A thin wrapper over the streaming [`EventGapBuilder`].
     pub fn analyze(trace: &Trace) -> Self {
-        let mut b = EventGapBuilder::default();
-        for rec in trace.records() {
-            b.observe(rec);
-        }
-        b.finish()
+        drive(EventGapBuilder::default(), trace.records())
     }
 
     /// Fraction of gaps at most `secs` seconds.
@@ -36,33 +32,23 @@ impl EventGapAnalysis {
 }
 
 /// Streaming form of [`EventGapAnalysis::analyze`]: each gap is
-/// recorded at the later of its two events. Memory is O(open files).
+/// recorded at the later of its two events, from the previous event's
+/// time that the session builder reports in [`Step::prev`]. The builder
+/// keeps no open-id state of its own.
+///
+/// An id is tracked from its `open`, or from an orphan `seek` when the
+/// open preceded the trace, until its `close`.
 #[derive(Debug, Clone, Default)]
 pub struct EventGapBuilder {
-    last: FastMap<OpenId, u64>,
     out: EventGapAnalysis,
 }
 
 impl Analyzer for EventGapBuilder {
     type Output = EventGapAnalysis;
 
-    fn observe(&mut self, rec: &TraceRecord) {
-        let now = rec.time.as_ms();
-        match rec.event {
-            TraceEvent::Open { open_id, .. } => {
-                self.last.insert(open_id, now);
-            }
-            TraceEvent::Seek { open_id, .. } => {
-                if let Some(prev) = self.last.insert(open_id, now) {
-                    self.out.gaps_ms.add(now.saturating_sub(prev), 1);
-                }
-            }
-            TraceEvent::Close { open_id, .. } => {
-                if let Some(prev) = self.last.remove(&open_id) {
-                    self.out.gaps_ms.add(now.saturating_sub(prev), 1);
-                }
-            }
-            _ => {}
+    fn observe(&mut self, rec: &TraceRecord, step: Step) {
+        if let Some(prev) = step.prev {
+            self.out.gaps_ms.add(rec.time.since(prev), 1);
         }
     }
 
@@ -75,7 +61,7 @@ impl Analyzer for EventGapBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fstrace::{AccessMode, TraceBuilder};
+    use fstrace::{AccessMode, OpenId, TraceBuilder};
 
     #[test]
     fn gaps_per_open_file() {
@@ -104,6 +90,22 @@ mod tests {
         let mut a = EventGapAnalysis::analyze(&b.finish());
         assert_eq!(a.gaps_ms.total_weight(), 2);
         assert_eq!(a.gaps_ms.percentile(1.0), Some(100));
+    }
+
+    #[test]
+    fn orphan_seek_starts_tracking_its_open_id() {
+        // The open preceded the trace: the first seek yields no gap, but
+        // the id is tracked from there, so the next seek and the close
+        // each yield one.
+        let mut b = TraceBuilder::new();
+        b.seek(1_000, OpenId(42), 0, 100);
+        b.seek(1_300, OpenId(42), 150, 0);
+        b.close(3_300, OpenId(42), 10);
+        b.close(4_000, OpenId(43), 10); // Untracked: no gap.
+        let mut a = EventGapAnalysis::analyze(&b.finish());
+        assert_eq!(a.gaps_ms.total_weight(), 2);
+        assert_eq!(a.gaps_ms.percentile(0.0), Some(300));
+        assert_eq!(a.gaps_ms.percentile(1.0), Some(2_000));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! at the end of the trace are censored and excluded, just as the
 //! paper's trace-bounded measurement necessarily was.
 
-use fstrace::{FastMap, FileId, OpenSession, SessionBuilder, Trace, TraceEvent, TraceRecord};
+use fstrace::{FastMap, FileId, OpenSession, Step, Trace, TraceEvent, TraceRecord};
 use simstat::Distribution;
 
-use crate::stream::Analyzer;
+use crate::stream::{drive, Analyzer};
 
 /// Why a file's data died.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,15 +70,7 @@ impl LifetimeAnalysis {
     /// its own session reconstruction so write bytes are billed to the
     /// live file at each `close`.
     pub fn analyze(trace: &Trace) -> Self {
-        let mut sessions = SessionBuilder::new();
-        let mut b = LifetimeBuilder::default();
-        for rec in trace.records() {
-            b.observe(rec);
-            if let Some(s) = sessions.observe(rec) {
-                b.on_session(&s);
-            }
-        }
-        b.finish()
+        drive(LifetimeBuilder::default(), trace.records())
     }
 
     fn finish(&mut self, file_id: FileId, b: Birth, died_ms: u64, cause: DeathCause) {
@@ -126,7 +118,7 @@ pub struct LifetimeBuilder {
 impl Analyzer for LifetimeBuilder {
     type Output = LifetimeAnalysis;
 
-    fn observe(&mut self, rec: &TraceRecord) {
+    fn observe(&mut self, rec: &TraceRecord, _step: Step) {
         let now = rec.time.as_ms();
         match rec.event {
             TraceEvent::Open {

@@ -180,16 +180,20 @@ impl RunLengthAnalysis {
 /// Streaming form of [`RunLengthAnalysis::analyze`]: runs are folded in
 /// from each session at close (or at end of stream for never-closed
 /// sessions).
+///
+/// Only the count-weighted distribution is accumulated: Figure 1b
+/// weights each run by its own length, so it is derived from the sorted
+/// Figure 1a at finish ([`Distribution::weighted_by_value`]) and one
+/// sort serves both.
 #[derive(Debug, Clone, Default)]
 pub struct RunLengthBuilder {
-    out: RunLengthAnalysis,
+    by_runs: Distribution,
 }
 
 impl RunLengthBuilder {
     fn add_runs(&mut self, s: &OpenSession) {
         for r in &s.runs {
-            self.out.by_runs.add(r.len, 1);
-            self.out.by_bytes.add(r.len, r.len);
+            self.by_runs.add(r.len, 1);
         }
     }
 }
@@ -206,9 +210,10 @@ impl Analyzer for RunLengthBuilder {
     }
 
     fn finish(mut self) -> RunLengthAnalysis {
-        self.out.by_runs.prepare();
-        self.out.by_bytes.prepare();
-        self.out
+        RunLengthAnalysis {
+            by_bytes: self.by_runs.weighted_by_value(),
+            by_runs: self.by_runs,
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 
 use fstrace::{FastMap, OpenSession, Trace, UserId};
 
-use crate::stream::Analyzer;
+use crate::stream::{drive, Analyzer};
 
 /// Activity attributed to one user.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,16 +47,7 @@ impl UserAnalysis {
     ///
     /// A thin wrapper over the streaming [`UserAnalysisBuilder`].
     pub fn analyze(trace: &Trace) -> Self {
-        let sessions = trace.sessions();
-        let mut b = UserAnalysisBuilder::default();
-        for s in sessions.all() {
-            if s.close_time.is_some() {
-                b.on_session(s);
-            } else {
-                b.on_unclosed(s);
-            }
-        }
-        b.finish()
+        drive(UserAnalysisBuilder::default(), trace.records())
     }
 
     /// The `n` heaviest users by bytes.
@@ -80,22 +71,34 @@ impl UserAnalysis {
 /// active windows), never O(records).
 #[derive(Debug, Clone, Default)]
 pub struct UserAnalysisBuilder {
-    bytes: FastMap<UserId, u64>,
-    nsessions: FastMap<UserId, u64>,
+    users: FastMap<UserId, UserTotals>,
+    /// Bytes per (user, 10-second window) with activity.
     windows: FastMap<(UserId, u64), u64>,
+}
+
+/// One user's running totals.
+#[derive(Debug, Clone, Copy, Default)]
+struct UserTotals {
+    bytes: u64,
+    sessions: u64,
+    /// Filled at finish: the user's busiest window and active windows.
+    peak_window: u64,
+    active_windows: u64,
 }
 
 impl UserAnalysisBuilder {
     const WINDOW_MS: u64 = 10_000;
 
-    fn add_runs(&mut self, s: &OpenSession) {
+    fn add_runs(&mut self, s: &OpenSession) -> &mut UserTotals {
+        let totals = self.users.entry(s.user_id).or_default();
         for r in &s.runs {
-            *self.bytes.entry(s.user_id).or_insert(0) += r.len;
+            totals.bytes += r.len;
             *self
                 .windows
                 .entry((s.user_id, r.billed_at.as_ms() / Self::WINDOW_MS))
                 .or_insert(0) += r.len;
         }
+        totals
     }
 }
 
@@ -103,8 +106,7 @@ impl Analyzer for UserAnalysisBuilder {
     type Output = UserAnalysis;
 
     fn on_session(&mut self, s: &OpenSession) {
-        *self.nsessions.entry(s.user_id).or_insert(0) += 1;
-        self.add_runs(s);
+        self.add_runs(s).sessions += 1;
     }
 
     fn on_unclosed(&mut self, s: &OpenSession) {
@@ -112,29 +114,25 @@ impl Analyzer for UserAnalysisBuilder {
     }
 
     fn finish(self) -> UserAnalysis {
-        let mut users: Vec<UserActivity> = self
-            .bytes
-            .iter()
-            .map(|(&user, &total)| {
-                let per_window: Vec<u64> = self
-                    .windows
-                    .iter()
-                    .filter(|(&(u, _), _)| u == user)
-                    .map(|(_, &b)| b)
-                    .collect();
-                let peak = per_window.iter().copied().max().unwrap_or(0);
-                let mean = if per_window.is_empty() {
-                    0.0
-                } else {
-                    per_window.iter().sum::<u64>() as f64 / per_window.len() as f64
-                };
-                UserActivity {
-                    user,
-                    bytes: total,
-                    sessions: self.nsessions.get(&user).copied().unwrap_or(0),
-                    peak_10s_bytes: peak,
-                    mean_active_10s_bytes: mean,
-                }
+        let UserAnalysisBuilder { mut users, windows } = self;
+        // One pass over the windows, folded into their users' rows.
+        for (&(user, _), &bytes) in &windows {
+            let t = users.get_mut(&user).expect("a window's user has totals");
+            t.peak_window = t.peak_window.max(bytes);
+            t.active_windows += 1;
+        }
+        // A user with no runs has no windows and no row; every byte of
+        // a user's runs lands in one of their windows, so `bytes` is
+        // also the sum over their windows.
+        let mut users: Vec<UserActivity> = users
+            .into_iter()
+            .filter(|(_, t)| t.active_windows > 0)
+            .map(|(user, t)| UserActivity {
+                user,
+                bytes: t.bytes,
+                sessions: t.sessions,
+                peak_10s_bytes: t.peak_window,
+                mean_active_10s_bytes: t.bytes as f64 / t.active_windows as f64,
             })
             .collect();
         users.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.user.0.cmp(&b.user.0)));

@@ -8,6 +8,8 @@ use fsanalysis::{
 use fstrace::{AccessMode, FileId, OpenId, Trace, TraceBuilder, TraceEvent, TraceRecord, UserId};
 use proptest::prelude::*;
 
+mod legacy;
+
 /// One randomly shaped session: (user, open size, seek targets with
 /// advances, final advance, created).
 #[derive(Debug, Clone)]
@@ -201,6 +203,21 @@ proptest! {
 
         let users = UserAnalysis::analyze(&trace);
         prop_assert_eq!(suite.users.users.clone(), users.users);
+    }
+
+    /// The shared pass against independent copies of the pre-change
+    /// analyzers (`legacy/mod.rs`), each with its own open-id state:
+    /// activity, event gaps and per-user rows must print the same
+    /// `{:?}` (every f64 bit for bit) on traces with orphan seeks and
+    /// closes, duplicate opens, and unclosed sessions.
+    #[test]
+    fn suite_matches_pre_change_analyzers(trace in arb_raw_trace()) {
+        let windows = [600, 10];
+        let suite = run_analyzers(trace.records(), &windows);
+        let (activity, gaps, users) = legacy::analyze(&trace, &windows);
+        prop_assert_eq!(format!("{:?}", suite.activity), format!("{activity:?}"));
+        prop_assert_eq!(format!("{:?}", suite.gaps), format!("{gaps:?}"));
+        prop_assert_eq!(format!("{:?}", suite.users), format!("{users:?}"));
     }
 
     /// Run lengths match the generator's bookkeeping exactly.

@@ -66,7 +66,7 @@ pub use codec::{TraceReader, TraceWriter};
 pub use event::{AccessMode, EventKind, TraceEvent, TraceRecord};
 pub use hash::{FastMap, FastSet};
 pub use ids::{FileId, OpenId, Timestamp, UserId, TICK_MS};
-pub use session::{OpenSession, Run, SessionBuilder, SessionSet};
+pub use session::{OpenSession, Run, SessionBuilder, SessionSet, Step};
 pub use source::{
     merged_records, BlockRecordSource, FleetMerge, IdOffsets, MergeSource, RecordSink,
     RecordSource, ReorderBuffer, TextSink,

@@ -128,10 +128,34 @@ pub struct SessionSet {
     unclosed: u64,
 }
 
-/// In-flight state for an open that has not closed yet.
+/// What one record did to the open it names, as reported by
+/// [`SessionBuilder::step`]: enough for per-record analyses (activity
+/// billing, event gaps) to share the builder's open-id table instead of
+/// keeping tables of their own.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Step {
+    /// The user of the session the record belongs to: set for an
+    /// `open`, and for a `seek` or `close` of a session the builder
+    /// holds; `None` for orphans and for records that name no open.
+    pub user: Option<UserId>,
+    /// Length of the run this `seek` or `close` ended, billed at this
+    /// record; zero when it ended none.
+    pub billed: u64,
+    /// For a `seek` or `close`, the time of the previous event on the
+    /// same open id — its `open` or an earlier `seek` — when the id was
+    /// tracked. These gaps bound when the run's transfers happened
+    /// (Section 3.1).
+    pub prev: Option<Timestamp>,
+}
+
+/// In-flight state for an open id that has not closed yet.
 struct Pending {
-    session: OpenSession,
+    /// `None` when the id is known only from an orphan `seek` (its open
+    /// preceded the trace): tracked for [`Step::prev`], but no session.
+    session: Option<OpenSession>,
     pos: u64,
+    /// Time of the id's latest event.
+    last: Timestamp,
 }
 
 /// Online session reconstruction: feed records one at a time, collect
@@ -142,6 +166,10 @@ struct Pending {
 /// O(live sessions): a session is buffered only between its `open` and
 /// its `close`, so a week-long trace streams through without
 /// materializing anything proportional to its length.
+///
+/// Its open-id table is the only one an analysis pass needs:
+/// [`SessionBuilder::step`] also reports each record's billed run and
+/// the gap since the previous event on its open id.
 ///
 /// # Examples
 ///
@@ -169,6 +197,8 @@ struct Pending {
 #[derive(Default)]
 pub struct SessionBuilder {
     pending: FastMap<OpenId, Pending>,
+    /// Entries of `pending` holding a session.
+    live: usize,
     anomalies: u64,
     live_peak: usize,
 }
@@ -186,7 +216,18 @@ impl SessionBuilder {
     /// when a trace starts mid-activity) are counted as anomalies and
     /// skipped.
     pub fn observe(&mut self, rec: &TraceRecord) -> Option<OpenSession> {
-        match rec.event {
+        self.step(rec).1
+    }
+
+    /// [`SessionBuilder::observe`], also reporting what the record did
+    /// to its open id.
+    ///
+    /// An orphan `seek` — one whose open id was never seen — is an
+    /// anomaly with no session, but from then on the id is tracked, so
+    /// its later `seek`s and `close` report [`Step::prev`].
+    pub fn step(&mut self, rec: &TraceRecord) -> (Step, Option<OpenSession>) {
+        let mut step = Step::default();
+        let closed = match rec.event {
             TraceEvent::Open {
                 open_id,
                 file_id,
@@ -207,15 +248,22 @@ impl SessionBuilder {
                     runs: Vec::new(),
                     seek_count: 0,
                 };
-                if self
-                    .pending
-                    .insert(open_id, Pending { session, pos: 0 })
-                    .is_some()
-                {
+                step.user = Some(user_id);
+                let pending = Pending {
+                    session: Some(session),
+                    pos: 0,
+                    last: rec.time,
+                };
+                match self.pending.insert(open_id, pending) {
                     // Duplicate open id: drop the earlier, unfinished one.
-                    self.anomalies += 1;
+                    Some(Pending {
+                        session: Some(_), ..
+                    }) => self.anomalies += 1,
+                    _ => {
+                        self.live += 1;
+                        self.live_peak = self.live_peak.max(self.live);
+                    }
                 }
-                self.live_peak = self.live_peak.max(self.pending.len());
                 None
             }
             TraceEvent::Seek {
@@ -225,52 +273,84 @@ impl SessionBuilder {
             } => {
                 match self.pending.get_mut(&open_id) {
                     Some(p) => {
-                        p.session.seek_count += 1;
-                        if old_pos > p.pos {
-                            p.session.runs.push(Run {
-                                offset: p.pos,
-                                len: old_pos - p.pos,
-                                billed_at: rec.time,
-                            });
-                        } else if old_pos < p.pos {
-                            // Positions only move forward between seeks;
-                            // a regression is a malformed trace.
-                            self.anomalies += 1;
+                        step.prev = Some(p.last);
+                        p.last = rec.time;
+                        match p.session.as_mut() {
+                            Some(s) => {
+                                step.user = Some(s.user_id);
+                                s.seek_count += 1;
+                                if old_pos > p.pos {
+                                    step.billed = old_pos - p.pos;
+                                    s.runs.push(Run {
+                                        offset: p.pos,
+                                        len: step.billed,
+                                        billed_at: rec.time,
+                                    });
+                                } else if old_pos < p.pos {
+                                    // Positions only move forward between
+                                    // seeks; a regression is a malformed
+                                    // trace.
+                                    self.anomalies += 1;
+                                }
+                                p.pos = new_pos;
+                            }
+                            None => self.anomalies += 1,
                         }
-                        p.pos = new_pos;
                     }
-                    None => self.anomalies += 1,
+                    None => {
+                        self.anomalies += 1;
+                        self.pending.insert(
+                            open_id,
+                            Pending {
+                                session: None,
+                                pos: 0,
+                                last: rec.time,
+                            },
+                        );
+                    }
                 }
                 None
             }
-            TraceEvent::Close { open_id, final_pos } => match self.pending.remove(&open_id) {
-                Some(mut p) => {
-                    if final_pos > p.pos {
-                        p.session.runs.push(Run {
-                            offset: p.pos,
-                            len: final_pos - p.pos,
-                            billed_at: rec.time,
-                        });
-                    } else if final_pos < p.pos {
-                        self.anomalies += 1;
+            TraceEvent::Close { open_id, final_pos } => {
+                let pending = self.pending.remove(&open_id);
+                step.prev = pending.as_ref().map(|p| p.last);
+                match pending {
+                    Some(Pending {
+                        session: Some(mut s),
+                        pos,
+                        ..
+                    }) => {
+                        self.live -= 1;
+                        step.user = Some(s.user_id);
+                        if final_pos > pos {
+                            step.billed = final_pos - pos;
+                            s.runs.push(Run {
+                                offset: pos,
+                                len: step.billed,
+                                billed_at: rec.time,
+                            });
+                        } else if final_pos < pos {
+                            self.anomalies += 1;
+                        }
+                        s.close_time = Some(rec.time);
+                        Some(s)
                     }
-                    p.session.close_time = Some(rec.time);
-                    Some(p.session)
+                    _ => {
+                        self.anomalies += 1;
+                        None
+                    }
                 }
-                None => {
-                    self.anomalies += 1;
-                    None
-                }
-            },
+            }
             TraceEvent::Execve { .. } | TraceEvent::Unlink { .. } | TraceEvent::Truncate { .. } => {
                 None
             }
-        }
+        };
+        (step, closed)
     }
 
     /// Number of sessions currently open (the builder's live memory).
     pub fn live_sessions(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Greatest number of simultaneously open sessions seen so far.
@@ -288,7 +368,11 @@ impl SessionBuilder {
     /// by open time, then open id, with `close_time == None`) and the
     /// final anomaly count.
     pub fn finish(self) -> (Vec<OpenSession>, u64) {
-        let mut rest: Vec<OpenSession> = self.pending.into_values().map(|p| p.session).collect();
+        let mut rest: Vec<OpenSession> = self
+            .pending
+            .into_values()
+            .filter_map(|p| p.session)
+            .collect();
         rest.sort_by_key(|s| (s.open_time, s.open_id));
         (rest, self.anomalies)
     }
@@ -493,6 +577,56 @@ mod tests {
         let set = t.sessions();
         assert_eq!(set.anomalies(), 2);
         assert!(set.is_empty());
+    }
+
+    #[test]
+    fn orphan_seek_tracks_its_id_without_a_session() {
+        let mut b = TraceBuilder::new();
+        b.seek(100, OpenId(7), 0, 5);
+        b.seek(250, OpenId(7), 40, 60);
+        b.close(400, OpenId(7), 90);
+        let t = b.finish();
+        let mut sb = SessionBuilder::new();
+        let steps: Vec<Step> = t.records().iter().map(|r| sb.step(r).0).collect();
+        let prevs: Vec<Option<u64>> = steps.iter().map(|s| s.prev.map(Timestamp::as_ms)).collect();
+        assert_eq!(prevs, [None, Some(100), Some(250)]);
+        assert!(steps.iter().all(|s| s.user.is_none() && s.billed == 0));
+        assert_eq!(sb.live_sessions_peak(), 0);
+        assert_eq!(sb.finish(), (Vec::new(), 3));
+    }
+
+    #[test]
+    fn step_reports_billed_runs_and_gaps() {
+        let mut b = TraceBuilder::new();
+        let f = b.new_file_id();
+        let u = b.new_user_id();
+        let o = b.open(0, f, u, AccessMode::ReadWrite, 1000, false);
+        b.seek(30, o, 200, 500);
+        b.close(70, o, 900);
+        let t = b.finish();
+        let mut sb = SessionBuilder::new();
+        let steps: Vec<Step> = t.records().iter().map(|r| sb.step(r).0).collect();
+        let at = |ms| Some(Timestamp::from_ms(ms));
+        assert_eq!(
+            steps,
+            [
+                Step {
+                    user: Some(u),
+                    billed: 0,
+                    prev: None
+                },
+                Step {
+                    user: Some(u),
+                    billed: 200,
+                    prev: at(0)
+                },
+                Step {
+                    user: Some(u),
+                    billed: 400,
+                    prev: at(30)
+                },
+            ]
+        );
     }
 
     #[test]

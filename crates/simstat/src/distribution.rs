@@ -89,17 +89,7 @@ impl Distribution {
 
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.samples.sort_unstable();
-            // Coalesce duplicate values so query scans stay short even for
-            // multi-million-event traces with few distinct values.
-            let mut out: Vec<(u64, u64)> = Vec::with_capacity(self.samples.len());
-            for &(v, w) in &self.samples {
-                match out.last_mut() {
-                    Some((lv, lw)) if *lv == v => *lw += w,
-                    _ => out.push((v, w)),
-                }
-            }
-            self.samples = out;
+            self.samples = coalesced(std::mem::take(&mut self.samples));
             self.sorted = true;
         }
     }
@@ -107,16 +97,7 @@ impl Distribution {
     /// The sorted, coalesced form of the samples without mutating the
     /// buffer (the basis of order-insensitive equality).
     fn canonical_samples(&self) -> Vec<(u64, u64)> {
-        let mut v = self.samples.clone();
-        v.sort_unstable();
-        let mut out: Vec<(u64, u64)> = Vec::with_capacity(v.len());
-        for (value, weight) in v {
-            match out.last_mut() {
-                Some((lv, lw)) if *lv == value => *lw += weight,
-                _ => out.push((value, weight)),
-            }
-        }
-        out
+        coalesced(self.samples.clone())
     }
 
     /// Sorts and coalesces the buffered samples now rather than at the
@@ -127,6 +108,26 @@ impl Distribution {
     /// one entry per distinct value instead of one per `add` call.
     pub fn prepare(&mut self) {
         self.ensure_sorted();
+    }
+
+    /// The same values with each weight multiplied by its value, as a
+    /// prepared distribution: equal to re-adding every observation
+    /// `(v, w)` as `(v, v * w)`, but sharing this distribution's sort.
+    /// Turns lengths weighted by count into lengths weighted by bytes
+    /// (Figure 1b from Figure 1a). Prepares `self` first.
+    pub fn weighted_by_value(&mut self) -> Distribution {
+        self.ensure_sorted();
+        let samples: Vec<(u64, u64)> = self
+            .samples
+            .iter()
+            .filter(|&&(v, _)| v > 0)
+            .map(|&(v, w)| (v, v * w))
+            .collect();
+        Distribution {
+            total_weight: samples.iter().map(|&(_, w)| w).sum(),
+            samples,
+            sorted: true,
+        }
     }
 
     /// Fraction of total weight at values `<= limit`, in `[0, 1]`.
@@ -212,6 +213,22 @@ impl Distribution {
             })
             .collect()
     }
+}
+
+/// Sorts `(value, weight)` samples by value and merges equal values,
+/// summing their weights. Weights need no sort key: coalescing sums
+/// them. Keeps query scans short even for multi-million-event traces
+/// with few distinct values.
+fn coalesced(mut samples: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    samples.sort_unstable_by_key(|&(v, _)| v);
+    let mut out: Vec<(u64, u64)> = Vec::with_capacity(samples.len());
+    for (v, w) in samples {
+        match out.last_mut() {
+            Some((lv, lw)) if *lv == v => *lw += w,
+            _ => out.push((v, w)),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -332,6 +349,20 @@ mod tests {
         assert_eq!(pts[0].cumulative, 0.0);
         assert_eq!(pts[1].cumulative, 0.5);
         assert_eq!(pts[2].cumulative, 1.0);
+    }
+
+    #[test]
+    fn weighted_by_value_matches_readding() {
+        let mut by_count = Distribution::new();
+        let mut by_value = Distribution::new();
+        for v in [300u64, 5, 300, 0, 7, 5, 300] {
+            by_count.add(v, 1);
+            by_value.add(v, v);
+        }
+        let derived = by_count.weighted_by_value();
+        by_value.prepare();
+        assert_eq!(format!("{derived:?}"), format!("{by_value:?}"));
+        assert_eq!(derived.total_weight(), 917);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Per-key activity accumulated over fixed time windows.
 
-use std::collections::{BTreeMap, HashMap};
-
 use crate::OnlineStats;
 
 /// Summary statistics over the windows of a [`WindowedSums`].
@@ -28,6 +26,15 @@ pub struct WindowStats {
 /// Times and window lengths are in arbitrary integer ticks (the trace
 /// uses milliseconds).
 ///
+/// Observations normally arrive in time order (traces are time-sorted),
+/// so the accumulator keeps only the newest window open, as a short
+/// vector sorted by key. When a later window starts, the open window's
+/// entries are appended — already in order — to a flat list of closed
+/// `(window, key, sum)` entries, and [`stats`](WindowedSums::stats)
+/// walks that list once. An observation for an older window (input out
+/// of time order) is merged into the closed list by binary search, so
+/// results are the same for any add order.
+///
 /// # Examples
 ///
 /// ```
@@ -44,15 +51,18 @@ pub struct WindowStats {
 #[derive(Debug, Clone)]
 pub struct WindowedSums {
     window_len: u64,
-    /// (window index, key) → summed amount. Ordered so that [`stats`]
-    /// feeds its running moments in a deterministic order — repeated
-    /// analyses of the same observations are bit-identical, which the
-    /// streaming-vs-materialized pipeline equivalence tests rely on.
+    /// `(window, key, sum)` for every window before `open_window`,
+    /// sorted by `(window, key)`. [`stats`] feeds its running moments
+    /// in this order, so repeated analyses of the same observations
+    /// are bit-identical, which the streaming-vs-materialized pipeline
+    /// equivalence tests rely on.
     ///
     /// [`stats`]: WindowedSums::stats
-    sums: BTreeMap<(u64, u64), u64>,
+    closed: Vec<(u64, u64, u64)>,
+    /// `(key, sum)` of the newest window, sorted by key.
+    open: Vec<(u64, u64)>,
+    open_window: u64,
     first_window: Option<u64>,
-    last_window: u64,
 }
 
 impl WindowedSums {
@@ -65,9 +75,10 @@ impl WindowedSums {
         assert!(window_len > 0, "window length must be positive");
         Self {
             window_len,
-            sums: BTreeMap::new(),
+            closed: Vec::new(),
+            open: Vec::new(),
+            open_window: 0,
             first_window: None,
-            last_window: 0,
         }
     }
 
@@ -83,19 +94,51 @@ impl WindowedSums {
     /// ones that transfer no data (e.g. `unlink`).
     pub fn add(&mut self, time: u64, key: u64, amount: u64) {
         let w = time / self.window_len;
-        *self.sums.entry((w, key)).or_insert(0) += amount;
-        self.first_window = Some(self.first_window.map_or(w, |f| f.min(w)));
-        self.last_window = self.last_window.max(w);
+        let Some(first) = self.first_window else {
+            self.first_window = Some(w);
+            self.open_window = w;
+            self.open.push((key, amount));
+            return;
+        };
+        if w == self.open_window {
+            add_sorted(&mut self.open, key, amount);
+        } else if w > self.open_window {
+            let closing = self.open_window;
+            self.closed
+                .extend(self.open.drain(..).map(|(k, sum)| (closing, k, sum)));
+            self.open_window = w;
+            self.open.push((key, amount));
+        } else {
+            // A late point: input out of time order.
+            self.first_window = Some(first.min(w));
+            match self
+                .closed
+                .binary_search_by(|&(cw, ck, _)| (cw, ck).cmp(&(w, key)))
+            {
+                Ok(i) => self.closed[i].2 += amount,
+                Err(i) => self.closed.insert(i, (w, key, amount)),
+            }
+        }
+    }
+
+    /// Every `(window, key, sum)` entry in `(window, key)` order.
+    fn entries(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        let open_window = self.open_window;
+        self.closed.iter().copied().chain(
+            self.open
+                .iter()
+                .map(move |&(key, sum)| (open_window, key, sum)),
+        )
     }
 
     /// Total amount recorded across all windows and keys.
     pub fn total(&self) -> u64 {
-        self.sums.values().sum()
+        self.entries().map(|(_, _, sum)| sum).sum()
     }
 
     /// Number of distinct keys seen.
     pub fn distinct_keys(&self) -> u64 {
-        let mut keys: Vec<u64> = self.sums.keys().map(|&(_, k)| k).collect();
+        let mut keys: Vec<u64> = self.entries().map(|(_, key, _)| key).collect();
         keys.sort_unstable();
         keys.dedup();
         keys.len() as u64
@@ -105,36 +148,54 @@ impl WindowedSums {
     ///
     /// Windows between the first and last observation that saw no
     /// activity contribute zero to `active_per_window` but produce no
-    /// `sum_per_active` samples, matching the paper's averaging.
+    /// `sum_per_active` samples, matching the paper's averaging. The
+    /// work is one step per entry plus one per spanned window.
     pub fn stats(&self) -> WindowStats {
+        let mut active_per_window = OnlineStats::new();
+        let mut sum_per_active = OnlineStats::new();
+        let mut max_active = 0u64;
         let Some(first) = self.first_window else {
             return WindowStats {
                 window_count: 0,
-                max_active: 0,
-                active_per_window: OnlineStats::new(),
-                sum_per_active: OnlineStats::new(),
+                max_active,
+                active_per_window,
+                sum_per_active,
             };
         };
-        let window_count = self.last_window - first + 1;
-        let mut active: HashMap<u64, u64> = HashMap::new();
-        let mut sum_per_active = OnlineStats::new();
-        for (&(w, _), &amount) in &self.sums {
-            *active.entry(w).or_insert(0) += 1;
-            sum_per_active.add(amount as f64);
+        // Entries start at `first` (every add leaves an entry in its
+        // window) and end at `open_window`, the last window.
+        let mut window = first;
+        let mut active = 0u64;
+        for (w, _, sum) in self.entries() {
+            sum_per_active.add(sum as f64);
+            if w != window {
+                active_per_window.add(active as f64);
+                max_active = max_active.max(active);
+                for _ in window + 1..w {
+                    active_per_window.add(0.0);
+                }
+                window = w;
+                active = 0;
+            }
+            active += 1;
         }
-        let mut active_per_window = OnlineStats::new();
-        let mut max_active = 0u64;
-        for w in first..=self.last_window {
-            let a = active.get(&w).copied().unwrap_or(0);
-            active_per_window.add(a as f64);
-            max_active = max_active.max(a);
-        }
+        active_per_window.add(active as f64);
+        max_active = max_active.max(active);
         WindowStats {
-            window_count,
+            window_count: self.open_window - first + 1,
             max_active,
             active_per_window,
             sum_per_active,
         }
+    }
+}
+
+/// Adds `amount` to `key`'s entry of a key-sorted vector, inserting the
+/// entry if it is missing.
+fn add_sorted(entries: &mut Vec<(u64, u64)>, key: u64, amount: u64) {
+    match entries.binary_search_by_key(&key, |&(k, _)| k) {
+        Ok(i) => entries[i].1 += amount,
+        Err(i) => entries.insert(i, (key, amount)),
     }
 }
 

@@ -54,6 +54,15 @@ pub const OP_ERR: u8 = 0x81;
 /// Hard cap on one frame's length (op byte + payload).
 pub const MAX_FRAME: u32 = 64 << 20;
 
+/// Cap on the activity windows one `analyze` reply may span. Table IV's
+/// analysis visits every window between the first and the last record,
+/// so its work grows with the served data's time span, not its size: two
+/// records 10^11 ms apart take 0.06 s, so two ingested 10^15 ms apart
+/// would take about ten minutes. A snapshot spanning more than this many
+/// of the shortest analysis window gets an error reply instead; 2^24
+/// ten-second windows are 5.3 years.
+pub const MAX_ANALYSIS_WINDOWS: u64 = 1 << 24;
+
 /// The ingest handshake: which merge input this connection feeds.
 ///
 /// `offsets` are the id offsets this input's records are remapped by

@@ -19,6 +19,8 @@ use fsanalysis::{AnalysisStream, AnalysisSuite};
 use fstrace::{Timestamp, Trace, TraceRecord, TraceSummary};
 use tracestore::{Archive, Corruption};
 
+use crate::protocol::MAX_ANALYSIS_WINDOWS;
+
 /// A consistent view of the served data at one instant.
 #[derive(Debug, Clone, Default)]
 pub struct DataSnapshot {
@@ -62,15 +64,33 @@ impl DataSnapshot {
     /// Runs the full Section-5 analyzer suite in one streaming pass:
     /// pipelined block reads over each sealed shard, then the tail.
     /// Bit-identical to `run_analyzers` over [`Self::materialize`].
+    ///
+    /// # Errors
+    ///
+    /// Besides read errors, fails without analyzing when the records
+    /// span more than [`MAX_ANALYSIS_WINDOWS`] of the shortest window in
+    /// `window_secs` — the span is read from each shard's chunk index
+    /// before its records are decoded, and from the tail.
     pub fn analyze(&self, window_secs: &[u64], jobs: usize) -> io::Result<AnalysisSuite> {
+        let mut span = TimeSpan::default();
         let mut stream = AnalysisStream::new(window_secs);
         for path in &self.shards {
             let archive = Arc::new(open_shard(path)?);
+            for chunk in archive.chunks() {
+                span.cover(Timestamp::from_ticks(chunk.first_ticks));
+                span.cover(Timestamp::from_ticks(chunk.last_ticks));
+            }
+            span.check(window_secs)?;
             for block in archive.pipelined(Corruption::Fail, jobs) {
                 let block = block.map_err(|e| archive_error(path, e))?;
                 stream.observe_block(&block);
             }
         }
+        if let (Some(first), Some(last)) = (self.tail.first(), self.tail.last()) {
+            span.cover(first.time);
+            span.cover(last.time);
+        }
+        span.check(window_secs)?;
         for rec in &self.tail {
             stream.observe(rec);
         }
@@ -131,6 +151,38 @@ impl DataSnapshot {
             ));
         }
         Ok(out)
+    }
+}
+
+/// The earliest and latest record times seen so far.
+#[derive(Debug, Clone, Copy, Default)]
+struct TimeSpan(Option<(Timestamp, Timestamp)>);
+
+impl TimeSpan {
+    fn cover(&mut self, t: Timestamp) {
+        let (first, last) = self.0.get_or_insert((t, t));
+        *first = (*first).min(t);
+        *last = (*last).max(t);
+    }
+
+    /// Errs when the span covers more than [`MAX_ANALYSIS_WINDOWS`] of
+    /// the shortest analysis window.
+    fn check(self, window_secs: &[u64]) -> io::Result<()> {
+        let (Some((first, last)), Some(&shortest)) = (self.0, window_secs.iter().min()) else {
+            return Ok(());
+        };
+        let window_ms = shortest.saturating_mul(1000).max(1);
+        let windows = last.as_ms() / window_ms - first.as_ms() / window_ms + 1;
+        if windows > MAX_ANALYSIS_WINDOWS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "analyze: records from {first} to {last} span {windows} windows of \
+                     {shortest} s, over the cap of {MAX_ANALYSIS_WINDOWS}"
+                ),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -279,6 +331,47 @@ mod tests {
             .copied()
             .collect();
         assert_eq!(snap.range(from, to).unwrap(), expect);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn analyze_rejects_a_span_over_the_window_cap() {
+        // Two records 10^15 ms apart, one sealed and one in the tail:
+        // analyzing them would walk 10^11 ten-second windows.
+        let far = 1_000_000_000_000_000;
+        let records = vec![
+            TraceRecord::new(
+                0,
+                TraceEvent::Unlink {
+                    file_id: FileId(1),
+                    user_id: UserId(1),
+                },
+            ),
+            TraceRecord::new(
+                far,
+                TraceEvent::Unlink {
+                    file_id: FileId(2),
+                    user_id: UserId(1),
+                },
+            ),
+        ];
+        let (snap, dir) = snapshot_of(&records, 1);
+        let started = std::time::Instant::now();
+        let err = snap.analyze(&[600, 10], 2).unwrap_err();
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("over the cap"), "{err}");
+        // The same span in the tail alone, and a span under the cap.
+        let tail_only = DataSnapshot {
+            shards: Vec::new(),
+            tail: records.clone(),
+        };
+        assert!(tail_only.analyze(&[600, 10], 2).is_err());
+        let near = DataSnapshot {
+            shards: Vec::new(),
+            tail: vec![records[0], TraceRecord::new(3_600_000, records[1].event)],
+        };
+        assert!(near.analyze(&[600, 10], 2).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

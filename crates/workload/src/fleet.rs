@@ -15,7 +15,7 @@
 //!    of simulated time at a time and ships each slice's final records
 //!    through a bounded channel — the per-machine ring. A full ring
 //!    blocks the producer (backpressure), never drops records.
-//! 3. **Merge**: the caller's thread drains every ring into a
+//! 3. **Merge**: the caller's thread receives the rings' slices into a
 //!    [`FleetMerge`], which releases records up to the fleet-wide
 //!    watermark (the slowest machine's progress) in `(time, machine,
 //!    arrival)` order.
@@ -29,14 +29,18 @@
 //! tests in this crate and `tests/fleet.rs` enforce it.
 //!
 //! Workers rendezvous at a barrier after every epoch, so no machine
-//! runs more than one epoch ahead of the slowest — that bounds the
-//! merge's buffered-record memory to roughly one epoch of fleet-wide
-//! output plus reorder tails.
+//! runs more than one epoch ahead of the slowest. The merge bounds its
+//! own memory under any thread schedule: each slice carries its
+//! machine's progress, and the merge takes slices only from the
+//! machines at the watermark, one at a time. Every machine is then at
+//! most one epoch ahead of the watermark inside the merge, so it holds
+//! about one epoch of fleet-wide output plus reorder tails. When the
+//! merge thread falls behind, the backlog waits in the bounded rings
+//! and blocks the producers; it never piles into the merge.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, SyncSender, TryRecvError};
 use std::sync::{Barrier, OnceLock};
-use std::time::Duration;
 
 use bsdfs::FsParams;
 use fstrace::{EventKind, FleetMerge, IdOffsets, RecordSink, TraceRecord};
@@ -164,7 +168,8 @@ pub struct FleetStats {
     pub records: u64,
     /// Most records the fleet merge buffered at once.
     pub merge_buffered_peak: u64,
-    /// Most records drained from one ring in a single merge visit.
+    /// Most records received from one ring in a single merge visit
+    /// (one slice: a machine's epoch, or its sealed tail).
     pub ring_occupancy_peak: u64,
     /// Largest observed progress spread between the fastest and the
     /// slowest machine, in simulated milliseconds.
@@ -220,8 +225,8 @@ fn fleet_machines_gauge() -> &'static obs::Gauge {
     CELL.get_or_init(|| obs::global().gauge("workload.fleet.machines"))
 }
 
-/// The `workload.fleet.ring_occupancy_peak` gauge: most records drained
-/// from one machine's ring in a single merge visit.
+/// The `workload.fleet.ring_occupancy_peak` gauge: most records
+/// received from one machine's ring in a single merge visit.
 fn ring_occupancy_gauge() -> &'static obs::Gauge {
     static CELL: OnceLock<obs::Gauge> = OnceLock::new();
     CELL.get_or_init(|| obs::global().gauge("workload.fleet.ring_occupancy_peak"))
@@ -232,6 +237,15 @@ fn ring_occupancy_gauge() -> &'static obs::Gauge {
 fn merge_lag_gauge() -> &'static obs::Gauge {
     static CELL: OnceLock<obs::Gauge> = OnceLock::new();
     CELL.get_or_init(|| obs::global().gauge("workload.fleet.merge_lag_ms_peak"))
+}
+
+/// What a machine ships through its ring once per epoch: the records
+/// that became final before `up_to_ms`, or its sealed tail when
+/// `up_to_ms` is `u64::MAX`. Progress travels with the records that back
+/// it, so the merge can never apply a watermark ahead of them.
+struct Slice {
+    records: Vec<TraceRecord>,
+    up_to_ms: u64,
 }
 
 /// One worker's slice of the fleet: drives machines `w, w+workers,
@@ -265,11 +279,13 @@ pub fn generate_fleet_into(
     let workers = config.jobs.clamp(1, n);
     let barrier = Barrier::new(workers);
     let unfinished = AtomicU64::new(n as u64);
+    // Each machine's latest horizon, published by its worker for the
+    // lag statistic only: the merge takes progress from the slices.
     let progress: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let mut txs: Vec<Option<SyncSender<Vec<TraceRecord>>>> = Vec::with_capacity(n);
+    let mut txs: Vec<Option<SyncSender<Slice>>> = Vec::with_capacity(n);
     let mut rxs = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = mpsc::sync_channel::<Vec<TraceRecord>>(config.ring_batches.max(1));
+        let (tx, rx) = mpsc::sync_channel::<Slice>(config.ring_batches.max(1));
         txs.push(Some(tx));
         rxs.push(rx);
     }
@@ -284,7 +300,7 @@ pub fn generate_fleet_into(
         for w in 0..workers {
             let owned: Vec<usize> = (w..n).step_by(workers).collect();
             let worker = Worker { config, owned };
-            let mut slots: Vec<SyncSender<Vec<TraceRecord>>> = Vec::new();
+            let mut slots: Vec<SyncSender<Slice>> = Vec::new();
             for &m in &worker.owned {
                 slots.push(txs[m].take().expect("machine owned twice"));
             }
@@ -295,72 +311,42 @@ pub fn generate_fleet_into(
         }
         drop(txs);
 
-        // The merge loop: load progress BEFORE draining each ring, so a
-        // watermark is only applied after every record sent before it
-        // was stored has been pushed (senders send, then store).
-        let mut finished = vec![false; n];
-        while finished.iter().any(|f| !f) {
-            for i in 0..n {
-                if finished[i] {
-                    continue;
-                }
-                let p = progress[i].load(Ordering::Acquire);
-                let mut drained = 0u64;
-                while let Ok(batch) = rxs[i].try_recv() {
-                    drained += batch.len() as u64;
-                    for rec in &batch {
-                        merge.push(i, rec);
-                    }
-                }
-                if drained > ring_peak {
-                    ring_peak = drained;
-                }
-                if p == u64::MAX {
-                    merge.finish_input(i);
-                    finished[i] = true;
-                } else {
-                    merge.set_progress(i, p);
-                }
+        // The merge loop. `up_to[i]` is machine i's progress as the
+        // merge knows it (`None` once finished); the watermark is their
+        // minimum. Taking slices only from machines at the watermark
+        // keeps every machine within one epoch of it inside the merge.
+        let mut up_to: Vec<Option<u64>> = vec![Some(0); n];
+        while let Some(watermark) = up_to.iter().flatten().min().copied() {
+            let laggards: Vec<usize> = (0..n).filter(|&i| up_to[i] == Some(watermark)).collect();
+            let mut received = false;
+            for &i in &laggards {
+                let slice = match rxs[i].try_recv() {
+                    Ok(slice) => Some(slice),
+                    Err(TryRecvError::Empty) => continue,
+                    Err(TryRecvError::Disconnected) => None,
+                };
+                up_to[i] = take_slice(&mut merge, i, slice, sink_result.is_ok(), &mut ring_peak);
+                received = true;
             }
-            let snap: Vec<u64> = (0..n)
-                .filter(|&i| !finished[i])
-                .map(|i| progress[i].load(Ordering::Acquire).min(u64::MAX - 1))
-                .collect();
-            if let (Some(&lo), Some(&hi)) = (snap.iter().min(), snap.iter().max()) {
+            if !received {
+                // Every laggard's ring is empty: the watermark cannot
+                // move until the first of them ships, so block on it.
+                let g = laggards[0];
+                let slice = rxs[g].recv().ok();
+                up_to[g] = take_slice(&mut merge, g, slice, sink_result.is_ok(), &mut ring_peak);
+            }
+            // The producers' spread, over machines still running.
+            let running = progress
+                .iter()
+                .map(|p| p.load(Ordering::Acquire))
+                .filter(|&p| p != u64::MAX);
+            let (lo, hi) = running.fold((u64::MAX, 0), |(lo, hi), p| (lo.min(p), hi.max(p)));
+            if lo <= hi {
                 lag_peak = lag_peak.max(hi - lo);
             }
             if sink_result.is_ok() {
-                match merge.release(sink) {
-                    Ok(released) => {
-                        if released == 0 {
-                            // Nothing releasable: block briefly on the
-                            // gating (slowest) machine's ring rather
-                            // than spinning.
-                            if let Some(g) = (0..n)
-                                .filter(|&i| !finished[i])
-                                .min_by_key(|&i| progress[i].load(Ordering::Acquire))
-                            {
-                                match rxs[g].recv_timeout(Duration::from_millis(5)) {
-                                    Ok(batch) => {
-                                        for rec in &batch {
-                                            merge.push(g, rec);
-                                        }
-                                    }
-                                    Err(RecvTimeoutError::Timeout) => {}
-                                    Err(RecvTimeoutError::Disconnected) => {
-                                        // Sender dropped and the ring
-                                        // is drained — the machine is
-                                        // done (or its worker died), so
-                                        // retire the input; the merge
-                                        // must not wait on it.
-                                        merge.finish_input(g);
-                                        finished[g] = true;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => sink_result = Err(GenerateError::Io(e)),
+                if let Err(e) = merge.release(sink) {
+                    sink_result = Err(GenerateError::Io(e));
                 }
             }
         }
@@ -390,19 +376,48 @@ pub fn generate_fleet_into(
     })
 }
 
+/// Feeds one received slice of machine `i` to the merge and returns
+/// the machine's new progress: `None` once it has finished (its sealed
+/// tail arrived, or its sender hung up because the machine failed).
+/// After a sink error the records are dropped instead of buffered.
+fn take_slice(
+    merge: &mut FleetMerge,
+    i: usize,
+    slice: Option<Slice>,
+    keep: bool,
+    ring_peak: &mut u64,
+) -> Option<u64> {
+    let Some(slice) = slice else {
+        merge.finish_input(i);
+        return None;
+    };
+    *ring_peak = (*ring_peak).max(slice.records.len() as u64);
+    if keep {
+        for rec in &slice.records {
+            merge.push(i, rec);
+        }
+    }
+    if slice.up_to_ms == u64::MAX {
+        merge.finish_input(i);
+        None
+    } else {
+        merge.set_progress(i, slice.up_to_ms);
+        Some(slice.up_to_ms)
+    }
+}
+
 impl Worker<'_> {
     /// Epoch loop: advance every owned machine to the next horizon,
     /// ship its finalized records, publish progress, and rendezvous.
     fn run(
         &self,
-        txs: Vec<SyncSender<Vec<TraceRecord>>>,
+        txs: Vec<SyncSender<Slice>>,
         barrier: &Barrier,
         unfinished: &AtomicU64,
         progress: &[AtomicU64],
     ) -> Result<Vec<MachineStats>, GenerateError> {
         let mut sims: Vec<Option<MachineSim>> = Vec::with_capacity(self.owned.len());
-        let mut txs: Vec<Option<SyncSender<Vec<TraceRecord>>>> =
-            txs.into_iter().map(Some).collect();
+        let mut txs: Vec<Option<SyncSender<Slice>>> = txs.into_iter().map(Some).collect();
         let mut stats = Vec::with_capacity(self.owned.len());
         let mut first_err: Option<GenerateError> = None;
         for &m in &self.owned {
@@ -460,18 +475,19 @@ impl Worker<'_> {
                         }
                     }
                 }
-                if !batch.is_empty() {
-                    // A full ring blocks here: backpressure, not loss.
-                    if let Some(tx) = txs[slot].as_ref() {
-                        let _ = tx.send(batch);
-                    }
+                // Every epoch ships a slice, empty or not: it carries
+                // the machine's progress. A full ring blocks here:
+                // backpressure, not loss.
+                if let Some(tx) = txs[slot].as_ref() {
+                    let up_to_ms = if done { u64::MAX } else { t };
+                    let _ = tx.send(Slice {
+                        records: batch,
+                        up_to_ms,
+                    });
                 }
                 if done {
                     self.retire_slot(m, slot, &mut txs, progress, unfinished);
                 } else {
-                    // Store AFTER sending: the merger loads progress
-                    // before draining, so a watermark it applies is
-                    // always backed by already-pushed records.
                     progress[m].store(t, Ordering::Release);
                 }
             }
@@ -497,7 +513,7 @@ impl Worker<'_> {
         &self,
         m: usize,
         slot: usize,
-        txs: &mut [Option<SyncSender<Vec<TraceRecord>>>],
+        txs: &mut [Option<SyncSender<Slice>>],
         progress: &[AtomicU64],
         unfinished: &AtomicU64,
     ) {
@@ -511,7 +527,7 @@ impl Worker<'_> {
     fn retire(
         &self,
         m: usize,
-        txs: &mut [Option<SyncSender<Vec<TraceRecord>>>],
+        txs: &mut [Option<SyncSender<Slice>>],
         progress: &[AtomicU64],
         unfinished: &AtomicU64,
     ) {

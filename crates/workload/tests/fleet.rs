@@ -8,10 +8,8 @@
 //! machines 0..N), and the bounded-memory behavior of the watermark
 //! merge when one producer is deliberately slow.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -194,15 +192,23 @@ fn machine_ids_are_machine_scoped() {
     }
 }
 
-/// A deliberately stalled producer gates the merge (watermark waits on
-/// the slowest machine) without unbounded buffering: the epoch barrier
-/// keeps the fast producer at most one epoch ahead, so the merge's peak
-/// occupancy stays near one epoch of output, far below the total.
+/// A stalled producer gates the merge (the watermark waits on the
+/// slowest machine) without unbounded buffering, under the schedule
+/// that stresses the bound most. The merge thread starts only after
+/// both producers have filled their rings, so it begins far behind;
+/// from then on producer 1 ships an epoch only when the merge thread is
+/// about to block on an empty ring, so it is the stalled machine. The
+/// merge takes slices, each carrying its machine's progress, only from
+/// machines at the watermark — the fleet runner's discipline — so each
+/// machine stays within one epoch of the watermark inside the merge and
+/// the peak stays near one epoch of output per machine, far below the
+/// total, however the threads are scheduled.
 #[test]
 fn stalled_producer_gates_merge_without_unbounded_buffering() {
     const EPOCHS: u64 = 30;
     const PER_EPOCH: u64 = 50;
     const EPOCH_MS: u64 = 1_000;
+    const RING: u64 = 4;
     let offsets = vec![
         IdOffsets::default(),
         IdOffsets {
@@ -213,11 +219,17 @@ fn stalled_producer_gates_merge_without_unbounded_buffering() {
     ];
     let mut merge = FleetMerge::new(offsets);
     let barrier = Arc::new(Barrier::new(2));
-    let progress: Arc<[AtomicU64; 2]> = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    // Both producers and the merge thread pass this once the rings are
+    // full.
+    let start = Arc::new(Barrier::new(3));
+    // After the start, producer 1 ships one epoch per token.
+    let (token_tx, token_rx) = mpsc::sync_channel::<()>(1);
+    let mut token_rx = Some(token_rx);
     let mut txs = Vec::new();
     let mut rxs = Vec::new();
     for _ in 0..2 {
-        let (tx, rx) = mpsc::sync_channel::<Vec<TraceRecord>>(4);
+        // A slice: one epoch's records and the progress they back.
+        let (tx, rx) = mpsc::sync_channel::<(Vec<TraceRecord>, u64)>(RING as usize);
         txs.push(tx);
         rxs.push(rx);
     }
@@ -225,12 +237,14 @@ fn stalled_producer_gates_merge_without_unbounded_buffering() {
     let mut handles = Vec::new();
     for (i, tx) in txs.into_iter().enumerate() {
         let barrier = Arc::clone(&barrier);
-        let progress = Arc::clone(&progress);
+        let start = Arc::clone(&start);
+        let tokens = if i == 1 { token_rx.take() } else { None };
         handles.push(std::thread::spawn(move || {
             for e in 0..EPOCHS {
-                if i == 1 {
-                    // The deliberately slow machine.
-                    std::thread::sleep(Duration::from_millis(2));
+                if e >= RING {
+                    if let Some(tokens) = &tokens {
+                        tokens.recv().unwrap();
+                    }
                 }
                 let base = e * EPOCH_MS;
                 let batch: Vec<TraceRecord> = (0..PER_EPOCH)
@@ -244,61 +258,53 @@ fn stalled_producer_gates_merge_without_unbounded_buffering() {
                         )
                     })
                     .collect();
-                tx.send(batch).unwrap();
-                // Send first, then publish progress: the consumer loads
-                // progress before draining, so every watermark it
-                // applies is backed by already-received records.
-                progress[i].store((e + 1) * EPOCH_MS, Ordering::Release);
+                tx.send((batch, (e + 1) * EPOCH_MS)).unwrap();
+                if e + 1 == RING {
+                    start.wait();
+                }
                 barrier.wait();
             }
-            drop(tx);
-            progress[i].store(u64::MAX, Ordering::Release);
         }));
     }
 
+    start.wait();
     let mut sink: Vec<TraceRecord> = Vec::new();
-    let mut peak = 0usize;
-    let mut finished = [false; 2];
-    while finished.iter().any(|f| !f) {
-        for i in 0..2 {
-            if finished[i] {
-                continue;
-            }
-            let p = progress[i].load(Ordering::Acquire);
-            while let Ok(batch) = rxs[i].try_recv() {
-                for rec in &batch {
-                    merge.push(i, rec);
-                }
-            }
-            if p == u64::MAX {
-                merge.finish_input(i);
-                finished[i] = true;
-            } else {
-                merge.set_progress(i, p);
+    // Each machine's progress as the merge knows it; `None` once done.
+    let mut up_to = [Some(0u64); 2];
+    while let Some(watermark) = up_to.iter().flatten().min().copied() {
+        let laggards: Vec<usize> = (0..2).filter(|&i| up_to[i] == Some(watermark)).collect();
+        let mut slices = Vec::new();
+        for &i in &laggards {
+            match rxs[i].try_recv() {
+                Ok(slice) => slices.push((i, Some(slice))),
+                Err(TryRecvError::Empty) => {}
+                Err(TryRecvError::Disconnected) => slices.push((i, None)),
             }
         }
-        peak = peak.max(merge.peak());
-        if merge.release(&mut sink).unwrap() == 0 {
-            if let Some(g) = (0..2)
-                .filter(|&i| !finished[i])
-                .min_by_key(|&i| progress[i].load(Ordering::Acquire))
-            {
-                match rxs[g].recv_timeout(Duration::from_millis(2)) {
-                    Ok(batch) => {
-                        for rec in &batch {
-                            merge.push(g, rec);
-                        }
+        if slices.is_empty() {
+            // About to block: let the stalled producer ship one epoch.
+            let _ = token_tx.try_send(());
+            let g = laggards[0];
+            slices.push((g, rxs[g].recv().ok()));
+        }
+        for (i, slice) in slices {
+            match slice {
+                Some((batch, progress)) => {
+                    for rec in &batch {
+                        merge.push(i, rec);
                     }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        merge.finish_input(g);
-                        finished[g] = true;
-                    }
+                    merge.set_progress(i, progress);
+                    up_to[i] = Some(progress);
+                }
+                None => {
+                    merge.finish_input(i);
+                    up_to[i] = None;
                 }
             }
         }
+        merge.release(&mut sink).unwrap();
     }
-    peak = peak.max(merge.peak());
+    let peak = merge.peak();
     merge.finish(&mut sink).unwrap();
     for h in handles {
         h.join().unwrap();
@@ -307,8 +313,7 @@ fn stalled_producer_gates_merge_without_unbounded_buffering() {
     let total = (2 * EPOCHS * PER_EPOCH) as usize;
     assert_eq!(sink.len(), total);
     assert!(sink.windows(2).all(|w| w[0].time <= w[1].time));
-    // Bounded: the fast producer is barrier-limited to one epoch of
-    // lead, so the merge never holds more than a few epochs of records
+    // Bounded: the merge never holds more than a few epochs of records
     // — nowhere near the whole trace.
     let bound = (6 * PER_EPOCH) as usize;
     assert!(
