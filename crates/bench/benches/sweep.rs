@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use cachesim::{replay_events, stack, sweep, CacheConfig, WritePolicy};
+use cachesim::{replay_events, sweep, CacheConfig, Simulator, WritePolicy};
 use fstrace::Trace;
 use workload::{generate, MachineProfile, WorkloadConfig};
 
@@ -58,16 +58,19 @@ fn bench_sweep(c: &mut Criterion) {
     g.bench_function("expansion_alone", |b| {
         b.iter(|| replay_events(&trace, &grid[0]))
     });
-    // Single-pass stack-distance profiling versus 24 direct replays,
-    // both on one worker so the comparison is pure algorithm.
+    // Single-pass stack-distance profiling versus one shared expansion
+    // plus 24 direct replays, both on one thread so the comparison is
+    // pure algorithm.
     g.bench_function("table6_profiled_single_pass", |b| {
-        stack::set_enabled(true);
         b.iter(|| sweep::run_with_jobs(&trace, &grid, 1))
     });
     g.bench_function("table6_direct_24_replays", |b| {
-        stack::set_enabled(false);
-        b.iter(|| sweep::run_with_jobs(&trace, &grid, 1));
-        stack::set_enabled(true);
+        b.iter(|| {
+            let events = replay_events(&trace, &grid[0]);
+            grid.iter()
+                .map(|c| Simulator::run_events(&events, c))
+                .collect::<Vec<_>>()
+        })
     });
     g.finish();
 }

@@ -524,7 +524,7 @@ impl OpenExpander {
 
 /// Streaming trace expansion: feed records in time order, receive the
 /// replay events they imply, in a canonical per-record order. One
-/// variant per [`Fidelity`], all sharing the [`OpenTable`] run/session
+/// variant per [`Fidelity`], all sharing the `OpenTable` run/session
 /// reconstruction; [`EventExpander::new`] picks the variant from
 /// `config.fidelity`.
 ///
@@ -775,9 +775,9 @@ impl Simulator {
 
     /// Replays a refillable block source through one reused column
     /// buffer — the allocation-free twin of [`Simulator::run_blocks`].
-    /// With a [`tracestore`]-style pipelined source the drained buffer
-    /// is handed back to the producer on every refill, so the steady
-    /// state allocates nothing.
+    /// With a pipelined `tracestore::ArchiveBlocks` source the drained
+    /// buffer is handed back to the producer on every refill, so the
+    /// steady state allocates nothing.
     pub fn run_fill<S: fstrace::FillBlock>(mut source: S, config: &CacheConfig) -> CacheMetrics {
         let mut expander = EventExpander::new(config);
         let mut r = Replayer::new(config);

@@ -45,7 +45,6 @@
 //! is exactly what forgetting them produces).
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use fstrace::{FastMap, FastSet, FileId, TraceRecord};
 use simstat::Distribution;
@@ -58,23 +57,6 @@ use crate::replay::{EventExpander, ReplayEvent};
 /// Caps the Fenwick tree size; configurations this large fall back to
 /// direct simulation rather than risk `u32` sequence overflow.
 const MAX_TRACKED_BLOCKS: u64 = 1 << 30;
-
-/// Process-wide switch for the profiled sweep path (default on).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables stack-distance profiling in the sweep engine.
-///
-/// Disabling forces every cell through the direct simulator — results
-/// are identical either way; this exists so benchmarks can measure the
-/// two paths against each other.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the sweep engine may use stack-distance profiling.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 /// Whether a single configuration's metrics can be derived from a
 /// stack-distance profile (block fidelity, LRU replacement, sane
@@ -969,14 +951,5 @@ mod tests {
         }
         let cells = cells_for(&[2, 7, 16], &WritePolicy::TABLE_VI);
         assert_matches_direct(&b.finish(), &cells);
-    }
-
-    #[test]
-    fn enabled_toggle_round_trips() {
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
     }
 }

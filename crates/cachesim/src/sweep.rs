@@ -57,7 +57,7 @@ use crate::metrics::CacheMetrics;
 use crate::replay::{EventExpander, ReplayEvent, Simulator};
 use crate::stack;
 
-/// The subset of [`CacheConfig`] that [`replay_events`] depends on.
+/// The subset of [`CacheConfig`] that [`crate::replay_events`] depends on.
 ///
 /// Configurations with equal keys can share one expanded event vector;
 /// any field *not* in this key is guaranteed not to affect expansion.
@@ -189,13 +189,11 @@ where
             // A lone cell consumes the expansion exactly once: stream
             // records through the expander with no event buffering. A
             // profile of one cell would save nothing, so this counts
-            // as a fallback when profiling is on.
+            // as a fallback.
             slots[*i] = Some(timed_cell(&cell_span, &cell_us, || {
                 Simulator::run_stream(source(), &configs[*i])
             }));
-            if stack::enabled() {
-                fallback_cells += 1;
-            }
+            fallback_cells += 1;
             continue;
         }
 
@@ -204,31 +202,27 @@ where
         // and the direct remainder.
         let mut direct: Vec<usize> = Vec::new();
         let mut subgroups: Vec<((u64, bool, bool), Vec<usize>)> = Vec::new();
-        if stack::enabled() {
-            for &i in idxs {
-                let c = &configs[i];
-                if stack::profilable(c) {
-                    let key = (c.block_size, c.whole_block_elision, c.invalidate_on_delete);
-                    match subgroups.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, cells)) => cells.push(i),
-                        None => subgroups.push((key, vec![i])),
-                    }
-                } else {
-                    direct.push(i);
+        for &i in idxs {
+            let c = &configs[i];
+            if stack::profilable(c) {
+                let key = (c.block_size, c.whole_block_elision, c.invalidate_on_delete);
+                match subgroups.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, cells)) => cells.push(i),
+                    None => subgroups.push((key, vec![i])),
                 }
+            } else {
+                direct.push(i);
             }
-            subgroups.retain(|(_, cells)| {
-                if cells.len() >= 2 {
-                    true
-                } else {
-                    direct.extend_from_slice(cells);
-                    false
-                }
-            });
-            direct.sort_unstable();
-        } else {
-            direct.clone_from(idxs);
         }
+        subgroups.retain(|(_, cells)| {
+            if cells.len() >= 2 {
+                true
+            } else {
+                direct.extend_from_slice(cells);
+                false
+            }
+        });
+        direct.sort_unstable();
         profiled_cells += subgroups.iter().map(|(_, c)| c.len() as u64).sum::<u64>();
         fallback_cells += direct.len() as u64;
 
@@ -342,12 +336,10 @@ where
             }
         }
     }
-    if stack::enabled() {
-        reg.counter("cachesim.stack.profiled_cells")
-            .add(profiled_cells);
-        reg.counter("cachesim.stack.fallback_cells")
-            .add(fallback_cells);
-    }
+    reg.counter("cachesim.stack.profiled_cells")
+        .add(profiled_cells);
+    reg.counter("cachesim.stack.fallback_cells")
+        .add(fallback_cells);
 
     let out: Vec<(CacheConfig, CacheMetrics)> = configs
         .iter()
@@ -368,7 +360,7 @@ where
 /// [`fstrace::FillRecords`], which drains each block through one reused
 /// set of column buffers — so block producers that implement
 /// [`fstrace::FillBlock`] natively (e.g.
-/// `tracestore::PipelinedBlocks`) stream through the sweep with no
+/// `tracestore::ArchiveBlocks`) stream through the sweep with no
 /// per-chunk allocation, and plain block iterators work via the blanket
 /// impl. Grouping, profiling, and parallelism behavior is exactly
 /// [`run_source`]'s.
@@ -669,17 +661,6 @@ mod tests {
         for (_, m) in &swept {
             assert_eq!(*m, want);
         }
-    }
-
-    #[test]
-    fn disabled_profiling_still_matches() {
-        let trace = small_trace();
-        let configs = grid();
-        let profiled = run_with_jobs(&trace, &configs, 2);
-        crate::stack::set_enabled(false);
-        let direct = run_with_jobs(&trace, &configs, 2);
-        crate::stack::set_enabled(true);
-        assert_eq!(profiled, direct);
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! chunk-parallel, compressed or not — must produce exactly the
 //! metrics of the same sweep over the original in-memory trace.
 
+use std::sync::Arc;
+
 use cachesim::{sweep, CacheConfig, RwHandling, WritePolicy};
 use fstrace::{AccessMode, FileId, Trace, TraceBuilder};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use tracestore::{Archive, ArchiveOptions, ArchiveWriter};
+use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption};
 
 /// A seeded trace with enough volume to span several small chunks.
 fn seeded_trace(seed: u64, opens: usize) -> Trace {
@@ -97,8 +99,14 @@ fn archive_fed_sweep_matches_in_memory_sweep() {
             archive.chunks().len()
         );
         for jobs in [1, 4] {
-            let (records, report) = archive.decode_parallel(jobs);
-            assert!(report.is_clean());
+            let mut blocks = Arc::new(archive.clone()).pipelined(Corruption::Skip, jobs);
+            let mut records = Vec::new();
+            for block in &mut blocks {
+                block
+                    .expect("skip mode yields no errors")
+                    .append_to(&mut records);
+            }
+            assert!(blocks.report().is_clean());
             let swept = sweep::run_source(|| records.iter(), &configs, jobs);
             assert_eq!(swept.len(), baseline.len());
             for ((ca, ma), (cb, mb)) in baseline.iter().zip(&swept) {
@@ -115,7 +123,7 @@ fn sequential_archive_source_feeds_sweep_directly() {
     let configs = grid();
     let baseline = sweep::run(&trace, &configs);
     let archive = archive_of(&trace, true);
-    // The ArchiveRecords iterator is itself a record source; unwrap is
+    // The archive's record iterator is itself a record source; unwrap is
     // safe because the archive was just written.
     let swept = sweep::run_source(
         || {

@@ -54,10 +54,8 @@ pub fn load_trace(path: &Path, jobs: usize) -> Option<Trace> {
     // Materialize through the overlapped decode pipeline: decode of
     // chunk i+1.. proceeds while chunk i's records append, and the
     // pipeline.* stage spans populate for `repro --metrics`.
-    let total = archive.meta().total_records as usize;
-    let archive = std::sync::Arc::new(archive);
-    let mut blocks = std::sync::Arc::clone(&archive).pipelined(tracestore::Corruption::Skip, jobs);
-    let mut records = Vec::with_capacity(total);
+    let mut blocks = std::sync::Arc::new(archive).pipelined(tracestore::Corruption::Skip, jobs);
+    let mut records = Vec::new();
     for b in (&mut blocks).flatten() {
         b.append_to(&mut records);
     }
@@ -151,6 +149,38 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&path, bytes).unwrap();
         assert!(load_trace(&path, 2).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn forged_record_total_is_a_cache_miss() {
+        use tracestore::format::{encode_footer, ArchiveMeta, FOOTER_MAGIC};
+
+        let dir = std::env::temp_dir().join("bsdtrace-archive-test-forged");
+        let _ = fs::remove_dir_all(&dir);
+        let path = trace_path(&dir, "c4", &ReproConfig::default());
+        store_trace(&path, "c4", &small_trace());
+        let honest = fs::read(&path).unwrap();
+        let archive = Archive::from_bytes(honest.clone()).unwrap();
+        let last = archive.chunks().last().expect("one chunk at least");
+        let data_end = (last.offset + last.frame_len()) as usize;
+        // A CRC-valid footer whose record total disagrees with its own
+        // chunk index: sized naively, 2^62 overflows capacity and 2^36
+        // exhausts memory.
+        for forged in [1u64 << 62, 1 << 36] {
+            let meta = ArchiveMeta {
+                total_records: forged,
+                ..archive.meta().clone()
+            };
+            let body = encode_footer(&meta, archive.chunks());
+            let mut bytes = honest[..data_end].to_vec();
+            bytes.extend_from_slice(&body);
+            bytes.extend_from_slice(&tracestore::crc32::crc32(&body).to_le_bytes());
+            bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&FOOTER_MAGIC);
+            fs::write(&path, bytes).unwrap();
+            assert!(load_trace(&path, 2).is_none(), "total {forged}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -29,10 +29,12 @@
 //! the speedup fields are gated only where enough cores exist for the
 //! timing to be stable (see the `cores` field and the ci.sh comments).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use cachesim::{sweep, CacheConfig, WritePolicy};
-use tracestore::{Archive, ArchiveOptions, ArchiveWriter};
+use fstrace::{FillBlock, RecordBlock, TraceRecord};
+use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption, RecoveryReport};
 use workload::{generate, MachineProfile, WorkloadConfig};
 
 /// Table VI cache sizes in kbytes (390 KB UNIX baseline to 16 MB).
@@ -75,6 +77,18 @@ fn best_ms<T>(n: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         out = Some(v);
     }
     (best, out.expect("n >= 1"))
+}
+
+/// Decodes the whole archive on `jobs` pipeline workers, skipping
+/// damaged chunks.
+fn read_pipelined(archive: &Archive, jobs: usize) -> (Vec<TraceRecord>, RecoveryReport) {
+    let mut blocks = Arc::new(archive.clone()).pipelined(Corruption::Skip, jobs);
+    let mut block = RecordBlock::new();
+    let mut out = Vec::new();
+    while blocks.fill_next(&mut block) {
+        block.append_to(&mut out);
+    }
+    (out, blocks.report().clone())
 }
 
 fn main() {
@@ -158,7 +172,7 @@ fn main() {
 
     // Decode: single-threaded vs chunk-parallel, best of 5 each.
     let (decode1_ms, (seq_records, seq_report)) = best_ms(5, || archive.read_all());
-    let (decode_par_ms, (par_records, par_report)) = best_ms(5, || archive.decode_parallel(jobs));
+    let (decode_par_ms, (par_records, par_report)) = best_ms(5, || read_pipelined(&archive, jobs));
     if !seq_report.is_clean() || !par_report.is_clean() {
         die("fresh archive failed verification");
     }
@@ -200,13 +214,14 @@ fn main() {
     let (block_ms, block_count) = best_ms(5, || {
         // One block reused across every chunk: the steady-state batched
         // reader allocates nothing after the first chunk.
-        let mut block = fstrace::RecordBlock::new();
+        let mut blocks = plain.blocks(Corruption::Fail);
+        let mut block = RecordBlock::new();
         let mut n = 0usize;
-        for i in 0..plain.chunks().len() {
-            plain
-                .decode_chunk_into(i, &mut block)
-                .unwrap_or_else(|e| die(&format!("batched decode of chunk {i}: {e}")));
+        while blocks.fill_next(&mut block) {
             n += std::hint::black_box(&block).len();
+        }
+        if let Some(bad) = blocks.report().bad_chunks.first() {
+            die(&format!("batched decode of chunk {}: damaged", bad.index));
         }
         n
     });
@@ -228,7 +243,7 @@ fn main() {
     let (replay_ms, _) = best_ms(5, || {
         cachesim::Simulator::run_blocks(
             plain
-                .blocks(tracestore::Corruption::Fail)
+                .blocks(Corruption::Fail)
                 .map(|b| b.unwrap_or_else(|e| die(&format!("batched decode during replay: {e}")))),
             &replay_config,
         )

@@ -5,17 +5,19 @@
 //! ```
 //!
 //! Generates one a5-profile trace, then runs the Table VI grid (6 cache
-//! sizes × 4 write policies, all LRU) through `cachesim::sweep` twice:
-//! once with stack-distance profiling disabled (24 direct replays of
-//! the shared event stream) and once enabled (one profiled pass). Both
-//! produce bit-identical metrics — the `identical` output field proves
-//! it on every run — so the only difference is wall-clock time. ci.sh
-//! runs this in quick mode and records the result as `BENCH_4.json`,
-//! asserting the profiled sweep is at least 3× faster.
+//! sizes × 4 write policies, all LRU) twice: through `cachesim::sweep`
+//! (one stack-distance profiled pass), and directly (one shared
+//! expansion of the trace, then 24 `Simulator::run_events` replays on
+//! `--jobs` threads — what the sweep does for cells it cannot profile).
+//! Both produce bit-identical metrics — the `identical` output field
+//! proves it on every run — so the only difference is wall-clock time.
+//! ci.sh runs this in quick mode and records the result as
+//! `BENCH_4.json`, asserting the profiled sweep is at least 3× faster.
 
+use std::thread;
 use std::time::Instant;
 
-use cachesim::{stack, sweep, CacheConfig, CacheMetrics, WritePolicy};
+use cachesim::{replay_events, sweep, CacheConfig, CacheMetrics, Simulator, WritePolicy};
 use fstrace::Trace;
 use workload::{generate, MachineProfile, WorkloadConfig};
 
@@ -38,18 +40,40 @@ fn grid() -> Vec<CacheConfig> {
         .collect()
 }
 
-fn timed_sweep(
+/// The grid without stack-distance profiling: one expansion of the
+/// trace (every Table VI cell shares its expansion key), then one
+/// direct replay per cell, the cells split across `jobs` scoped
+/// threads.
+fn direct_sweep(
     trace: &Trace,
     configs: &[CacheConfig],
     jobs: usize,
-    profiled: bool,
-) -> (f64, Vec<(CacheConfig, CacheMetrics)>) {
-    stack::set_enabled(profiled);
+) -> Vec<(CacheConfig, CacheMetrics)> {
+    let events = replay_events(trace, &configs[0]);
+    let per_thread = configs.len().div_ceil(jobs.max(1)).max(1);
+    thread::scope(|s| {
+        let workers: Vec<_> = configs
+            .chunks(per_thread)
+            .map(|cells| {
+                s.spawn(|| {
+                    cells
+                        .iter()
+                        .map(|c| (c.clone(), Simulator::run_events(&events, c)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("direct replay worker panicked"))
+            .collect()
+    })
+}
+
+fn timed<T>(run: impl FnOnce() -> T) -> (f64, T) {
     let started = Instant::now();
-    let results = sweep::run_with_jobs(trace, configs, jobs);
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    stack::set_enabled(true);
-    (wall_ms, results)
+    let out = run();
+    (started.elapsed().as_secs_f64() * 1e3, out)
 }
 
 fn main() {
@@ -101,8 +125,8 @@ fn main() {
 
     // Profiled first (cold caches), direct second: any warm-up effect
     // biases against the speedup being claimed.
-    let (profiled_ms, profiled) = timed_sweep(&out.trace, &configs, jobs, true);
-    let (direct_ms, direct) = timed_sweep(&out.trace, &configs, jobs, false);
+    let (profiled_ms, profiled) = timed(|| sweep::run_with_jobs(&out.trace, &configs, jobs));
+    let (direct_ms, direct) = timed(|| direct_sweep(&out.trace, &configs, jobs));
     let identical = profiled == direct;
     let speedup = direct_ms / profiled_ms.max(1e-9);
 

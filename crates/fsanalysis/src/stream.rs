@@ -258,7 +258,7 @@ where
 /// reused [`fstrace::RecordBlock`] is refilled via
 /// [`fstrace::FillBlock`] and drained through
 /// [`AnalysisStream::observe_block`], so producers that recycle blocks
-/// (e.g. `tracestore::PipelinedBlocks`) feed the whole suite with no
+/// (e.g. `tracestore::ArchiveBlocks`) feed the whole suite with no
 /// per-chunk allocation. Results are bit-identical to
 /// [`run_analyzers`] over the same records.
 pub fn run_analyzers_blocks<S: fstrace::FillBlock>(

@@ -27,8 +27,8 @@
 //! as the oracle.
 //!
 //! Consumers iterate the flat columns directly ([`RecordBlock::get`]
-//! materializes one record view on demand, [`BlockRecords`] adapts a
-//! block stream back into a record iterator), so the replay and
+//! materializes one record view on demand, [`FillRecords`] adapts a
+//! block source back into a record iterator), so the replay and
 //! analysis loops never pay a per-record `next_record()` round-trip.
 
 use crate::codec::{
@@ -529,44 +529,6 @@ fn decode_one_wide(
     Ok(Some(ticks))
 }
 
-/// Flattens a stream of blocks into a stream of records.
-///
-/// The adapter the sweep engine and analyzers use to consume
-/// block-producing sources: each block's columns are walked in place,
-/// records materialized one view at a time.
-pub struct BlockRecords<I> {
-    blocks: I,
-    current: RecordBlock,
-    at: usize,
-}
-
-impl<I: Iterator<Item = RecordBlock>> BlockRecords<I> {
-    /// Wraps a block iterator.
-    pub fn new(blocks: I) -> Self {
-        BlockRecords {
-            blocks,
-            current: RecordBlock::new(),
-            at: 0,
-        }
-    }
-}
-
-impl<I: Iterator<Item = RecordBlock>> Iterator for BlockRecords<I> {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.at < self.current.len() {
-                let rec = self.current.get(self.at);
-                self.at += 1;
-                return Some(rec);
-            }
-            self.current = self.blocks.next()?;
-            self.at = 0;
-        }
-    }
-}
-
 /// A block producer that refills a caller-owned [`RecordBlock`] in
 /// place — the allocation-free twin of `Iterator<Item = RecordBlock>`.
 ///
@@ -869,7 +831,7 @@ mod tests {
             blocks.push(b);
         }
         assert!(blocks.len() >= 3);
-        let got: Vec<TraceRecord> = BlockRecords::new(blocks.into_iter()).collect();
+        let got: Vec<TraceRecord> = FillRecords::new(blocks.into_iter()).collect();
         assert_eq!(got, records);
     }
 }

@@ -482,8 +482,8 @@ const CHUNK_BYTES: usize = 64 * 1024;
 
 /// Incremental reader of binary trace files.
 ///
-/// The reader pulls from the underlying stream in [`CHUNK_BYTES`]-sized
-/// refills and keeps at most one chunk of undecoded bytes buffered, so
+/// The reader pulls from the underlying stream in `CHUNK_BYTES`-sized
+/// (64 KiB) refills and keeps at most one chunk of undecoded bytes buffered, so
 /// arbitrarily long trace files decode in O(1) memory. Internally it
 /// decodes a whole batch of records at a time into a columnar
 /// [`RecordBlock`] (see [`crate::block`]) and serves them out one by

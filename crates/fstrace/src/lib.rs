@@ -61,15 +61,15 @@ pub mod source;
 pub mod summary;
 mod trace;
 
-pub use block::{BlockRecords, FillBlock, FillRecords, RecordBlock};
+pub use block::{FillBlock, FillRecords, RecordBlock};
 pub use codec::{TraceReader, TraceWriter};
 pub use event::{AccessMode, EventKind, TraceEvent, TraceRecord};
 pub use hash::{FastMap, FastSet};
 pub use ids::{FileId, OpenId, Timestamp, UserId, TICK_MS};
 pub use session::{OpenSession, Run, SessionBuilder, SessionSet, Step};
 pub use source::{
-    merged_records, BlockRecordSource, FleetMerge, IdOffsets, MergeSource, RecordSink,
-    RecordSource, ReorderBuffer, TextSink,
+    merged_records, FleetMerge, IdOffsets, MergeSource, RecordSink, RecordSource, ReorderBuffer,
+    TextSink,
 };
 pub use summary::TraceSummary;
 pub use trace::{Trace, TraceBuilder};

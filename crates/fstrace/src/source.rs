@@ -17,7 +17,6 @@ use std::collections::BinaryHeap;
 use std::io;
 use std::sync::OnceLock;
 
-use crate::block::RecordBlock;
 use crate::codec::{self, DecodeError, TraceWriter};
 use crate::event::{TraceEvent, TraceRecord};
 use crate::ids::{FileId, OpenId, Timestamp, UserId};
@@ -32,62 +31,6 @@ use crate::trace::Trace;
 pub trait RecordSource: Iterator<Item = Result<TraceRecord, DecodeError>> {}
 
 impl<T: Iterator<Item = Result<TraceRecord, DecodeError>> + ?Sized> RecordSource for T {}
-
-/// Flattens a fallible stream of [`RecordBlock`]s into a
-/// [`RecordSource`].
-///
-/// Batched producers (the archive's chunk decoder, flat-stream batch
-/// decoders) hand over whole blocks; this adapter walks each block's
-/// columns in place, materializing one record view per `next()`, so
-/// block producers compose with [`MergeSource`] and every other
-/// record-level consumer. Fail-stop: the first block error is yielded
-/// once and the source then fuses, matching the [`RecordSource`]
-/// contract.
-pub struct BlockRecordSource<I> {
-    blocks: I,
-    current: RecordBlock,
-    at: usize,
-    failed: bool,
-}
-
-impl<I: Iterator<Item = Result<RecordBlock, DecodeError>>> BlockRecordSource<I> {
-    /// Wraps a fallible block stream.
-    pub fn new(blocks: I) -> Self {
-        BlockRecordSource {
-            blocks,
-            current: RecordBlock::new(),
-            at: 0,
-            failed: false,
-        }
-    }
-}
-
-impl<I: Iterator<Item = Result<RecordBlock, DecodeError>>> Iterator for BlockRecordSource<I> {
-    type Item = Result<TraceRecord, DecodeError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.failed {
-                return None;
-            }
-            if self.at < self.current.len() {
-                let rec = self.current.get(self.at);
-                self.at += 1;
-                return Some(Ok(rec));
-            }
-            match self.blocks.next()? {
-                Ok(block) => {
-                    self.current = block;
-                    self.at = 0;
-                }
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-    }
-}
 
 /// A destination for a stream of trace records.
 ///
@@ -670,6 +613,7 @@ impl FleetMerge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{FillRecords, RecordBlock};
     use crate::event::AccessMode;
     use crate::trace::TraceBuilder;
 
@@ -712,7 +656,7 @@ mod tests {
             .into_iter()
             .map(|t| {
                 (
-                    BlockRecordSource::new(blocks_of(t, 3).into_iter().map(Ok)),
+                    FillRecords::new(blocks_of(t, 3).into_iter()).map(Ok),
                     IdOffsets::default(),
                 )
             })
@@ -735,18 +679,6 @@ mod tests {
         .map(|r| r.expect("record merge is infallible here"))
         .collect();
         assert_eq!(streamed, expected);
-    }
-
-    #[test]
-    fn block_source_fuses_after_an_error() {
-        let a = client(0, 2);
-        let mut blocks: Vec<Result<RecordBlock, DecodeError>> =
-            blocks_of(&a, 1).into_iter().map(Ok).collect();
-        blocks.insert(1, Err(DecodeError::BadVarint));
-        let mut src = BlockRecordSource::new(blocks.into_iter());
-        assert!(src.next().unwrap().is_ok());
-        assert!(src.next().unwrap().is_err());
-        assert!(src.next().is_none());
     }
 
     #[test]

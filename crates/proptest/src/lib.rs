@@ -4,7 +4,7 @@
 //! `proptest` cannot be fetched. This crate implements the API subset
 //! the workspace's property tests use: the [`proptest!`] macro with an
 //! optional `#![proptest_config(...)]` header, range/tuple/`Just`/
-//! [`prop_oneof!`]/`prop::collection::vec`/[`any`] strategies,
+//! [`prop_oneof!`]/`prop::collection::vec`/[`any`](arbitrary::any) strategies,
 //! `prop_map`, and the `prop_assert*` macros.
 //!
 //! Differences from real proptest, deliberately accepted:
@@ -277,7 +277,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

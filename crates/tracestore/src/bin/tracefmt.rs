@@ -228,7 +228,7 @@ fn cmd_unpack(file: &str, out: &str) {
 ///
 /// Decodes every chunk batched ([`fstrace::block::RecordBlock`], tag
 /// column only — no record materialization) and prints one row per
-/// range of consecutive chunks (at most [`TAG_RANGES`] ranges, so big
+/// range of consecutive chunks (at most `TAG_RANGES` ranges, so big
 /// archives stay one screenful), plus totals and an open/close balance
 /// note: a healthy trace opens and closes in near-equal numbers, so a
 /// truncated copy or a lopsided workload shows up directly here.
@@ -247,15 +247,13 @@ fn cmd_inspect_tags(file: &str) {
         "{:>11} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "chunks", "create", "open", "close", "seek", "unlink", "truncate", "execve", "total"
     );
-    let mut block = fstrace::block::RecordBlock::new();
+    let mut blocks = archive.blocks(Corruption::Fail);
     let mut totals = [0u64; 7];
     for start in (0..nchunks).step_by(per_range) {
         let end = (start + per_range).min(nchunks);
         let mut counts = [0u64; 7];
-        for i in start..end {
-            archive
-                .decode_chunk_into(i, &mut block)
-                .unwrap_or_else(|e| die(&format!("decode {file}: {e}")));
+        for block in blocks.by_ref().take(end - start) {
+            let block = block.unwrap_or_else(|e| die(&format!("decode {file}: {e}")));
             for (c, n) in counts.iter_mut().zip(block.kind_counts()) {
                 *c += n;
             }

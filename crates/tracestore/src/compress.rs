@@ -93,22 +93,15 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompresses a [`compress`] stream, checking it declares exactly
-/// `expected_len` bytes and reproduces them with no input left over.
+/// Decompresses a [`compress`] stream into `out`, checking it declares
+/// exactly `expected_len` bytes and reproduces them with no input left
+/// over. `out` is cleared and refilled, so a loop over many chunks
+/// reuses one allocation at the high-water chunk size.
 ///
 /// Any malformed stream — bad length, out-of-window offset, overrun,
 /// trailing garbage — yields an error; the decoder never panics and
-/// never allocates beyond `expected_len`.
-pub fn decompress(stream: &[u8], expected_len: usize) -> Result<Vec<u8>, DecodeError> {
-    let mut out = Vec::with_capacity(expected_len);
-    decompress_into(stream, expected_len, &mut out)?;
-    Ok(out)
-}
-
-/// [`decompress`] into a caller-owned buffer: `out` is cleared and
-/// refilled, so a loop over many chunks reuses one allocation at the
-/// high-water chunk size instead of allocating per chunk. On error the
-/// buffer's contents are unspecified (but bounded by `expected_len`).
+/// never grows `out` beyond `expected_len`. On error the buffer's
+/// contents are unspecified.
 pub fn decompress_into(
     stream: &[u8],
     expected_len: usize,
@@ -168,6 +161,12 @@ pub fn decompress_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decompress(stream: &[u8], expected_len: usize) -> Result<Vec<u8>, DecodeError> {
+        let mut out = Vec::new();
+        decompress_into(stream, expected_len, &mut out)?;
+        Ok(out)
+    }
 
     fn roundtrip(data: &[u8]) {
         let packed = compress(data);

@@ -27,12 +27,16 @@
 //! in [`compress`] — the build is offline, so no external codec), and
 //! a chunk that does not shrink is stored raw.
 //!
-//! [`ArchiveWriter`] is a [`fstrace::source::RecordSink`];
-//! [`Archive::records`] yields a [`fstrace::source::RecordSource`].
-//! Both ends of the existing streaming pipeline plug in unchanged.
-//! [`PipelinedBlocks`] ([`Archive::pipelined`]) overlaps chunk
-//! verify/decompress/decode with the consumer on a worker pool while
-//! staying byte-identical to the sequential readers.
+//! [`ArchiveWriter`] is a [`fstrace::source::RecordSink`]. Every read
+//! goes through one block source, [`ArchiveBlocks`]: a chunk selection,
+//! a [`Corruption`] mode, and a worker count. [`Archive::blocks`] and
+//! [`Archive::read_all`] decode on the caller's thread;
+//! [`Archive::pipelined`] overlaps chunk verify/decompress/decode with
+//! the consumer on a worker pool while staying byte-identical to them;
+//! [`Archive::records`] and [`Archive::records_in_ticks`] flatten the
+//! source into [`Records`], a [`fstrace::source::RecordSource`]. The
+//! source alone records lost chunks, fuses in `Fail` mode, and
+//! publishes the `tracestore.*_read` counters.
 //!
 //! The `tracefmt` binary (this crate) packs, unpacks, inspects, and
 //! verifies archives alongside its flat-format duties.
@@ -40,14 +44,13 @@
 pub mod compress;
 pub mod crc32;
 pub mod format;
-pub mod pipeline;
+mod pipeline;
 pub mod reader;
 pub mod writer;
 
 pub use format::{ArchiveMeta, ChunkInfo};
-pub use pipeline::PipelinedBlocks;
 pub use reader::{
-    Archive, ArchiveBlocks, ArchiveError, ArchiveRecords, BadChunk, Corruption, RecoveryReport,
+    Archive, ArchiveBlocks, ArchiveError, BadChunk, Corruption, Records, RecoveryReport,
 };
 pub use writer::{ArchiveOptions, ArchiveSummary, ArchiveWriter};
 
@@ -157,10 +160,14 @@ mod tests {
     fn parallel_decode_matches_sequential() {
         let records = sample_records(800);
         let bytes = write_archive(&records, tiny_chunks());
-        let archive = Archive::from_bytes(bytes).unwrap();
+        let archive = std::sync::Arc::new(Archive::from_bytes(bytes).unwrap());
         for jobs in [1, 2, 3, 8] {
-            let (got, report) = archive.decode_parallel(jobs);
-            assert!(report.is_clean());
+            let mut blocks = std::sync::Arc::clone(&archive).pipelined(Corruption::Skip, jobs);
+            let mut got = Vec::new();
+            for block in &mut blocks {
+                block.unwrap().append_to(&mut got);
+            }
+            assert!(blocks.report().is_clean());
             assert_eq!(got, records, "jobs={jobs}");
         }
     }
@@ -252,6 +259,43 @@ mod tests {
         let (got, report) = archive.read_all();
         assert!(report.footer_rebuilt && report.bad_chunks.is_empty());
         assert_eq!(got, records);
+    }
+
+    /// `bytes` with its footer replaced by a well-formed, CRC-valid
+    /// one whose metadata claims `total_records`.
+    fn forge_total(bytes: &[u8], total_records: u64) -> Vec<u8> {
+        let archive = Archive::from_bytes(bytes.to_vec()).unwrap();
+        let data_end = archive
+            .chunks()
+            .last()
+            .map_or(format::HEADER_LEN as u64, |c| c.offset + c.frame_len());
+        let meta = ArchiveMeta {
+            total_records,
+            ..archive.meta().clone()
+        };
+        let body = format::encode_footer(&meta, archive.chunks());
+        let mut out = bytes[..data_end as usize].to_vec();
+        out.extend_from_slice(&body);
+        out.extend_from_slice(&crc32::crc32(&body).to_le_bytes());
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(&format::FOOTER_MAGIC);
+        out
+    }
+
+    #[test]
+    fn forged_record_total_rebuilds_the_index() {
+        let records = sample_records(50);
+        let bytes = write_archive(&records, tiny_chunks());
+        // The forgery helper reproduces an honest footer byte for byte.
+        assert_eq!(forge_total(&bytes, 100), bytes);
+        for forged in [1u64 << 62, 1 << 36] {
+            let archive = Archive::from_bytes(forge_total(&bytes, forged)).unwrap();
+            assert!(archive.footer_rebuilt(), "total {forged}");
+            assert_eq!(archive.meta().total_records, 100);
+            let (got, report) = archive.read_all();
+            assert!(report.footer_rebuilt && report.bad_chunks.is_empty());
+            assert_eq!(got, records);
+        }
     }
 
     #[test]

@@ -1,79 +1,77 @@
-//! Overlapped decode→replay pipeline: [`PipelinedBlocks`].
+//! The in-order decode ring behind [`ArchiveBlocks`] with workers.
 //!
-//! The sequential readers ([`Archive::records`], [`Archive::blocks`])
-//! interleave chunk verification, decompression, and decode with the
-//! consumer's own work on one thread, so replay throughput is the *sum*
-//! of both costs. This module overlaps them: a small worker pool claims
-//! chunks off a shared counter, runs the verify→decompress→decode
-//! stages with per-worker scratch buffers, and deposits finished
-//! [`RecordBlock`]s into a bounded in-order ring the consumer drains.
-//! Decode of chunk *i+1..i+k* proceeds while the consumer replays chunk
-//! *i*; steady-state throughput approaches `max(decode, consume)`
-//! instead of their sum.
+//! With zero workers [`ArchiveBlocks`] interleaves chunk verification,
+//! decompression, and decode with the consumer's own work on one
+//! thread, so replay throughput is the *sum* of both costs. With one or
+//! more it overlaps them: a small worker pool claims chunks off a
+//! shared counter, runs the verify→decompress→decode stages with
+//! per-worker scratch buffers, and deposits finished [`RecordBlock`]s
+//! into a bounded in-order ring the consumer drains. Decode of chunk
+//! *i+1..i+k* proceeds while the consumer replays chunk *i*;
+//! steady-state throughput approaches `max(decode, consume)` instead of
+//! their sum.
 //!
 //! # Ring protocol
 //!
-//! The ring has `cap` slots; chunk `i` always travels through slot
-//! `i % cap`. Each slot carries a `next_fill` generation counter — the
-//! chunk index the slot will accept next:
+//! The ring has `cap` slots; the chunk at position `p` of the selection
+//! always travels through slot `p % cap`. Each slot carries a
+//! `next_fill` generation counter — the position the slot will accept
+//! next:
 //!
-//! * A worker that decoded chunk `i` waits on the slot's `freed`
-//!   condvar until `next_fill == i`, deposits, and signals `ready`.
-//! * The consumer waits on `ready` until slot `i % cap` holds chunk
-//!   `i`, takes the block, advances `next_fill` to `i + cap`, and
+//! * A worker that decoded position `p` waits on the slot's `freed`
+//!   condvar until `next_fill == p`, deposits, and signals `ready`.
+//! * The consumer waits on `ready` until slot `p % cap` holds position
+//!   `p`, takes the block, advances `next_fill` to `p + cap`, and
 //!   signals `freed`.
 //!
-//! Workers claim chunk indices densely (atomic fetch-add), so for any
-//! `cap >= 1` the worker holding the lowest undeposited chunk can
+//! Workers claim positions densely (atomic fetch-add), so for any
+//! `cap >= 1` the worker holding the lowest undeposited position can
 //! always deposit, the consumer always progresses, and blocks arrive in
-//! exactly archive order — the backpressure bound is `cap` decoded
+//! exactly selection order — the backpressure bound is `cap` decoded
 //! chunks plus one in-flight chunk per worker.
 //!
 //! # Byte identity
 //!
-//! Workers report a damaged chunk as an opaque failure; **only the
-//! consumer** turns it into [`DecodeError::CorruptChunk`], appends the
-//! [`BadChunk`] to the report, and bumps the skip counter — in chunk
-//! order, exactly as the sequential [`Archive::blocks`] reader does, so
-//! the record stream (and the recovery report) is byte-identical to a
-//! sequential read for any worker count, in both `Skip` and `Fail`
-//! modes.
+//! Workers report a damaged chunk as an opaque failure; the consumer
+//! side ([`ArchiveBlocks`]) turns it into the report entry, the error,
+//! and the fuse exactly as it does for chunks it decodes itself, so the
+//! record stream and the recovery report are the same for any worker
+//! count, in both corruption modes.
 //!
 //! # Allocation recycling
 //!
-//! Consumers that drain through [`FillBlock::fill_next`] hand their
-//! spent block back to a recycle pool the workers draw from, so
-//! steady-state operation reuses a bounded set of blocks and per-worker
-//! decompression scratch buffers instead of allocating per chunk.
+//! The consumer hands each spent block back to a recycle pool the
+//! workers draw from, so steady-state operation reuses a bounded set of
+//! blocks and per-worker decompression scratch buffers instead of
+//! allocating per chunk.
 //!
 //! # Stage metrics
 //!
-//! Cumulative per-stage time is published as the spans
-//! `pipeline.read` (frame verify + CRC), `pipeline.decompress`,
-//! `pipeline.decode`, and `pipeline.replay` (consumer time between
-//! refills), plus the `pipeline.ring_occupancy_peak` gauge — all on
-//! [`obs::global`], so `repro --metrics` exports them.
+//! Workers time each stage into the `pipeline.{read,decompress,decode}`
+//! spans like every chunk read, and record the
+//! `pipeline.ring_occupancy_peak` gauge — all on [`obs::global`], so
+//! `repro --metrics` exports them.
+//!
+//! [`ArchiveBlocks`]: crate::ArchiveBlocks
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fstrace::block::RecordBlock;
-use fstrace::codec::DecodeError;
-use fstrace::FillBlock;
 
-use crate::reader::{Archive, BadChunk, Corruption, RecoveryReport};
+use crate::reader::{Archive, Stages};
 
 /// How long a blocked ring wait sleeps before re-checking shutdown.
 const WAIT_TICK: Duration = Duration::from_millis(20);
 
 struct SlotInner {
-    /// The chunk index this slot accepts next (generation counter).
+    /// The selection position this slot accepts next (generation
+    /// counter).
     next_fill: usize,
     /// The deposited result: a decoded block, or `Err(())` for a chunk
-    /// that failed verification/decode (the consumer reconstructs the
-    /// typed error so attribution matches the sequential reader).
+    /// that failed verification/decode.
     value: Option<Result<RecordBlock, ()>>,
 }
 
@@ -85,9 +83,11 @@ struct Slot {
 
 /// State shared between the consumer and the worker pool.
 struct Shared {
-    archive: Arc<Archive>,
+    archive: Archive,
+    /// Chunk indices to decode, in delivery order.
+    selection: Arc<[usize]>,
     slots: Vec<Slot>,
-    /// Next chunk index a worker claims.
+    /// Next selection position a worker claims.
     next_claim: AtomicUsize,
     /// Decoded blocks resident in the ring (for the occupancy gauge).
     occupancy: AtomicUsize,
@@ -99,37 +99,17 @@ struct Shared {
     live_workers: AtomicUsize,
 }
 
-/// An iterator of decoded chunks, in archive order, produced by a
-/// background worker pool — the pipelined twin of [`Archive::blocks`].
-///
-/// Yields `Result<RecordBlock, DecodeError>` under the same corruption
-/// policy and fusing rules as the sequential reader. Also implements
-/// [`FillBlock`], which is the allocation-free way to consume it: each
-/// `fill_next` swaps the caller's drained block into the recycle pool.
-pub struct PipelinedBlocks {
+/// A running worker pool decoding a chunk selection into the ring.
+pub(crate) struct Ring {
     shared: Arc<Shared>,
     workers: Vec<thread::JoinHandle<()>>,
-    /// Next chunk index the consumer takes.
-    next_take: usize,
-    total: usize,
-    mode: Corruption,
-    report: RecoveryReport,
-    failed: bool,
-    /// When the previous block was handed out — the consumer's time
-    /// until the next call is the `pipeline.replay` stage.
-    last_yield: Option<Instant>,
-    replay_span: obs::Span,
-    /// Set once the end-of-archive read counters have been emitted.
-    published: bool,
 }
 
-impl PipelinedBlocks {
-    /// Starts `workers` decode threads over `archive` (clamped to at
-    /// least 1 and at most the chunk count) with a ring of
-    /// `2 * workers` slots.
-    pub fn new(archive: Arc<Archive>, mode: Corruption, workers: usize) -> PipelinedBlocks {
-        let total = archive.chunks().len();
-        let workers = workers.max(1).min(total.max(1));
+impl Ring {
+    /// Starts `workers` decode threads (at least one) over `selection`
+    /// with a ring of `2 * workers` slots.
+    pub(crate) fn new(archive: Archive, selection: Arc<[usize]>, workers: usize) -> Ring {
+        let workers = workers.max(1);
         let cap = workers * 2;
         let slots = (0..cap)
             .map(|s| Slot {
@@ -141,12 +121,9 @@ impl PipelinedBlocks {
                 freed: Condvar::new(),
             })
             .collect();
-        let report = RecoveryReport {
-            footer_rebuilt: archive.footer_rebuilt(),
-            ..RecoveryReport::default()
-        };
         let shared = Arc::new(Shared {
             archive,
+            selection,
             slots,
             next_claim: AtomicUsize::new(0),
             occupancy: AtomicUsize::new(0),
@@ -160,42 +137,36 @@ impl PipelinedBlocks {
                 thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        PipelinedBlocks {
+        Ring {
             shared,
             workers: handles,
-            next_take: 0,
-            total,
-            mode,
-            report,
-            failed: false,
-            last_yield: None,
-            replay_span: obs::global().span("pipeline.replay"),
-            published: false,
         }
     }
 
-    /// What has been skipped so far (complete once iteration ends).
-    pub fn report(&self) -> &RecoveryReport {
-        &self.report
+    /// Swaps the decoded chunk at selection position `pos` into `out`
+    /// and recycles `out`'s previous block. `false` means the chunk is
+    /// damaged (or the worker pool died without depositing it); `out`
+    /// is then untouched.
+    pub(crate) fn take_into(&mut self, pos: usize, out: &mut RecordBlock) -> bool {
+        match self.take(pos) {
+            Some(Ok(block)) => {
+                let spent = std::mem::replace(out, block);
+                recover(self.shared.pool.lock()).push(spent);
+                true
+            }
+            Some(Err(())) | None => false,
+        }
     }
 
-    /// Returns a drained block to the recycle pool for workers to
-    /// refill. Called by the [`FillBlock`] path; harmless to skip —
-    /// workers then allocate fresh blocks.
-    pub fn recycle(&self, block: RecordBlock) {
-        recover(self.shared.pool.lock()).push(block);
-    }
-
-    /// Waits until slot `i % cap` holds chunk `i` and takes it.
-    /// `None` means the worker pool died without depositing — the
-    /// consumer treats the chunk as lost, like `decode_parallel` does.
-    fn take(&mut self, i: usize) -> Option<Result<RecordBlock, ()>> {
-        let slot = &self.shared.slots[i % self.shared.slots.len()];
+    /// Waits until slot `pos % cap` holds position `pos` and takes it.
+    /// `None` means the worker pool died without depositing.
+    fn take(&mut self, pos: usize) -> Option<Result<RecordBlock, ()>> {
+        let slot = &self.shared.slots[pos % self.shared.slots.len()];
         let mut g = recover(slot.inner.lock());
         loop {
-            if g.next_fill == i && g.value.is_some() {
+            if g.next_fill == pos && g.value.is_some() {
                 let val = g.value.take();
-                g.next_fill = i + self.shared.slots.len();
+                g.next_fill = pos + self.shared.slots.len();
                 drop(g);
                 slot.freed.notify_all();
                 self.shared.occupancy.fetch_sub(1, Ordering::Relaxed);
@@ -209,89 +180,7 @@ impl PipelinedBlocks {
     }
 }
 
-impl Iterator for PipelinedBlocks {
-    type Item = Result<RecordBlock, DecodeError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Some(at) = self.last_yield.take() {
-            self.replay_span.record_ns(at.elapsed().as_nanos() as u64);
-        }
-        loop {
-            if self.failed {
-                return None;
-            }
-            if self.next_take >= self.total {
-                // End of archive: emit the whole-pass read counters
-                // once, like `read_all`/`decode_parallel` do. The
-                // per-skip counter was already bumped as skips
-                // happened, so it is not re-added here.
-                if !self.published {
-                    self.published = true;
-                    let reg = obs::global();
-                    let archive = &self.shared.archive;
-                    reg.counter("tracestore.bytes_read").add(archive.byte_len());
-                    reg.counter("tracestore.chunks_read")
-                        .add(self.total as u64 - self.report.chunks_skipped());
-                    reg.counter("tracestore.records_read").add(
-                        archive
-                            .meta()
-                            .total_records
-                            .saturating_sub(self.report.records_lost()),
-                    );
-                }
-                return None;
-            }
-            let i = self.next_take;
-            self.next_take += 1;
-            match self.take(i) {
-                Some(Ok(block)) => {
-                    self.last_yield = Some(Instant::now());
-                    return Some(Ok(block));
-                }
-                Some(Err(())) | None => {
-                    let info = &self.shared.archive.chunks()[i];
-                    self.report.bad_chunks.push(BadChunk {
-                        index: i as u64,
-                        offset: info.offset,
-                        records_lost: info.records as u64,
-                    });
-                    obs::global()
-                        .counter("tracestore.chunks_skipped_corrupt")
-                        .inc();
-                    match self.mode {
-                        Corruption::Fail => {
-                            self.failed = true;
-                            return Some(Err(DecodeError::CorruptChunk {
-                                index: i as u64,
-                                offset: info.offset,
-                            }));
-                        }
-                        Corruption::Skip => continue,
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl FillBlock for PipelinedBlocks {
-    /// Allocation-free consumption: the drained `out` goes back to the
-    /// worker pool, the next decoded chunk takes its place. A
-    /// `Fail`-mode error ends the stream (use [`Iterator::next`] to
-    /// observe the error itself).
-    fn fill_next(&mut self, out: &mut RecordBlock) -> bool {
-        match self.next() {
-            Some(Ok(block)) => {
-                let spent = std::mem::replace(out, block);
-                self.recycle(spent);
-                true
-            }
-            Some(Err(_)) | None => false,
-        }
-    }
-}
-
-impl Drop for PipelinedBlocks {
+impl Drop for Ring {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         for slot in &self.shared.slots {
@@ -315,51 +204,35 @@ impl Drop for WorkerGuard<'_> {
     }
 }
 
-/// One worker: claim chunks, run the verify→decompress→decode stages
-/// with reused scratch, deposit in ring order.
+/// One worker: claim selection positions, run the read stages with
+/// reused scratch, deposit in ring order.
 fn worker_loop(shared: &Shared) {
     let _guard = WorkerGuard(shared);
-    let reg = obs::global();
-    let read_span = reg.span("pipeline.read");
-    let decompress_span = reg.span("pipeline.decompress");
-    let decode_span = reg.span("pipeline.decode");
-    let occupancy_peak = reg.gauge("pipeline.ring_occupancy_peak");
-    let archive = &shared.archive;
-    let total = archive.chunks().len();
+    let stages = Stages::new();
+    let occupancy_peak = obs::global().gauge("pipeline.ring_occupancy_peak");
     let mut scratch: Vec<u8> = Vec::new();
     'claims: loop {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        let i = shared.next_claim.fetch_add(1, Ordering::Relaxed);
-        if i >= total {
+        let pos = shared.next_claim.fetch_add(1, Ordering::Relaxed);
+        let Some(&chunk) = shared.selection.get(pos) else {
             break;
-        }
+        };
         let mut block = recover(shared.pool.lock()).pop().unwrap_or_default();
-        let res: Result<RecordBlock, ()> = (|| {
-            let t = Instant::now();
-            let payload = archive.verify_chunk(i).map_err(|_| ())?;
-            read_span.record_ns(t.elapsed().as_nanos() as u64);
-            let t = Instant::now();
-            let raw = archive
-                .decompress_chunk(i, payload, &mut scratch)
-                .map_err(|_| ())?;
-            decompress_span.record_ns(t.elapsed().as_nanos() as u64);
-            let t = Instant::now();
-            archive
-                .decode_chunk_from(i, raw, &mut block)
-                .map_err(|_| ())?;
-            decode_span.record_ns(t.elapsed().as_nanos() as u64);
-            Ok(std::mem::take(&mut block))
-        })();
+        let res = shared
+            .archive
+            .read_chunk(chunk, &mut scratch, &mut block, &stages)
+            .map(|()| block)
+            .ok_or(());
         // Count the block in flight *before* depositing: the slot
         // mutex then orders this increment before the consumer's
         // matching decrement, so occupancy never underflows.
         let occ = shared.occupancy.fetch_add(1, Ordering::Relaxed) + 1;
         occupancy_peak.record(occ as u64);
-        let slot = &shared.slots[i % shared.slots.len()];
+        let slot = &shared.slots[pos % shared.slots.len()];
         let mut g = recover(slot.inner.lock());
-        while g.next_fill != i {
+        while g.next_fill != pos {
             if shared.shutdown.load(Ordering::Acquire) {
                 break 'claims;
             }

@@ -4,35 +4,42 @@
 //! the 12-byte trailer, checksum the body, and the chunk index is
 //! available without touching a single chunk. When the trailer or body
 //! is missing or corrupt (a crashed writer, a truncated copy, bit rot
-//! in the index itself), [`Archive::open`] falls back to a *scan*: walk
-//! the file for the chunk magic, validate each candidate frame by CRC,
-//! and rebuild the index from what survives. False positives are
-//! rejected by the checksum, so a successful scan recovers every intact
-//! chunk and reports precisely what it could not place.
+//! in the index itself, a record total that disagrees with the index),
+//! [`Archive::open`] falls back to a *scan*: walk the file for the chunk
+//! magic, validate each candidate frame by CRC, and rebuild the index
+//! from what survives. False positives are rejected by the checksum, so
+//! a successful scan recovers every intact chunk and reports precisely
+//! what it could not place.
+//!
+//! Every read goes through one block source, [`ArchiveBlocks`], over a
+//! selection of chunks. With zero workers it verifies, decompresses,
+//! and decodes each chunk on the caller's thread; with one or more it
+//! runs the same stages on a worker pool behind an in-order ring (see
+//! the `pipeline` module). [`Records`] flattens it into records.
 //!
 //! Chunk damage at read time is handled per [`Corruption`]: `Fail`
-//! surfaces the first bad chunk as a [`DecodeError::CorruptChunk`];
-//! `Skip` drops exactly that chunk's records, counts them in the
-//! [`RecoveryReport`], and resumes at the next chunk — the neighbours
-//! are untouched because every chunk decodes independently.
+//! surfaces the first bad chunk as a [`DecodeError::CorruptChunk`] and
+//! ends the pass; `Skip` drops exactly that chunk's records, counts
+//! them in the [`RecoveryReport`], and resumes at the next chunk — the
+//! neighbours are untouched because every chunk decodes independently.
 
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
+use std::sync::Arc;
+use std::time::Instant;
 
 use fstrace::block::{decode_block, RecordBlock};
 use fstrace::codec::{decode_from, DecodeError};
-use fstrace::TraceRecord;
+use fstrace::{FillBlock, TraceRecord};
 
-use crate::compress::{decompress, decompress_into};
+use crate::compress::decompress_into;
 use crate::crc32::crc32;
 use crate::format::{
     chunk_crc, decode_chunk_header, decode_footer, ArchiveMeta, ChunkInfo, ARCHIVE_MAGIC,
     ARCHIVE_VERSION, CHUNK_HEADER_LEN, CHUNK_MAGIC, FOOTER_MAGIC, HEADER_LEN, TRAILER_LEN,
 };
+use crate::pipeline::Ring;
 
 /// What a reader does when a chunk fails verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +86,15 @@ impl RecoveryReport {
     pub fn is_clean(&self) -> bool {
         self.bad_chunks.is_empty() && !self.footer_rebuilt
     }
+
+    /// Records chunk `index` as lost.
+    fn lose(&mut self, index: usize, info: &ChunkInfo) {
+        self.bad_chunks.push(BadChunk {
+            index: index as u64,
+            offset: info.offset,
+            records_lost: info.records as u64,
+        });
+    }
 }
 
 /// Errors from [`Archive::open`].
@@ -111,7 +127,14 @@ impl From<std::io::Error> for ArchiveError {
 /// index. Chunk payloads stay in their stored, possibly compressed form
 /// until a read decodes them, so holding an archive costs its on-disk
 /// size, not its decoded size.
-pub struct Archive {
+///
+/// `Archive` is a handle: cloning it shares the bytes and the index,
+/// which is how every read source (and every pipeline worker) holds the
+/// archive it reads.
+#[derive(Clone)]
+pub struct Archive(Arc<Stored>);
+
+struct Stored {
     bytes: Vec<u8>,
     meta: ArchiveMeta,
     chunks: Vec<ChunkInfo>,
@@ -149,172 +172,121 @@ impl Archive {
                 (meta, chunks, true)
             }
         };
-        Ok(Archive {
+        Ok(Archive(Arc::new(Stored {
             bytes,
             meta,
             chunks,
             footer_rebuilt,
-        })
+        })))
     }
 
     /// Per-trace metadata from the footer. After a footer rebuild the
     /// name and max-id fields are empty/zero — only chunk-derived
     /// totals are known.
     pub fn meta(&self) -> &ArchiveMeta {
-        &self.meta
+        &self.0.meta
     }
 
     /// The chunk index (verified footer or rebuilt by scan).
     pub fn chunks(&self) -> &[ChunkInfo] {
-        &self.chunks
+        &self.0.chunks
     }
 
     /// Whether the footer was unusable and the index was rebuilt.
     pub fn footer_rebuilt(&self) -> bool {
-        self.footer_rebuilt
+        self.0.footer_rebuilt
     }
 
     /// Archive size in bytes as held in memory.
     pub fn byte_len(&self) -> u64 {
-        self.bytes.len() as u64
+        self.0.bytes.len() as u64
     }
 
-    /// Chunk-read stage 1: bounds-check the frame, re-parse the on-disk
+    /// Read stage 1: bounds-check the frame, re-parse the on-disk
     /// header against the index entry, and CRC the payload. Returns the
-    /// *stored* (possibly compressed) payload slice. Splitting the read
-    /// this way lets the pipeline time and overlap each stage.
-    pub(crate) fn verify_chunk(&self, index: usize) -> Result<&[u8], DecodeError> {
-        let info = &self.chunks[index];
-        let corrupt = || DecodeError::CorruptChunk {
-            index: index as u64,
-            offset: info.offset,
-        };
+    /// *stored* (possibly compressed) payload slice.
+    fn verify_chunk(&self, index: usize) -> Option<&[u8]> {
+        let info = &self.chunks()[index];
         let start = info.offset as usize;
-        let payload_at = start + CHUNK_HEADER_LEN;
-        let end = payload_at + info.stored_len as usize;
-        let frame = self.bytes.get(start..end).ok_or_else(corrupt)?;
+        let end = start + CHUNK_HEADER_LEN + info.stored_len as usize;
+        let frame = self.0.bytes.get(start..end)?;
         // Re-parse the on-disk header and require it to agree with the
         // index entry: a footer-sourced index must also match the file.
-        let on_disk = decode_chunk_header(frame, info.offset).ok_or_else(corrupt)?;
-        if on_disk != *info {
-            return Err(corrupt());
-        }
+        let on_disk = decode_chunk_header(frame, info.offset)?;
         let payload = &frame[CHUNK_HEADER_LEN..];
-        if chunk_crc(info, payload) != info.crc {
-            return Err(corrupt());
-        }
-        Ok(payload)
+        (on_disk == *info && chunk_crc(info, payload) == info.crc).then_some(payload)
     }
 
-    /// Chunk-read stage 2: decompress stage 1's payload into `scratch`
-    /// when the chunk is stored compressed (clearing and reusing the
-    /// buffer); passthrough chunks borrow straight from the archive.
-    pub(crate) fn decompress_chunk<'a>(
-        &'a self,
+    /// Read stage 2: decompress stage 1's payload into `scratch` when
+    /// the chunk is stored compressed (clearing and reusing the buffer);
+    /// passthrough chunks borrow straight from the archive.
+    fn decompress_chunk<'a>(
+        &self,
         index: usize,
         payload: &'a [u8],
         scratch: &'a mut Vec<u8>,
-    ) -> Result<&'a [u8], DecodeError> {
-        let info = &self.chunks[index];
+    ) -> Option<&'a [u8]> {
+        let info = &self.chunks()[index];
         if !info.compressed {
-            return Ok(payload);
+            return Some(payload);
         }
-        decompress_into(payload, info.raw_len as usize, scratch).map_err(|_| {
-            DecodeError::CorruptChunk {
-                index: index as u64,
-                offset: info.offset,
-            }
-        })?;
-        Ok(scratch)
+        decompress_into(payload, info.raw_len as usize, scratch).ok()?;
+        Some(scratch)
     }
 
-    /// Chunk-read stage 3: batched decode of a verified, decompressed
-    /// payload into `out`'s columns. Same contract as
-    /// [`Archive::decode_chunk_into`]: `out` is cleared first and left
-    /// empty on error.
-    pub(crate) fn decode_chunk_from(
+    /// Reads chunk `index` through the three stages — verify,
+    /// decompress into `scratch`, batched decode into `out`'s columns —
+    /// timing each into `stages`. `None` means the chunk is damaged;
+    /// `out` is then empty or untouched, never a partial chunk.
+    pub(crate) fn read_chunk(
         &self,
         index: usize,
-        raw: &[u8],
+        scratch: &mut Vec<u8>,
         out: &mut RecordBlock,
-    ) -> Result<(), DecodeError> {
-        let info = &self.chunks[index];
-        let corrupt = || DecodeError::CorruptChunk {
-            index: index as u64,
-            offset: info.offset,
-        };
+        stages: &Stages,
+    ) -> Option<()> {
+        let t = Instant::now();
+        let payload = self.verify_chunk(index)?;
+        stages.read.record_ns(elapsed_ns(t));
+        let t = Instant::now();
+        let raw = self.decompress_chunk(index, payload, scratch)?;
+        stages.decompress.record_ns(elapsed_ns(t));
+        let t = Instant::now();
+        let records = self.chunks()[index].records as usize;
         let mut pos = 0usize;
         out.clear();
-        out.reserve(info.records as usize);
+        out.reserve(records);
         let decoded = decode_block(raw, &mut pos, 0, raw.len(), usize::MAX, out);
-        if decoded.is_err() || pos != raw.len() || out.len() != info.records as usize {
+        if decoded.is_err() || pos != raw.len() || out.len() != records {
             out.clear();
-            return Err(corrupt());
+            return None;
         }
-        Ok(())
-    }
-
-    /// Verifies a chunk's frame and returns its raw (decompressed)
-    /// record payload, shared by the batched and scalar decoders.
-    fn chunk_payload(&self, index: usize) -> Result<std::borrow::Cow<'_, [u8]>, DecodeError> {
-        let info = &self.chunks[index];
-        let payload = self.verify_chunk(index)?;
-        if info.compressed {
-            let raw = decompress(payload, info.raw_len as usize).map_err(|_| {
-                DecodeError::CorruptChunk {
-                    index: index as u64,
-                    offset: info.offset,
-                }
-            })?;
-            Ok(std::borrow::Cow::Owned(raw))
-        } else {
-            Ok(std::borrow::Cow::Borrowed(payload))
-        }
-    }
-
-    /// Verifies one chunk and decodes it into `out`'s columns in a
-    /// single batched pass (the hot path). `out` is cleared first and
-    /// left empty on error, so a reused block never leaks a damaged
-    /// chunk's partial prefix into skip-mode reads.
-    pub fn decode_chunk_into(
-        &self,
-        index: usize,
-        out: &mut RecordBlock,
-    ) -> Result<(), DecodeError> {
-        let raw = self.chunk_payload(index)?;
-        self.decode_chunk_from(index, &raw, out)
+        stages.decode.record_ns(elapsed_ns(t));
+        Some(())
     }
 
     /// Verifies and decodes one chunk record-at-a-time with the scalar
-    /// codec. Kept as the reference oracle for the batched path (the
-    /// property tests decode both ways) and as the baseline the
-    /// `BENCH_6` decode-throughput gate measures against.
-    fn decode_chunk_scalar(&self, index: usize) -> Result<Vec<TraceRecord>, DecodeError> {
-        let info = &self.chunks[index];
-        let corrupt = || DecodeError::CorruptChunk {
-            index: index as u64,
-            offset: info.offset,
-        };
-        let raw = self.chunk_payload(index)?;
-        let mut records = Vec::with_capacity(info.records as usize);
-        let mut pos = 0usize;
-        let mut prev_ticks = 0u64;
+    /// codec, through the same verify and decompress stages as
+    /// [`Archive::read_chunk`].
+    fn decode_chunk_scalar(&self, index: usize, scratch: &mut Vec<u8>) -> Option<Vec<TraceRecord>> {
+        let payload = self.verify_chunk(index)?;
+        let raw = self.decompress_chunk(index, payload, scratch)?;
+        let want = self.chunks()[index].records as usize;
+        let mut records = Vec::with_capacity(want);
+        let (mut pos, mut prev_ticks) = (0usize, 0u64);
         while pos < raw.len() {
-            let (rec, ticks) = decode_from(&raw, &mut pos, prev_ticks).map_err(|_| corrupt())?;
+            let (rec, ticks) = decode_from(raw, &mut pos, prev_ticks).ok()?;
             prev_ticks = ticks;
             records.push(rec);
         }
-        if records.len() != info.records as usize {
-            return Err(corrupt());
-        }
-        Ok(records)
+        (records.len() == want).then_some(records)
     }
 
     /// Iterates all records sequentially under the given corruption
-    /// policy. The iterator's [`ArchiveRecords::report`] says what was
-    /// skipped once iteration ends.
-    pub fn records(&self, mode: Corruption) -> ArchiveRecords<'_> {
-        self.records_for_chunks(0..self.chunks.len(), mode)
+    /// policy. The iterator's [`Records::report`] says what was skipped
+    /// once iteration ends.
+    pub fn records(&self, mode: Corruption) -> Records {
+        Records::new(self.blocks(mode))
     }
 
     /// Iterates the records of the chunks whose time ranges intersect
@@ -323,309 +295,329 @@ impl Archive {
     /// never read, let alone decoded. Records inside a selected chunk
     /// but outside the range are still yielded — chunk granularity is
     /// the contract; callers wanting exact bounds filter the tail.
-    pub fn records_in_ticks(
-        &self,
-        start_ticks: u64,
-        end_ticks: u64,
-        mode: Corruption,
-    ) -> ArchiveRecords<'_> {
-        let sel: Vec<usize> = (0..self.chunks.len())
-            .filter(|&i| self.chunks[i].overlaps_ticks(start_ticks, end_ticks))
+    pub fn records_in_ticks(&self, start_ticks: u64, end_ticks: u64, mode: Corruption) -> Records {
+        let selection = (0..self.chunks().len())
+            .filter(|&i| self.chunks()[i].overlaps_ticks(start_ticks, end_ticks))
             .collect();
-        ArchiveRecords::new(self, sel, mode)
-    }
-
-    fn records_for_chunks(
-        &self,
-        chunks: impl IntoIterator<Item = usize>,
-        mode: Corruption,
-    ) -> ArchiveRecords<'_> {
-        ArchiveRecords::new(self, chunks.into_iter().collect(), mode)
+        Records::new(ArchiveBlocks::new(self.clone(), selection, mode, 0))
     }
 
     /// Iterates the archive chunk by chunk as decoded [`RecordBlock`]s
-    /// under the given corruption policy — the block-level twin of
-    /// [`Archive::records`] for consumers that want whole columns
+    /// under the given corruption policy, decoding on the caller's
+    /// thread — for consumers that want whole columns
     /// (`sweep::run_block_source`, `Simulator::run_blocks`).
-    pub fn blocks(&self, mode: Corruption) -> ArchiveBlocks<'_> {
-        ArchiveBlocks {
-            archive: self,
-            pending: (0..self.chunks.len()).collect::<Vec<_>>().into_iter(),
+    pub fn blocks(&self, mode: Corruption) -> ArchiveBlocks {
+        ArchiveBlocks::new(self.clone(), self.all_chunks(), mode, 0)
+    }
+
+    /// [`Archive::blocks`] with `workers` background threads (at least
+    /// one) verifying, decompressing, and decoding chunks ahead of the
+    /// consumer while blocks still arrive in archive order —
+    /// byte-identical to [`Archive::blocks`] for any worker count.
+    pub fn pipelined(self: Arc<Self>, mode: Corruption, workers: usize) -> ArchiveBlocks {
+        ArchiveBlocks::new(
+            Archive::clone(&self),
+            self.all_chunks(),
             mode,
-            report: RecoveryReport {
-                footer_rebuilt: self.footer_rebuilt,
-                ..RecoveryReport::default()
-            },
-            failed: false,
-        }
+            workers.max(1),
+        )
     }
 
-    /// Starts an overlapped decode pipeline over this archive: `workers`
-    /// background threads verify, decompress, and decode chunks while
-    /// the returned iterator yields them in archive order — the
-    /// pipelined twin of [`Archive::blocks`], byte-identical to it for
-    /// any worker count. Takes `Arc<Self>` because the worker pool must
-    /// share ownership with the caller-held iterator.
-    pub fn pipelined(
-        self: std::sync::Arc<Self>,
-        mode: Corruption,
-        workers: usize,
-    ) -> crate::pipeline::PipelinedBlocks {
-        crate::pipeline::PipelinedBlocks::new(self, mode, workers)
-    }
-
-    /// Decodes the whole archive into memory, skipping damaged chunks,
-    /// and reports what was lost. Single-threaded; see
-    /// [`Archive::decode_parallel`] for the multi-worker variant.
+    /// Decodes the whole archive into memory on the caller's thread,
+    /// skipping damaged chunks, and reports what was lost.
     pub fn read_all(&self) -> (Vec<TraceRecord>, RecoveryReport) {
-        let mut out = Vec::with_capacity(self.meta.total_records as usize);
-        let mut report = RecoveryReport {
-            footer_rebuilt: self.footer_rebuilt,
-            ..RecoveryReport::default()
-        };
+        let mut blocks = self.blocks(Corruption::Skip);
         let mut block = RecordBlock::new();
-        for i in 0..self.chunks.len() {
-            match self.decode_chunk_into(i, &mut block) {
-                Ok(()) => block.append_to(&mut out),
-                Err(_) => report.bad_chunks.push(BadChunk {
-                    index: i as u64,
-                    offset: self.chunks[i].offset,
-                    records_lost: self.chunks[i].records as u64,
-                }),
-            }
+        let mut out = Vec::with_capacity(self.records_hint());
+        while blocks.fill_next(&mut block) {
+            block.append_to(&mut out);
         }
-        publish_read_metrics(self, &report);
-        (out, report)
+        (out, blocks.report().clone())
     }
 
     /// [`Archive::read_all`] through the scalar record-at-a-time codec.
     /// This is the decode baseline `BENCH_6` measures the batched path
     /// against, and the oracle the equivalence property tests use; it
-    /// takes no part in production reads.
+    /// takes no part in production reads and publishes no counters.
     pub fn read_all_scalar(&self) -> (Vec<TraceRecord>, RecoveryReport) {
-        let mut out = Vec::with_capacity(self.meta.total_records as usize);
+        let mut out = Vec::with_capacity(self.records_hint());
         let mut report = RecoveryReport {
-            footer_rebuilt: self.footer_rebuilt,
+            footer_rebuilt: self.footer_rebuilt(),
             ..RecoveryReport::default()
         };
-        for i in 0..self.chunks.len() {
-            match self.decode_chunk_scalar(i) {
-                Ok(recs) => out.extend(recs),
-                Err(_) => report.bad_chunks.push(BadChunk {
-                    index: i as u64,
-                    offset: self.chunks[i].offset,
-                    records_lost: self.chunks[i].records as u64,
-                }),
+        let mut scratch = Vec::new();
+        for (i, info) in self.chunks().iter().enumerate() {
+            match self.decode_chunk_scalar(i, &mut scratch) {
+                Some(records) => out.extend(records),
+                None => report.lose(i, info),
             }
         }
         (out, report)
     }
 
-    /// Decodes the whole archive with `jobs` workers, each claiming
-    /// chunks off a shared counter — the same work-stealing shape as
-    /// the cache simulator's sweep engine. Chunks are independent by
-    /// construction (per-chunk delta base), so workers never
-    /// coordinate; results are stitched back in chunk order, making the
-    /// output identical to [`Archive::read_all`] for any `jobs`.
-    pub fn decode_parallel(&self, jobs: usize) -> (Vec<TraceRecord>, RecoveryReport) {
-        let workers = jobs.max(1).min(self.chunks.len().max(1));
-        if workers <= 1 {
-            return self.read_all();
-        }
-        type Slot = Mutex<Option<Result<Vec<TraceRecord>, ()>>>;
-        let slots: Vec<Slot> = (0..self.chunks.len()).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    // One block per worker, reused across the chunks it
-                    // claims, so steady-state decode does not allocate.
-                    let mut block = RecordBlock::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= self.chunks.len() {
-                            break;
-                        }
-                        let res = self
-                            .decode_chunk_into(i, &mut block)
-                            .map(|()| block.to_records())
-                            .map_err(|_| ());
-                        // A panicked peer poisons nothing we can't use:
-                        // the slot value is a plain Option, so recover
-                        // the guard and keep decoding.
-                        *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(res);
-                    }
-                });
-            }
-        });
-        let mut out = Vec::with_capacity(self.meta.total_records as usize);
-        let mut report = RecoveryReport {
-            footer_rebuilt: self.footer_rebuilt,
-            ..RecoveryReport::default()
-        };
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot.into_inner().unwrap_or_else(|p| p.into_inner()) {
-                Some(Ok(recs)) => out.extend(recs),
-                Some(Err(())) | None => report.bad_chunks.push(BadChunk {
-                    index: i as u64,
-                    offset: self.chunks[i].offset,
-                    records_lost: self.chunks[i].records as u64,
-                }),
-            }
-        }
-        publish_read_metrics(self, &report);
-        (out, report)
+    fn all_chunks(&self) -> Vec<usize> {
+        (0..self.chunks().len()).collect()
+    }
+
+    /// Capacity for a whole-archive read: the records the chunk index
+    /// promises, capped at one per archive byte, so a forged count can
+    /// cost at most a constant times the file size.
+    fn records_hint(&self) -> usize {
+        let indexed: u64 = self.chunks().iter().map(|c| c.records as u64).sum();
+        indexed.min(self.byte_len()) as usize
     }
 }
 
-/// Emits read-side counters for one full-archive decode pass.
-fn publish_read_metrics(archive: &Archive, report: &RecoveryReport) {
-    let reg = obs::global();
-    reg.counter("tracestore.bytes_read").add(archive.byte_len());
-    reg.counter("tracestore.chunks_read")
-        .add(archive.chunks.len() as u64 - report.chunks_skipped());
-    reg.counter("tracestore.chunks_skipped_corrupt")
-        .add(report.chunks_skipped());
-    reg.counter("tracestore.records_read").add(
-        archive
-            .meta
-            .total_records
-            .saturating_sub(report.records_lost()),
-    );
+fn elapsed_ns(since: Instant) -> u64 {
+    since.elapsed().as_nanos() as u64
 }
 
-/// Sequential record iterator over a chunk selection; yields
+/// The per-stage spans every chunk read records: `pipeline.read`
+/// (frame verify + CRC), `pipeline.decompress`, `pipeline.decode`.
+pub(crate) struct Stages {
+    read: obs::Span,
+    decompress: obs::Span,
+    decode: obs::Span,
+}
+
+impl Stages {
+    pub(crate) fn new() -> Stages {
+        let reg = obs::global();
+        Stages {
+            read: reg.span("pipeline.read"),
+            decompress: reg.span("pipeline.decompress"),
+            decode: reg.span("pipeline.decode"),
+        }
+    }
+}
+
+/// Who runs the read stages.
+enum Engine {
+    /// Zero workers: the caller's thread, one reused scratch buffer.
+    Inline { scratch: Vec<u8>, stages: Stages },
+    /// One or more workers behind the in-order ring.
+    Ring(Ring),
+}
+
+/// The counters a pass adds to when it ends (DESIGN.md §12): what it
+/// delivered, then the damaged chunks it met.
+const READ_COUNTERS: [&str; 4] = [
+    "tracestore.chunks_read",
+    "tracestore.records_read",
+    "tracestore.bytes_read",
+    "tracestore.chunks_skipped_corrupt",
+];
+
+/// What one pass delivered, for the read counters.
+#[derive(Default)]
+struct Delivered {
+    chunks: u64,
+    records: u64,
+    bytes: u64,
+}
+
+/// The one block source behind every archive read: decoded chunks of a
+/// chunk selection, in selection order, under one corruption policy.
+///
+/// Yields `Result<RecordBlock, DecodeError>`. In `Fail` mode the first
+/// damaged chunk is yielded as [`DecodeError::CorruptChunk`] and the
+/// source then fuses; in `Skip` mode damaged chunks are recorded in
+/// [`ArchiveBlocks::report`] and passed over. Also implements
+/// [`FillBlock`], the allocation-free way to consume it: each
+/// `fill_next` decodes into (or, with workers, swaps with) the caller's
+/// block.
+///
+/// When the pass ends — exhausted, fused, or dropped early — the source
+/// adds what it delivered to the `tracestore.{chunks,records,bytes}_read`
+/// counters and its damaged chunks to `tracestore.chunks_skipped_corrupt`
+/// (DESIGN.md §12).
+pub struct ArchiveBlocks {
+    archive: Archive,
+    /// Chunk indices this pass reads, in order.
+    selection: Arc<[usize]>,
+    /// Position in `selection` of the next chunk to deliver.
+    next: usize,
+    mode: Corruption,
+    report: RecoveryReport,
+    delivered: Delivered,
+    /// [`READ_COUNTERS`], looked up when the pass starts so that ending
+    /// it (possibly in `drop`) only adds.
+    counters: [obs::Counter; 4],
+    /// Set once the pass has ended and the counters are published.
+    ended: bool,
+    engine: Engine,
+    /// When the previous block was handed out — the consumer's time
+    /// until the next call is the `pipeline.replay` stage.
+    last_yield: Option<Instant>,
+    replay_span: obs::Span,
+}
+
+impl ArchiveBlocks {
+    /// Reads `selection` of `archive`: on the caller's thread when
+    /// `workers` is 0, else on `workers` threads (at most one per
+    /// selected chunk).
+    fn new(
+        archive: Archive,
+        selection: Vec<usize>,
+        mode: Corruption,
+        workers: usize,
+    ) -> ArchiveBlocks {
+        let selection: Arc<[usize]> = selection.into();
+        let engine = match workers {
+            0 => Engine::Inline {
+                scratch: Vec::new(),
+                stages: Stages::new(),
+            },
+            n => Engine::Ring(Ring::new(
+                archive.clone(),
+                Arc::clone(&selection),
+                n.min(selection.len().max(1)),
+            )),
+        };
+        ArchiveBlocks {
+            report: RecoveryReport {
+                footer_rebuilt: archive.footer_rebuilt(),
+                ..RecoveryReport::default()
+            },
+            archive,
+            selection,
+            next: 0,
+            mode,
+            delivered: Delivered::default(),
+            counters: READ_COUNTERS.map(|name| obs::global().counter(name)),
+            ended: false,
+            engine,
+            last_yield: None,
+            replay_span: obs::global().span("pipeline.replay"),
+        }
+    }
+
+    /// What has been skipped so far (complete once iteration ends).
+    pub fn report(&self) -> &RecoveryReport {
+        &self.report
+    }
+
+    /// Puts the next chunk's records in `out`. `None` at the end of the
+    /// pass; `Some(Err)` once, in `Fail` mode, for the first damaged
+    /// chunk.
+    fn next_into(&mut self, out: &mut RecordBlock) -> Option<Result<(), DecodeError>> {
+        if let Some(at) = self.last_yield.take() {
+            self.replay_span.record_ns(elapsed_ns(at));
+        }
+        while !self.ended {
+            let Some(&i) = self.selection.get(self.next) else {
+                self.end();
+                break;
+            };
+            let read = match &mut self.engine {
+                Engine::Inline { scratch, stages } => {
+                    self.archive.read_chunk(i, scratch, out, stages).is_some()
+                }
+                Engine::Ring(ring) => ring.take_into(self.next, out),
+            };
+            self.next += 1;
+            let info = &self.archive.chunks()[i];
+            if read {
+                self.delivered.chunks += 1;
+                self.delivered.records += out.len() as u64;
+                self.delivered.bytes += info.frame_len();
+                self.last_yield = Some(Instant::now());
+                return Some(Ok(()));
+            }
+            self.report.lose(i, info);
+            if self.mode == Corruption::Fail {
+                let err = DecodeError::CorruptChunk {
+                    index: i as u64,
+                    offset: info.offset,
+                };
+                self.end();
+                return Some(Err(err));
+            }
+        }
+        None
+    }
+
+    /// Ends the pass and publishes its read counters, once.
+    fn end(&mut self) {
+        if std::mem::replace(&mut self.ended, true) {
+            return;
+        }
+        let d = &self.delivered;
+        let counts = [d.chunks, d.records, d.bytes, self.report.chunks_skipped()];
+        for (counter, n) in self.counters.iter().zip(counts) {
+            counter.add(n);
+        }
+    }
+}
+
+impl Iterator for ArchiveBlocks {
+    type Item = Result<RecordBlock, DecodeError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut block = RecordBlock::new();
+        Some(self.next_into(&mut block)?.map(|()| block))
+    }
+}
+
+impl FillBlock for ArchiveBlocks {
+    /// Allocation-free consumption: the next chunk replaces `out`'s
+    /// records. A `Fail`-mode error ends the stream (use
+    /// [`Iterator::next`] to observe the error itself).
+    fn fill_next(&mut self, out: &mut RecordBlock) -> bool {
+        matches!(self.next_into(out), Some(Ok(())))
+    }
+}
+
+impl Drop for ArchiveBlocks {
+    fn drop(&mut self) {
+        self.end();
+    }
+}
+
+/// Record iterator over an [`ArchiveBlocks`] pass; yields
 /// `Result<TraceRecord, DecodeError>`, so it is a
 /// [`fstrace::source::RecordSource`].
 ///
-/// Chunks decode batched into one reused [`RecordBlock`]; `next()`
-/// walks the block's columns with a cursor and materializes one record
-/// view at a time, so streaming an archive allocates per chunk at most
-/// (for decompression), never per record.
-pub struct ArchiveRecords<'a> {
-    archive: &'a Archive,
-    /// Chunk indices still to decode, in order.
-    pending: std::vec::IntoIter<usize>,
+/// Chunks land in one reused [`RecordBlock`]; `next()` walks its
+/// columns with a cursor and materializes one record view at a time, so
+/// streaming an archive never allocates per record. Corruption policy
+/// and fusing are the block source's.
+pub struct Records {
+    blocks: ArchiveBlocks,
     /// Columns of the chunk being drained, reused across chunks.
     block: RecordBlock,
     /// Next unserved record in `block`.
     cursor: usize,
-    mode: Corruption,
-    report: RecoveryReport,
-    /// Set after a `Fail`-mode error: the iterator is fused off.
-    failed: bool,
 }
 
-impl<'a> ArchiveRecords<'a> {
-    fn new(archive: &'a Archive, chunks: Vec<usize>, mode: Corruption) -> Self {
-        ArchiveRecords {
-            archive,
-            pending: chunks.into_iter(),
+impl Records {
+    fn new(blocks: ArchiveBlocks) -> Records {
+        Records {
+            blocks,
             block: RecordBlock::new(),
             cursor: 0,
-            mode,
-            report: RecoveryReport {
-                footer_rebuilt: archive.footer_rebuilt,
-                ..RecoveryReport::default()
-            },
-            failed: false,
         }
     }
 
     /// What has been skipped so far (complete once iteration ends).
     pub fn report(&self) -> &RecoveryReport {
-        &self.report
+        self.blocks.report()
     }
 }
 
-impl Iterator for ArchiveRecords<'_> {
+impl Iterator for Records {
     type Item = Result<TraceRecord, DecodeError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.failed {
-                return None;
+        while self.cursor >= self.block.len() {
+            if let Err(e) = self.blocks.next_into(&mut self.block)? {
+                return Some(Err(e));
             }
-            if self.cursor < self.block.len() {
-                let rec = self.block.get(self.cursor);
-                self.cursor += 1;
-                return Some(Ok(rec));
-            }
-            let i = self.pending.next()?;
-            match self.archive.decode_chunk_into(i, &mut self.block) {
-                Ok(()) => self.cursor = 0,
-                Err(e) => {
-                    self.report.bad_chunks.push(BadChunk {
-                        index: i as u64,
-                        offset: self.archive.chunks[i].offset,
-                        records_lost: self.archive.chunks[i].records as u64,
-                    });
-                    obs::global()
-                        .counter("tracestore.chunks_skipped_corrupt")
-                        .inc();
-                    match self.mode {
-                        Corruption::Fail => {
-                            self.failed = true;
-                            return Some(Err(e));
-                        }
-                        Corruption::Skip => continue,
-                    }
-                }
-            }
+            self.cursor = 0;
         }
-    }
-}
-
-/// Chunk-granular block iterator: each `next()` verifies and decodes
-/// one whole chunk into an owned [`RecordBlock`]. Corruption policy and
-/// fusing mirror [`ArchiveRecords`]; wrap in
-/// [`fstrace::BlockRecordSource`] to get a record-level source again.
-pub struct ArchiveBlocks<'a> {
-    archive: &'a Archive,
-    pending: std::vec::IntoIter<usize>,
-    mode: Corruption,
-    report: RecoveryReport,
-    failed: bool,
-}
-
-impl ArchiveBlocks<'_> {
-    /// What has been skipped so far (complete once iteration ends).
-    pub fn report(&self) -> &RecoveryReport {
-        &self.report
-    }
-}
-
-impl Iterator for ArchiveBlocks<'_> {
-    type Item = Result<RecordBlock, DecodeError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.failed {
-                return None;
-            }
-            let i = self.pending.next()?;
-            let mut block = RecordBlock::with_capacity(self.archive.chunks[i].records as usize);
-            match self.archive.decode_chunk_into(i, &mut block) {
-                Ok(()) => return Some(Ok(block)),
-                Err(e) => {
-                    self.report.bad_chunks.push(BadChunk {
-                        index: i as u64,
-                        offset: self.archive.chunks[i].offset,
-                        records_lost: self.archive.chunks[i].records as u64,
-                    });
-                    obs::global()
-                        .counter("tracestore.chunks_skipped_corrupt")
-                        .inc();
-                    match self.mode {
-                        Corruption::Fail => {
-                            self.failed = true;
-                            return Some(Err(e));
-                        }
-                        Corruption::Skip => continue,
-                    }
-                }
-            }
-        }
+        let rec = self.block.get(self.cursor);
+        self.cursor += 1;
+        Some(Ok(rec))
     }
 }
 
@@ -651,15 +643,19 @@ fn read_footer(bytes: &[u8]) -> Option<(ArchiveMeta, Vec<ChunkInfo>)> {
     }
     let (meta, chunks) = decode_footer(body).ok()?;
     // The index must describe this file: in-bounds, strictly ordered
-    // frames that all land before the footer body.
+    // frames that all land before the footer body, holding exactly the
+    // records the metadata claims.
     let mut prev_end = HEADER_LEN as u64;
+    let mut records = 0u64;
     for c in &chunks {
-        if c.offset < prev_end || c.offset + c.frame_len() > body_start as u64 {
+        let end = c.offset.checked_add(c.frame_len())?;
+        if c.offset < prev_end || end > body_start as u64 {
             return None;
         }
-        prev_end = c.offset + c.frame_len();
+        prev_end = end;
+        records += c.records as u64;
     }
-    Some((meta, chunks))
+    (records == meta.total_records).then_some((meta, chunks))
 }
 
 /// Rebuilds a chunk index by scanning for frame magics and validating

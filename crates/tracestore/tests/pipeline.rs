@@ -1,18 +1,20 @@
-//! Pipeline ≡ sequential: the overlapped decode pipeline must be
-//! byte-identical to [`Archive::blocks`] — same records, same order,
-//! same recovery report — for any worker count, in both corruption
-//! modes, on clean, damaged, and truncated archives. The whole point of
-//! [`PipelinedBlocks`] is that it changes *when* chunks decode, never
-//! *what* the consumer observes.
+//! Every read ≡ [`Archive::blocks`]: the overlapped decode pipeline,
+//! the record iterator, and `read_all` must all observe exactly what
+//! the inline block reader does — same records, same order, same
+//! recovery report, the same `Fail`-mode error at the same chunk, and
+//! the same fuse after it — for any worker count, in both corruption
+//! modes, on clean, damaged, and truncated archives. Workers change
+//! *when* chunks decode, never *what* the consumer observes.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use fstrace::codec::DecodeError;
 use fstrace::{
     AccessMode, FileId, FillBlock, OpenId, RecordBlock, TraceEvent, TraceRecord, UserId,
 };
-use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption};
+use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption, RecoveryReport};
 
 fn write_archive(records: &[TraceRecord], chunk_target_bytes: usize, compress: bool) -> Vec<u8> {
     let mut w = ArchiveWriter::new(
@@ -56,53 +58,85 @@ fn sample_records(n: u64) -> Vec<TraceRecord> {
     out
 }
 
-/// Drains the sequential block reader into (records, report, errors).
-fn drain_sequential(
-    archive: &Archive,
-    mode: Corruption,
-) -> (Vec<TraceRecord>, tracestore::RecoveryReport, usize) {
-    let mut blocks = archive.blocks(mode);
+/// What one read pass observed: the records, the final report, and
+/// the (chunk index, offset) of every error it yielded.
+type Drained = (Vec<TraceRecord>, RecoveryReport, Vec<(u64, u64)>);
+
+fn corrupt_chunk(e: DecodeError) -> (u64, u64) {
+    match e {
+        DecodeError::CorruptChunk { index, offset } => (index, offset),
+        other => panic!("unexpected error: {other}"),
+    }
+}
+
+/// Drains a block source, then checks it stays fused.
+fn drain_blocks(mut blocks: tracestore::ArchiveBlocks) -> Drained {
     let mut records = Vec::new();
-    let mut errors = 0usize;
+    let mut errors = Vec::new();
     for item in &mut blocks {
         match item {
             Ok(b) => b.append_to(&mut records),
-            Err(_) => errors += 1,
+            Err(e) => errors.push(corrupt_chunk(e)),
         }
     }
-    let report = blocks.report().clone();
-    (records, report, errors)
+    assert!(blocks.next().is_none(), "an ended block source must fuse");
+    (records, blocks.report().clone(), errors)
+}
+
+/// Drains the inline block reader.
+fn drain_sequential(archive: &Archive, mode: Corruption) -> Drained {
+    drain_blocks(archive.blocks(mode))
 }
 
 /// Drains the pipeline the same way.
-fn drain_pipelined(
-    archive: &Arc<Archive>,
-    mode: Corruption,
-    workers: usize,
-) -> (Vec<TraceRecord>, tracestore::RecoveryReport, usize) {
-    let mut blocks = Arc::clone(archive).pipelined(mode, workers);
-    let mut records = Vec::new();
-    let mut errors = 0usize;
-    for item in &mut blocks {
-        match item {
-            Ok(b) => b.append_to(&mut records),
-            Err(_) => errors += 1,
-        }
-    }
-    let report = blocks.report().clone();
-    (records, report, errors)
+fn drain_pipelined(archive: &Arc<Archive>, mode: Corruption, workers: usize) -> Drained {
+    drain_blocks(Arc::clone(archive).pipelined(mode, workers))
 }
 
-/// Asserts pipeline ≡ sequential for every worker count under test.
+/// Drains the record iterator the same way.
+fn drain_records(archive: &Archive, mode: Corruption) -> Drained {
+    let mut it = archive.records(mode);
+    let mut records = Vec::new();
+    let mut errors = Vec::new();
+    for item in &mut it {
+        match item {
+            Ok(r) => records.push(r),
+            Err(e) => errors.push(corrupt_chunk(e)),
+        }
+    }
+    assert!(it.next().is_none(), "an ended record iterator must fuse");
+    (records, it.report().clone(), errors)
+}
+
+/// Asserts every read path ≡ the inline block reader: the pipeline for
+/// `workers`, the record iterator, and (in `Skip` mode, its only mode)
+/// `read_all`.
+fn assert_reads_match(archive: &Arc<Archive>, mode: Corruption, workers: &[usize]) {
+    let want = drain_sequential(archive, mode);
+    if mode == Corruption::Fail {
+        assert!(want.2.len() <= 1, "Fail mode yields at most one error");
+    } else {
+        assert!(want.2.is_empty(), "Skip mode yields no errors");
+    }
+    for &w in workers {
+        assert_eq!(
+            drain_pipelined(archive, mode, w),
+            want,
+            "pipelined, workers={w}"
+        );
+    }
+    assert_eq!(drain_records(archive, mode), want, "records({mode:?})");
+    if mode == Corruption::Skip {
+        let (records, report) = archive.read_all();
+        assert_eq!((records, report, Vec::new()), want, "read_all");
+    }
+}
+
+/// Asserts every read path ≡ the inline block reader for every worker
+/// count under test.
 fn assert_identical(bytes: Vec<u8>, mode: Corruption) {
     let archive = Arc::new(Archive::from_bytes(bytes).expect("open"));
-    let (want_recs, want_report, want_errs) = drain_sequential(&archive, mode);
-    for workers in [1usize, 2, 8] {
-        let (got_recs, got_report, got_errs) = drain_pipelined(&archive, mode, workers);
-        assert_eq!(got_recs, want_recs, "records, workers={workers}");
-        assert_eq!(got_report, want_report, "report, workers={workers}");
-        assert_eq!(got_errs, want_errs, "errors, workers={workers}");
-    }
+    assert_reads_match(&archive, mode, &[1, 2, 8]);
 }
 
 #[test]
@@ -123,7 +157,9 @@ fn fail_mode_surfaces_the_same_error_and_fuses() {
     let victim = &chunks[1];
     bytes[victim.offset as usize + tracestore::format::CHUNK_HEADER_LEN + 2] ^= 0xFF;
 
-    let archive = Arc::new(Archive::from_bytes(bytes).expect("open damaged"));
+    let archive = Arc::new(Archive::from_bytes(bytes.clone()).expect("open damaged"));
+    assert_identical(bytes.clone(), Corruption::Fail);
+    assert_identical(bytes, Corruption::Skip);
     for workers in [1usize, 2, 8] {
         let mut pipe = Arc::clone(&archive).pipelined(Corruption::Fail, workers);
         let mut seen = 0usize;
@@ -135,13 +171,7 @@ fn fail_mode_surfaces_the_same_error_and_fuses() {
             }
         };
         assert_eq!(seen, chunks[0].records as usize, "workers={workers}");
-        match err {
-            fstrace::codec::DecodeError::CorruptChunk { index, offset } => {
-                assert_eq!(index, 1);
-                assert_eq!(offset, victim.offset);
-            }
-            other => panic!("unexpected error: {other}"),
-        }
+        assert_eq!(corrupt_chunk(err), (1, victim.offset));
         assert!(pipe.next().is_none(), "fail-mode pipeline must fuse");
         assert_eq!(pipe.report().chunks_skipped(), 1);
     }
@@ -206,10 +236,53 @@ fn dropping_mid_stream_shuts_down_cleanly() {
     }
 }
 
+#[test]
+fn records_in_ticks_matches_filtered_read_all() {
+    // Damage chunk 2, then seek windows before, across, and after it:
+    // in Skip mode the seek must return exactly read_all's survivors
+    // inside the window, plus the rest of the chunks they came from.
+    let records = sample_records(1500);
+    let mut bytes = write_archive(&records, 512, true);
+    let clean = Archive::from_bytes(bytes.clone()).expect("open");
+    let chunks = clean.chunks().to_vec();
+    assert!(chunks.len() >= 6);
+    bytes[chunks[2].offset as usize + tracestore::format::CHUNK_HEADER_LEN + 3] ^= 0x55;
+    let archive = Archive::from_bytes(bytes).expect("open damaged");
+    let (all, _) = archive.read_all();
+    let last = records.last().expect("records").time.as_ticks();
+    for (lo, hi) in [
+        (0, last / 4),
+        (last / 8, last / 2),
+        (last / 3, last),
+        (0, u64::MAX),
+    ] {
+        let inside = |r: &TraceRecord| (lo..=hi).contains(&r.time.as_ticks());
+        let got: Vec<TraceRecord> = archive
+            .records_in_ticks(lo, hi, Corruption::Skip)
+            .map(|r| r.expect("skip mode yields no errors"))
+            .collect();
+        let want: Vec<TraceRecord> = all.iter().copied().filter(inside).collect();
+        let got_inside: Vec<TraceRecord> = got.iter().copied().filter(inside).collect();
+        assert_eq!(got_inside, want, "window {lo}..={hi}");
+        // Chunk granularity: exactly the surviving chunks whose time
+        // range meets the window, whole.
+        let mut selected = Vec::new();
+        let mut at = 0;
+        for (i, c) in chunks.iter().enumerate() {
+            let n = c.records as usize;
+            if i != 2 && c.overlaps_ticks(lo, hi) {
+                selected.extend_from_slice(&records[at..at + n]);
+            }
+            at += n;
+        }
+        assert_eq!(got, selected, "window {lo}..={hi}");
+    }
+}
+
 proptest! {
-    /// Pipeline ≡ sequential for arbitrary streams, chunk sizes,
-    /// compression settings, worker counts, and mid-chunk corruption
-    /// under Skip mode.
+    /// Every read path ≡ the inline block reader for arbitrary
+    /// streams, chunk sizes, compression settings, worker counts,
+    /// corruption modes, mid-chunk corruption, and truncation.
     #[test]
     fn pipelined_matches_sequential(
         records in prop::collection::vec((0u64..100_000u64, 0u64..500u64), 0..400)
@@ -229,6 +302,9 @@ proptest! {
         byte_seed in any::<u64>(),
         flip in 1u8..=255,
         workers in 1usize..9,
+        fail in any::<bool>(),
+        cut_seed in any::<u64>(),
+        truncate in any::<bool>(),
     ) {
         let chunk = 256 << chunk_kib;
         let mut bytes = write_archive(&records, chunk, compress);
@@ -239,10 +315,13 @@ proptest! {
             let at = info.offset + byte_seed % info.frame_len();
             bytes[at as usize] ^= flip;
         }
+        if truncate {
+            // Keep the 6-byte file header so the archive still opens.
+            let keep = 6 + (cut_seed % (bytes.len() as u64 - 5)) as usize;
+            bytes.truncate(keep);
+        }
+        let mode = if fail { Corruption::Fail } else { Corruption::Skip };
         let archive = Arc::new(Archive::from_bytes(bytes).expect("open"));
-        let (want_recs, want_report, _) = drain_sequential(&archive, Corruption::Skip);
-        let (got_recs, got_report, _) = drain_pipelined(&archive, Corruption::Skip, workers);
-        prop_assert_eq!(&got_recs, &want_recs);
-        prop_assert_eq!(&got_report, &want_report);
+        assert_reads_match(&archive, mode, &[workers]);
     }
 }

@@ -13,8 +13,10 @@
 
 use proptest::prelude::*;
 
-use fstrace::{AccessMode, BlockRecordSource, FileId, OpenId, TraceEvent, TraceRecord, UserId};
-use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption};
+use std::sync::Arc;
+
+use fstrace::{AccessMode, FileId, OpenId, TraceEvent, TraceRecord, UserId};
+use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption, RecoveryReport};
 
 fn arb_mode() -> impl Strategy<Value = AccessMode> {
     prop_oneof![
@@ -154,9 +156,10 @@ fn golden_chunk_decodes_to_known_columns() {
     let bytes = write_archive(&records, 1 << 20, false);
     let archive = Archive::from_bytes(bytes).expect("open");
     assert_eq!(archive.chunks().len(), 1, "golden set fits one chunk");
-    let mut block = fstrace::RecordBlock::new();
-    archive
-        .decode_chunk_into(0, &mut block)
+    let block = archive
+        .blocks(Corruption::Fail)
+        .next()
+        .expect("one chunk")
         .expect("golden chunk decodes");
 
     // Timestamps: absolute 10 ms ticks, delta chain resolved.
@@ -200,6 +203,18 @@ fn write_archive(records: &[TraceRecord], chunk_target_bytes: usize, compress: b
     w.finish().expect("finish").0
 }
 
+/// Drains `archive` through a `jobs`-worker pipeline in Skip mode.
+fn drain_pipelined(archive: &Archive, jobs: usize) -> (Vec<TraceRecord>, RecoveryReport) {
+    let mut blocks = Arc::new(archive.clone()).pipelined(Corruption::Skip, jobs);
+    let mut records = Vec::new();
+    for block in &mut blocks {
+        block
+            .expect("skip mode yields no errors")
+            .append_to(&mut records);
+    }
+    (records, blocks.report().clone())
+}
+
 proptest! {
     /// Write → read is bit-identical for arbitrary streams, any chunk
     /// size, compressed or not — sequentially and in parallel.
@@ -219,7 +234,7 @@ proptest! {
         let (seq, report) = archive.read_all();
         prop_assert!(report.is_clean());
         prop_assert_eq!(&seq, &records);
-        let (par, report) = archive.decode_parallel(jobs);
+        let (par, report) = drain_pipelined(&archive, jobs);
         prop_assert!(report.is_clean());
         prop_assert_eq!(&par, &records);
     }
@@ -269,8 +284,8 @@ proptest! {
         }
         prop_assert_eq!(&got, &expected);
 
-        // The parallel decoder reaches the same verdict.
-        let (par, preport) = damaged.decode_parallel(3);
+        // The pipelined decoder reaches the same verdict.
+        let (par, preport) = drain_pipelined(&damaged, 3);
         prop_assert_eq!(&par, &expected);
         prop_assert_eq!(preport.chunks_skipped(), 1);
     }
@@ -303,12 +318,12 @@ proptest! {
         let (batched, batched_report) = archive.read_all();
         prop_assert_eq!(&batched, &scalar);
         prop_assert_eq!(batched_report, scalar_report);
-        // The streaming block iterator agrees too, record for record.
-        let via_blocks: Vec<TraceRecord> =
-            BlockRecordSource::new(archive.blocks(Corruption::Skip))
-                .map(|r| r.expect("skip mode yields no errors"))
-                .collect();
-        prop_assert_eq!(&via_blocks, &scalar);
+        // The streaming record iterator agrees too, record for record.
+        let via_records: Vec<TraceRecord> = archive
+            .records(Corruption::Skip)
+            .map(|r| r.expect("skip mode yields no errors"))
+            .collect();
+        prop_assert_eq!(&via_records, &scalar);
     }
 
     /// Destroying the footer demotes the open to a scan that still

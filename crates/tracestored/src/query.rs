@@ -49,12 +49,9 @@ impl DataSnapshot {
         let mut out = Vec::new();
         for path in &self.shards {
             let archive = Arc::new(open_shard(path)?);
-            out.reserve(archive.meta().total_records as usize);
             for block in archive.pipelined(Corruption::Fail, jobs) {
                 let block = block.map_err(|e| archive_error(path, e))?;
-                for i in 0..block.len() {
-                    out.push(block.get(i));
-                }
+                block.append_to(&mut out);
             }
         }
         out.extend_from_slice(&self.tail);

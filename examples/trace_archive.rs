@@ -71,9 +71,14 @@ fn main() {
         .expect("corruption must surface");
     println!("fail-mode read reports: {err}");
 
-    // 5. Recovery: decode what survives (chunk-parallel), and get an
-    //    exact account of the loss.
-    let (records, report) = damaged.decode_parallel(4);
+    // 5. Recovery: decode what survives (on four pipeline workers),
+    //    and get an exact account of the loss.
+    let mut blocks = std::sync::Arc::new(damaged).pipelined(Corruption::Skip, 4);
+    let mut records = Vec::new();
+    for block in (&mut blocks).flatten() {
+        block.append_to(&mut records);
+    }
+    let report = blocks.report();
     println!(
         "recovered {} of {} records ({} chunk skipped, {} records lost)",
         records.len(),
