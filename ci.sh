@@ -15,6 +15,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== cargo build --release"
 cargo build --release
 
+echo "== repro output matches repro_output.txt byte for byte"
+# The checked-in 2-hour reference is the contract every simplification
+# keeps: each table and figure must come out byte-identical, at the
+# default worker count and on one worker.
+./target/release/repro all --hours 2 2>/dev/null | cmp - repro_output.txt
+./target/release/repro all --hours 2 --jobs 1 2>/dev/null | cmp - repro_output.txt
+
 echo "== cargo test"
 cargo test -q
 

@@ -45,15 +45,15 @@ fn bench_sweep(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(grid.len() as u64));
     g.bench_function("table6_grid_1_thread", |b| {
-        b.iter(|| sweep::run_with_jobs(&trace, &grid, 1))
+        b.iter(|| sweep::run_source(trace.records(), &grid, 1))
     });
     g.bench_function(format!("table6_grid_{cores}_threads"), |b| {
-        b.iter(|| sweep::run_with_jobs(&trace, &grid, cores))
+        b.iter(|| sweep::run_source(trace.records(), &grid, cores))
     });
     // Fixed worker count so the bench exercises the threaded path even
     // on single-core machines (measures spawn/queue overhead there).
     g.bench_function("table6_grid_4_workers", |b| {
-        b.iter(|| sweep::run_with_jobs(&trace, &grid, 4))
+        b.iter(|| sweep::run_source(trace.records(), &grid, 4))
     });
     g.bench_function("expansion_alone", |b| {
         b.iter(|| replay_events(&trace, &grid[0]))
@@ -62,7 +62,7 @@ fn bench_sweep(c: &mut Criterion) {
     // plus 24 direct replays, both on one thread so the comparison is
     // pure algorithm.
     g.bench_function("table6_profiled_single_pass", |b| {
-        b.iter(|| sweep::run_with_jobs(&trace, &grid, 1))
+        b.iter(|| sweep::run_source(trace.records(), &grid, 1))
     });
     g.bench_function("table6_direct_24_replays", |b| {
         b.iter(|| {

@@ -25,6 +25,12 @@
 //!   replayable at block, syscall, or open-session granularity, with
 //!   block fidelity (the paper's simulator) as the default.
 //!
+//! Every run takes one replay path: an [`EventExpander`] turns records
+//! into [`ReplayEvent`]s, and one block decomposition turns those into
+//! block references for the direct [`BlockCache`] or the single-pass
+//! [`StackEngine`]. [`sweep::run_source`] reads a record stream once
+//! for a whole grid of configurations.
+//!
 //! # Examples
 //!
 //! ```
@@ -67,10 +73,7 @@ pub mod sweep;
 pub use cache::{BlockCache, BlockId};
 pub use config::{CacheConfig, Fidelity, Replacement, RwHandling, WritePolicy};
 pub use metrics::CacheMetrics;
-pub use replay::{
-    expansion_count, replay_events, BlockExpander, EventExpander, OpenExpander, ReplayEvent,
-    Replayer, Simulator, SyscallExpander,
-};
+pub use replay::{expansion_count, replay_events, EventExpander, ReplayEvent, Replayer, Simulator};
 pub use series::{MissSeries, SeriesPoint};
 pub use stack::StackEngine;
 pub use sweep::ExpansionKey;

@@ -1,22 +1,30 @@
 //! Converting a logical trace into block accesses and replaying them.
 //!
 //! Each sequential run reconstructed from the trace is billed at the
-//! time of the `seek` or `close` that ended it (Section 3.1). How a run
-//! reaches the cache depends on the configured [`Fidelity`]
-//! (DESIGN.md §15):
+//! time of the `seek` or `close` that ended it (Section 3.1). One
+//! [`EventExpander`] turns records into [`ReplayEvent`]s, and the
+//! configured [`Fidelity`] (DESIGN.md §15) only decides what a billed
+//! extent becomes:
 //!
-//! * [`Fidelity::Block`] splits runs into block accesses of the
-//!   configured size with per-block byte accounting (Section 6.1: "we
-//!   assumed that programs made requests in units of the cache block
-//!   size") — the paper's simulator, kept bit-identical across the
-//!   fidelity refactor.
+//! * [`Fidelity::Block`] emits a [`ReplayEvent::Transfer`], split into
+//!   block accesses of the configured size with per-block byte
+//!   accounting (Section 6.1: "we assumed that programs made requests
+//!   in units of the cache block size") — the paper's simulator, kept
+//!   bit-identical across the fidelity refactor.
 //! * [`Fidelity::Syscall`] emits one [`ReplayEvent::Op`] per run; the
 //!   replayer touches the same covering block range but skips byte
 //!   accounting.
-//! * [`Fidelity::Open`] emits one [`ReplayEvent::Op`] per open-close
-//!   session, reconstructed from the session's transfer total.
+//! * [`Fidelity::Open`] defers a session's runs to one
+//!   [`ReplayEvent::Op`] at `close`, reconstructed from the session's
+//!   transfer total.
+//!
+//! One block decomposition then turns every event into block references
+//! and invalidations, for the direct [`BlockCache`] (driven by
+//! [`Replayer`]) and the stack profiler ([`crate::StackEngine`]) alike.
 
-use fstrace::{AccessMode, FastMap, FileId, OpenId, Trace, TraceEvent, TraceRecord};
+use std::borrow::Borrow;
+
+use fstrace::{AccessMode, FastMap, FileId, OpenId, RecordBlock, Trace, TraceEvent, TraceRecord};
 
 use crate::cache::{BlockCache, BlockId};
 use crate::config::{CacheConfig, Fidelity, RwHandling};
@@ -92,6 +100,20 @@ impl ReplayEvent {
             | ReplayEvent::Delete { time_ms, .. } => time_ms,
         }
     }
+
+    /// How many block references this event decomposes into at
+    /// `block_size`: the blocks a `Transfer` or `Op` extent covers, zero
+    /// for every other event.
+    pub fn block_accesses(&self, block_size: u64) -> u64 {
+        match *self {
+            ReplayEvent::Transfer { offset, len, .. } | ReplayEvent::Op { offset, len, .. }
+                if len > 0 =>
+            {
+                (offset + len - 1) / block_size - offset / block_size + 1
+            }
+            _ => 0,
+        }
+    }
 }
 
 /// Process-wide count of trace expansions started (one per
@@ -113,9 +135,24 @@ pub fn expansion_count() -> u64 {
     expansions_counter().get()
 }
 
+#[cfg(test)]
+thread_local! {
+    /// This thread's share of the expansion count: unit tests in one
+    /// binary run concurrently, so a before/after diff of the
+    /// process-wide counter is only exact per thread.
+    static THREAD_EXPANSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one expansion (and, under test, one on this thread).
+fn count_expansion() {
+    expansions_counter().inc();
+    #[cfg(test)]
+    THREAD_EXPANSIONS.with(|n| n.set(n.get() + 1));
+}
+
 /// Expands a trace into time-ordered replay events under a configuration
-/// (the `rw_handling` and `simulate_paging` options affect the
-/// expansion).
+/// (the `fidelity`, `rw_handling` and `simulate_paging` options affect
+/// the expansion).
 ///
 /// A thin wrapper over the streaming [`EventExpander`]: the events are
 /// exactly what the expander emits, in the same order, so replaying
@@ -127,34 +164,6 @@ pub fn replay_events(trace: &Trace, config: &CacheConfig) -> Vec<ReplayEvent> {
         expander.feed(rec, &mut |ev| events.push(ev));
     }
     events
-}
-
-/// Expansion options that direct run billing, shared by every
-/// fidelity's expander.
-#[derive(Clone, Copy)]
-struct Billing {
-    rw_handling: RwHandling,
-    simulate_paging: bool,
-}
-
-impl Billing {
-    /// Calls `emit` once per billed direction for an access mode —
-    /// reads, writes, or (read-write under [`RwHandling::Both`]) the
-    /// read before the write.
-    fn directions(&self, mode: AccessMode, emit: &mut impl FnMut(bool)) {
-        match (mode, self.rw_handling) {
-            (AccessMode::ReadOnly, _) | (AccessMode::ReadWrite, RwHandling::Read) => {
-                emit(false);
-            }
-            (AccessMode::WriteOnly, _) | (AccessMode::ReadWrite, RwHandling::Write) => {
-                emit(true);
-            }
-            (AccessMode::ReadWrite, RwHandling::Both) => {
-                emit(false);
-                emit(true);
-            }
-        }
-    }
 }
 
 /// In-flight position tracking for one open file during expansion.
@@ -176,10 +185,10 @@ struct Run {
     len: u64,
 }
 
-/// The open-table machinery shared by every fidelity's expander:
-/// tracks in-flight opens, reconstructs the sequential runs that
-/// `seek`/`close` events bill, and accumulates per-session transfer
-/// totals. Memory is O(simultaneously open files), never O(records).
+/// The expander's open table: tracks in-flight opens, reconstructs the
+/// sequential runs that `seek`/`close` events bill, and accumulates
+/// per-session transfer totals. Memory is O(simultaneously open files),
+/// never O(records).
 ///
 /// Session state lives in an arena: `slots` holds the [`PendingOpen`]
 /// payloads, `free` recycles the indices of closed sessions, and the
@@ -225,18 +234,7 @@ impl OpenTable {
     fn seek(&mut self, open_id: OpenId, old_pos: u64, new_pos: u64) -> Option<Run> {
         let slot = *self.index.get(&open_id)?;
         let p = &mut self.slots[slot as usize];
-        let run = if old_pos > p.pos {
-            let len = old_pos - p.pos;
-            p.total += len;
-            Some(Run {
-                file: p.file,
-                mode: p.mode,
-                offset: p.pos,
-                len,
-            })
-        } else {
-            None
-        };
+        let run = p.run_to(old_pos);
         p.pos = new_pos;
         run
     }
@@ -247,361 +245,324 @@ impl OpenTable {
         let slot = self.index.remove(&open_id)?;
         self.free.push(slot);
         let p = &mut self.slots[slot as usize];
-        let run = if final_pos > p.pos {
-            let len = final_pos - p.pos;
-            p.total += len;
-            Some(Run {
-                file: p.file,
-                mode: p.mode,
-                offset: p.pos,
-                len,
-            })
-        } else {
-            None
-        };
+        let run = p.run_to(final_pos);
         Some((*p, run))
     }
 }
 
-/// Emits the open-record events every fidelity shares: the size hint,
-/// then a zeroing truncate when the open created/truncated the file
-/// (cached blocks of the old data are stale).
-fn open_prologue(
-    time_ms: u64,
-    file: FileId,
-    size: u64,
-    created: bool,
-    emit: &mut impl FnMut(ReplayEvent),
-) {
-    emit(ReplayEvent::SizeHint {
-        time_ms,
-        file,
-        size,
-    });
-    if created {
-        emit(ReplayEvent::TruncateTo {
-            time_ms,
-            file,
-            new_len: 0,
-        });
-    }
-}
-
-/// The paper's block-fidelity expansion ([`Fidelity::Block`]): each
-/// billed run becomes [`ReplayEvent::Transfer`]s that the replayer
-/// splits into block accesses with per-block byte accounting. This
-/// path is kept bit-identical to the pre-refactor `EventExpander`
-/// (enforced by the legacy-equivalence proptests in
-/// `tests/fidelity.rs`).
-pub struct BlockExpander {
-    billing: Billing,
-    table: OpenTable,
-}
-
-impl BlockExpander {
-    fn feed(&mut self, rec: &TraceRecord, emit: &mut impl FnMut(ReplayEvent)) {
-        let time_ms = rec.time.as_ms();
-        match rec.event {
-            TraceEvent::Open {
-                open_id,
-                file_id,
-                mode,
-                size,
-                created,
-                ..
-            } => {
-                open_prologue(time_ms, file_id, size, created, emit);
-                self.table.open(open_id, file_id, mode);
-            }
-            TraceEvent::Seek {
-                open_id,
-                old_pos,
-                new_pos,
-            } => {
-                if let Some(run) = self.table.seek(open_id, old_pos, new_pos) {
-                    self.emit_run(time_ms, &run, emit);
-                }
-            }
-            TraceEvent::Close { open_id, final_pos } => {
-                if let Some((_, Some(run))) = self.table.close(open_id, final_pos) {
-                    self.emit_run(time_ms, &run, emit);
-                }
-            }
-            TraceEvent::Unlink { file_id, .. } => emit(ReplayEvent::Delete {
-                time_ms,
-                file: file_id,
-            }),
-            TraceEvent::Truncate {
-                file_id, new_len, ..
-            } => emit(ReplayEvent::TruncateTo {
-                time_ms,
-                file: file_id,
-                new_len,
-            }),
-            TraceEvent::Execve { file_id, size, .. }
-                if self.billing.simulate_paging && size > 0 =>
-            {
-                emit(ReplayEvent::Transfer {
-                    time_ms,
-                    file: file_id,
-                    offset: 0,
-                    len: size,
-                    write: false,
-                });
-            }
-            _ => {}
-        }
-    }
-
-    /// Emits the transfer(s) billed for one sequential run.
-    fn emit_run(&self, time_ms: u64, run: &Run, emit: &mut impl FnMut(ReplayEvent)) {
-        self.billing.directions(run.mode, &mut |write| {
-            emit(ReplayEvent::Transfer {
-                time_ms,
-                file: run.file,
-                offset: run.offset,
-                len: run.len,
-                write,
-            })
-        });
-    }
-}
-
-/// Syscall-fidelity expansion ([`Fidelity::Syscall`]): one
-/// [`ReplayEvent::Op`] per billed run, carrying the run's extent. Runs
-/// are billed at the same points and in the same order as at block
-/// fidelity — only the per-block decomposition is dropped.
-pub struct SyscallExpander {
-    billing: Billing,
-    table: OpenTable,
-}
-
-impl SyscallExpander {
-    fn feed(&mut self, rec: &TraceRecord, emit: &mut impl FnMut(ReplayEvent)) {
-        let time_ms = rec.time.as_ms();
-        match rec.event {
-            TraceEvent::Open {
-                open_id,
-                file_id,
-                mode,
-                size,
-                created,
-                ..
-            } => {
-                open_prologue(time_ms, file_id, size, created, emit);
-                self.table.open(open_id, file_id, mode);
-            }
-            TraceEvent::Seek {
-                open_id,
-                old_pos,
-                new_pos,
-            } => {
-                if let Some(run) = self.table.seek(open_id, old_pos, new_pos) {
-                    self.emit_run(time_ms, &run, emit);
-                }
-            }
-            TraceEvent::Close { open_id, final_pos } => {
-                if let Some((_, Some(run))) = self.table.close(open_id, final_pos) {
-                    self.emit_run(time_ms, &run, emit);
-                }
-            }
-            TraceEvent::Unlink { file_id, .. } => emit(ReplayEvent::Delete {
-                time_ms,
-                file: file_id,
-            }),
-            TraceEvent::Truncate {
-                file_id, new_len, ..
-            } => emit(ReplayEvent::TruncateTo {
-                time_ms,
-                file: file_id,
-                new_len,
-            }),
-            TraceEvent::Execve { file_id, size, .. }
-                if self.billing.simulate_paging && size > 0 =>
-            {
-                emit(ReplayEvent::Op {
-                    time_ms,
-                    file: file_id,
-                    offset: 0,
-                    len: size,
-                    write: false,
-                });
-            }
-            _ => {}
-        }
-    }
-
-    /// Emits the op(s) billed for one sequential run.
-    fn emit_run(&self, time_ms: u64, run: &Run, emit: &mut impl FnMut(ReplayEvent)) {
-        self.billing.directions(run.mode, &mut |write| {
-            emit(ReplayEvent::Op {
-                time_ms,
-                file: run.file,
-                offset: run.offset,
-                len: run.len,
-                write,
-            })
-        });
-    }
-}
-
-/// Open-fidelity expansion ([`Fidelity::Open`]): one
-/// [`ReplayEvent::Op`] per open-close session, reconstructed from the
-/// session's transfer total and billed at close time as a single
-/// sequential extent from offset 0. Seeks contribute to the total but
-/// emit nothing; sessions still open when the trace ends emit nothing
-/// (mirroring block fidelity, where an unclosed open's final run is
-/// never billed).
-pub struct OpenExpander {
-    billing: Billing,
-    table: OpenTable,
-}
-
-impl OpenExpander {
-    fn feed(&mut self, rec: &TraceRecord, emit: &mut impl FnMut(ReplayEvent)) {
-        let time_ms = rec.time.as_ms();
-        match rec.event {
-            TraceEvent::Open {
-                open_id,
-                file_id,
-                mode,
-                size,
-                created,
-                ..
-            } => {
-                open_prologue(time_ms, file_id, size, created, emit);
-                self.table.open(open_id, file_id, mode);
-            }
-            TraceEvent::Seek {
-                open_id,
-                old_pos,
-                new_pos,
-            } => {
-                // Accumulates the run into the session total only.
-                let _ = self.table.seek(open_id, old_pos, new_pos);
-            }
-            TraceEvent::Close { open_id, final_pos } => {
-                if let Some((session, _)) = self.table.close(open_id, final_pos) {
-                    if session.total > 0 {
-                        self.billing.directions(session.mode, &mut |write| {
-                            emit(ReplayEvent::Op {
-                                time_ms,
-                                file: session.file,
-                                offset: 0,
-                                len: session.total,
-                                write,
-                            })
-                        });
-                    }
-                }
-            }
-            TraceEvent::Unlink { file_id, .. } => emit(ReplayEvent::Delete {
-                time_ms,
-                file: file_id,
-            }),
-            TraceEvent::Truncate {
-                file_id, new_len, ..
-            } => emit(ReplayEvent::TruncateTo {
-                time_ms,
-                file: file_id,
-                new_len,
-            }),
-            TraceEvent::Execve { file_id, size, .. }
-                if self.billing.simulate_paging && size > 0 =>
-            {
-                emit(ReplayEvent::Op {
-                    time_ms,
-                    file: file_id,
-                    offset: 0,
-                    len: size,
-                    write: false,
-                });
-            }
-            _ => {}
-        }
+impl PendingOpen {
+    /// The run from the current position to `end`, if it is not empty,
+    /// added to the session total. The total saturates: only a session
+    /// moving more than 2^64 bytes could reach the cap.
+    fn run_to(&mut self, end: u64) -> Option<Run> {
+        let len = end.checked_sub(self.pos).filter(|&len| len > 0)?;
+        self.total = self.total.saturating_add(len);
+        Some(Run {
+            file: self.file,
+            mode: self.mode,
+            offset: self.pos,
+            len,
+        })
     }
 }
 
 /// Streaming trace expansion: feed records in time order, receive the
 /// replay events they imply, in a canonical per-record order. One
-/// variant per [`Fidelity`], all sharing the `OpenTable` run/session
-/// reconstruction; [`EventExpander::new`] picks the variant from
-/// `config.fidelity`.
+/// record match serves every [`Fidelity`]: the fidelity only decides
+/// whether a billed extent becomes a [`ReplayEvent::Transfer`] (block)
+/// or a [`ReplayEvent::Op`] (syscall, open), and whether open fidelity
+/// defers it to the session total at `close`.
 ///
 /// Each record's events are emitted the moment the record arrives:
 ///
 /// * `open` → [`ReplayEvent::SizeHint`], then a zeroing
-///   [`ReplayEvent::TruncateTo`] if the open created/truncated the file;
-/// * `seek`/`close` → the [`ReplayEvent::Transfer`]s (block fidelity)
-///   or [`ReplayEvent::Op`]s (syscall fidelity) for the sequential run
-///   the event bills, or — at open fidelity — one [`ReplayEvent::Op`]
-///   per `close` covering the whole session (for read-write opens under
-///   [`RwHandling::Both`], the read precedes the write);
+///   [`ReplayEvent::TruncateTo`] if the open created/truncated the file
+///   (cached blocks of the old data are stale);
+/// * `seek`/`close` → the extent(s) for the sequential run the event
+///   bills — or, at open fidelity, nothing at a `seek` and one extent
+///   per `close` covering the whole session from offset 0 (for
+///   read-write opens under [`RwHandling::Both`], the read precedes the
+///   write). Sessions still open when the trace ends emit nothing at
+///   open fidelity, mirroring block fidelity, where an unclosed open's
+///   final run is never billed;
 /// * `unlink` → [`ReplayEvent::Delete`];
 /// * `truncate` → [`ReplayEvent::TruncateTo`];
-/// * `execve` → a paging read when `simulate_paging` is on.
+/// * `execve` → a paging read of the whole program when
+///   `simulate_paging` is on.
 ///
 /// Event times are therefore nondecreasing whenever the input records
 /// are, which is what [`Replayer`] and [`crate::MissSeries`] require.
 /// Memory is O(simultaneously open files), never O(records) — this is
 /// what lets a sweep cell consume a multi-day trace straight from disk.
-pub enum EventExpander {
-    /// Block-fidelity expansion (the paper's simulator).
-    Block(BlockExpander),
-    /// Syscall-fidelity expansion.
-    Syscall(SyscallExpander),
-    /// Open-fidelity expansion.
-    Open(OpenExpander),
+pub struct EventExpander {
+    fidelity: Fidelity,
+    rw_handling: RwHandling,
+    simulate_paging: bool,
+    table: OpenTable,
 }
 
 impl EventExpander {
-    /// Creates the expander for a configuration's fidelity, counting
-    /// one expansion in `cachesim.replay.expansions`.
+    /// Creates the expander for a configuration's expansion options,
+    /// counting one expansion in `cachesim.replay.expansions`.
     pub fn new(config: &CacheConfig) -> Self {
-        expansions_counter().inc();
-        let billing = Billing {
+        count_expansion();
+        EventExpander {
+            fidelity: config.fidelity,
             rw_handling: config.rw_handling,
             simulate_paging: config.simulate_paging,
-        };
-        let table = OpenTable::default();
-        match config.fidelity {
-            Fidelity::Block => EventExpander::Block(BlockExpander { billing, table }),
-            Fidelity::Syscall => EventExpander::Syscall(SyscallExpander { billing, table }),
-            Fidelity::Open => EventExpander::Open(OpenExpander { billing, table }),
+            table: OpenTable::default(),
         }
     }
 
     /// Feeds one record, passing each replay event it implies to `emit`.
     pub fn feed(&mut self, rec: &TraceRecord, emit: &mut impl FnMut(ReplayEvent)) {
-        match self {
-            EventExpander::Block(e) => e.feed(rec, emit),
-            EventExpander::Syscall(e) => e.feed(rec, emit),
-            EventExpander::Open(e) => e.feed(rec, emit),
+        let time_ms = rec.time.as_ms();
+        match rec.event {
+            TraceEvent::Open {
+                open_id,
+                file_id,
+                mode,
+                size,
+                created,
+                ..
+            } => {
+                emit(ReplayEvent::SizeHint {
+                    time_ms,
+                    file: file_id,
+                    size,
+                });
+                if created {
+                    emit(ReplayEvent::TruncateTo {
+                        time_ms,
+                        file: file_id,
+                        new_len: 0,
+                    });
+                }
+                self.table.open(open_id, file_id, mode);
+            }
+            TraceEvent::Seek {
+                open_id,
+                old_pos,
+                new_pos,
+            } => {
+                let run = self.table.seek(open_id, old_pos, new_pos);
+                if let Some(run) = run.filter(|_| self.fidelity != Fidelity::Open) {
+                    self.bill(time_ms, &run, emit);
+                }
+            }
+            TraceEvent::Close { open_id, final_pos } => {
+                let Some((session, run)) = self.table.close(open_id, final_pos) else {
+                    return;
+                };
+                let run = match self.fidelity {
+                    Fidelity::Open => (session.total > 0).then_some(Run {
+                        file: session.file,
+                        mode: session.mode,
+                        offset: 0,
+                        len: session.total,
+                    }),
+                    Fidelity::Block | Fidelity::Syscall => run,
+                };
+                if let Some(run) = run {
+                    self.bill(time_ms, &run, emit);
+                }
+            }
+            TraceEvent::Unlink { file_id, .. } => emit(ReplayEvent::Delete {
+                time_ms,
+                file: file_id,
+            }),
+            TraceEvent::Truncate {
+                file_id, new_len, ..
+            } => emit(ReplayEvent::TruncateTo {
+                time_ms,
+                file: file_id,
+                new_len,
+            }),
+            TraceEvent::Execve { file_id, size, .. } if self.simulate_paging && size > 0 => {
+                emit(self.extent(time_ms, file_id, 0, size, false));
+            }
+            _ => {}
         }
     }
 
-    /// Feeds every record of a decoded block, in order — the columnar
-    /// twin of [`feed`] for batched decode pipelines. Materializes each
-    /// record from the block's columns on the stack; no allocation.
-    ///
-    /// [`feed`]: EventExpander::feed
-    pub fn feed_block(&mut self, block: &fstrace::RecordBlock, emit: &mut impl FnMut(ReplayEvent)) {
-        for i in 0..block.len() {
-            self.feed(&block.get(i), emit);
+    /// Emits one extent per billed direction of a run — reads, writes,
+    /// or (read-write under [`RwHandling::Both`]) the read before the
+    /// write.
+    fn bill(&self, time_ms: u64, run: &Run, emit: &mut impl FnMut(ReplayEvent)) {
+        let mut direction =
+            |write| emit(self.extent(time_ms, run.file, run.offset, run.len, write));
+        match (run.mode, self.rw_handling) {
+            (AccessMode::ReadOnly, _) | (AccessMode::ReadWrite, RwHandling::Read) => {
+                direction(false);
+            }
+            (AccessMode::WriteOnly, _) | (AccessMode::ReadWrite, RwHandling::Write) => {
+                direction(true);
+            }
+            (AccessMode::ReadWrite, RwHandling::Both) => {
+                direction(false);
+                direction(true);
+            }
+        }
+    }
+
+    /// One billed extent: a byte-accounted [`ReplayEvent::Transfer`] at
+    /// block fidelity, a block-quantized [`ReplayEvent::Op`] otherwise.
+    fn extent(
+        &self,
+        time_ms: u64,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        write: bool,
+    ) -> ReplayEvent {
+        match self.fidelity {
+            Fidelity::Block => ReplayEvent::Transfer {
+                time_ms,
+                file,
+                offset,
+                len,
+                write,
+            },
+            Fidelity::Syscall | Fidelity::Open => ReplayEvent::Op {
+                time_ms,
+                file,
+                offset,
+                len,
+                write,
+            },
         }
     }
 }
 
-/// Incremental replay state: a cache plus the per-file size tracking
-/// needed for whole-block-overwrite detection.
+/// What the block decomposition feeds: the direct [`BlockCache`] and
+/// the stack profiler each implement it.
+pub(crate) trait BlockSink {
+    /// One block reference at `now_ms`: `None` for a read, `Some(whole)`
+    /// for a write, where `whole` means the write covers every
+    /// previously valid byte of the block, so a miss needs no fetch.
+    fn access(&mut self, id: BlockId, now_ms: u64, write: Option<bool>);
+
+    /// Drops the cached blocks of `file` at indices `>= first_block`
+    /// (every block at 0); dirty ones vanish without a disk write.
+    fn invalidate(&mut self, file: FileId, first_block: u64, now_ms: u64);
+}
+
+impl BlockSink for BlockCache {
+    fn access(&mut self, id: BlockId, now_ms: u64, write: Option<bool>) {
+        match write {
+            None => self.read(id, now_ms),
+            Some(whole) => self.write(id, whole, now_ms),
+        }
+    }
+
+    fn invalidate(&mut self, file: FileId, first_block: u64, now_ms: u64) {
+        self.invalidate_beyond(file, first_block, now_ms);
+    }
+}
+
+/// The block decomposition of replay events, shared by every consumer:
+/// the per-file size map, the split of an extent into block references,
+/// the whole-block-overwrite test, and truncate/delete invalidation.
+pub(crate) struct BlockSplit {
+    block_size: u64,
+    invalidate_on_delete: bool,
+    /// Known size of each file, in bytes (byte accounting).
+    sizes: FastMap<FileId, u64>,
+    /// The latest event time seen (end-of-run residency accounting).
+    pub(crate) end_time: u64,
+}
+
+impl BlockSplit {
+    pub(crate) fn new(config: &CacheConfig) -> Self {
+        BlockSplit {
+            block_size: config.block_size,
+            invalidate_on_delete: config.invalidate_on_delete,
+            sizes: FastMap::default(),
+            end_time: 0,
+        }
+    }
+
+    /// Decomposes one replay event into `sink`.
+    pub(crate) fn step(&mut self, ev: &ReplayEvent, sink: &mut impl BlockSink) {
+        let bs = self.block_size;
+        self.end_time = self.end_time.max(ev.time());
+        match *ev {
+            ReplayEvent::SizeHint { file, size, .. } => {
+                let e = self.sizes.entry(file).or_insert(size);
+                *e = (*e).max(size);
+            }
+            ReplayEvent::Transfer {
+                time_ms,
+                file,
+                offset,
+                len,
+                write,
+            }
+            | ReplayEvent::Op {
+                time_ms,
+                file,
+                offset,
+                len,
+                write,
+            } => {
+                if len == 0 {
+                    return;
+                }
+                let end = offset + len;
+                // Byte accounting is block fidelity's alone. An op is
+                // quantized to block units (the Section 6.1 assumption
+                // applied per op): it neither reads nor grows the size
+                // map, and with no previously valid byte every write of
+                // it is whole.
+                let old_size = match ev {
+                    ReplayEvent::Transfer { .. } => {
+                        let size = self.sizes.entry(file).or_insert(0);
+                        let old = *size;
+                        *size = old.max(end);
+                        old
+                    }
+                    _ => 0,
+                };
+                for block in offset / bs..=(end - 1) / bs {
+                    let whole = write.then(|| {
+                        // No fetch is needed when the write covers every
+                        // previously valid byte of the block (including
+                        // the trivial case of none).
+                        let bstart = block * bs;
+                        let old_valid = old_size.saturating_sub(bstart).min(bs);
+                        old_valid == 0 || (offset <= bstart && end >= bstart + old_valid)
+                    });
+                    sink.access(BlockId { file, block }, time_ms, whole);
+                }
+            }
+            ReplayEvent::TruncateTo {
+                time_ms,
+                file,
+                new_len,
+            } => {
+                let size = self.sizes.entry(file).or_insert(0);
+                *size = (*size).min(new_len);
+                if self.invalidate_on_delete {
+                    sink.invalidate(file, new_len.div_ceil(bs), time_ms);
+                }
+            }
+            ReplayEvent::Delete { time_ms, file } => {
+                self.sizes.remove(&file);
+                if self.invalidate_on_delete {
+                    sink.invalidate(file, 0, time_ms);
+                }
+            }
+        }
+    }
+}
+
+/// Incremental replay state: a cache fed by the block decomposition.
 ///
 /// [`Simulator::run_events`] drives this to completion; time-series
 /// measurements ([`crate::MissSeries`]) step it event by event.
 pub struct Replayer {
     cache: BlockCache,
-    config: CacheConfig,
-    sizes: FastMap<FileId, u64>,
-    end_time: u64,
+    split: BlockSplit,
 }
 
 impl Replayer {
@@ -609,9 +570,7 @@ impl Replayer {
     pub fn new(config: &CacheConfig) -> Self {
         Replayer {
             cache: BlockCache::new(config),
-            config: config.clone(),
-            sizes: FastMap::default(),
-            end_time: 0,
+            split: BlockSplit::new(config),
         }
     }
 
@@ -622,102 +581,13 @@ impl Replayer {
 
     /// Finalizes residency accounting and returns the metrics.
     pub fn finish(mut self) -> CacheMetrics {
-        self.cache.finish(self.end_time);
+        self.cache.finish(self.split.end_time);
         self.cache.metrics
     }
 
     /// Applies one replay event.
     pub fn step(&mut self, ev: &ReplayEvent) {
-        let bs = self.config.block_size;
-        let config = &self.config;
-        let cache = &mut self.cache;
-        let sizes = &mut self.sizes;
-        self.end_time = self.end_time.max(ev.time());
-        match *ev {
-            ReplayEvent::SizeHint { file, size, .. } => {
-                let e = sizes.entry(file).or_insert(size);
-                *e = (*e).max(size);
-            }
-            ReplayEvent::Transfer {
-                time_ms,
-                file,
-                offset,
-                len,
-                write,
-            } => {
-                if len == 0 {
-                    return;
-                }
-                let size = sizes.entry(file).or_insert(0);
-                let end = offset + len;
-                let old_size = *size;
-                *size = old_size.max(end);
-                for block in offset / bs..=(end - 1) / bs {
-                    let id = BlockId { file, block };
-                    if write {
-                        let bstart = block * bs;
-                        let bend = bstart + bs;
-                        let old_valid = old_size.saturating_sub(bstart).min(bs);
-                        let covered_hi = end.min(bend);
-                        // No fetch is needed when the write covers
-                        // every previously valid byte of the block
-                        // (including the trivial case of none).
-                        let whole = old_valid == 0
-                            || (offset <= bstart && covered_hi >= bstart + old_valid);
-                        cache.write(id, whole, time_ms);
-                    } else {
-                        cache.read(id, time_ms);
-                    }
-                }
-            }
-            ReplayEvent::Op {
-                time_ms,
-                file,
-                offset,
-                len,
-                write,
-            } => {
-                if len == 0 {
-                    return;
-                }
-                // Op-level replay (syscall/open fidelity): touch the
-                // covering block run without byte accounting. Requests
-                // are quantized to block units at op granularity — the
-                // Section 6.1 assumption applied per op — so every
-                // write counts as whole and the per-file size map is
-                // never consulted.
-                let end = offset + len;
-                for block in offset / bs..=(end - 1) / bs {
-                    let id = BlockId { file, block };
-                    if write {
-                        cache.write(id, true, time_ms);
-                    } else {
-                        cache.read(id, time_ms);
-                    }
-                }
-            }
-            ReplayEvent::TruncateTo {
-                time_ms,
-                file,
-                new_len,
-            } => {
-                let size = sizes.entry(file).or_insert(0);
-                *size = (*size).min(new_len);
-                if config.invalidate_on_delete {
-                    if new_len == 0 {
-                        cache.invalidate_file(file, time_ms);
-                    } else {
-                        cache.invalidate_beyond(file, new_len.div_ceil(bs), time_ms);
-                    }
-                }
-            }
-            ReplayEvent::Delete { time_ms, file } => {
-                sizes.remove(&file);
-                if config.invalidate_on_delete {
-                    cache.invalidate_file(file, time_ms);
-                }
-            }
-        }
+        self.split.step(ev, &mut self.cache);
     }
 }
 
@@ -732,7 +602,7 @@ impl Simulator {
     }
 
     /// Replays pre-expanded events (reusable across configurations that
-    /// share `rw_handling`/`simulate_paging`).
+    /// share an [`crate::ExpansionKey`]).
     pub fn run_events(events: &[ReplayEvent], config: &CacheConfig) -> CacheMetrics {
         let mut r = Replayer::new(config);
         for ev in events {
@@ -743,49 +613,34 @@ impl Simulator {
 
     /// Expands and replays records as they stream past, holding only
     /// O(open files) state — the bounded-memory twin of [`Simulator::run`].
+    /// A refillable block source replays through one reused column
+    /// buffer as `run_stream(fstrace::FillRecords::new(source), ..)`.
     pub fn run_stream<I>(records: I, config: &CacheConfig) -> CacheMetrics
     where
         I: IntoIterator,
-        I::Item: std::borrow::Borrow<TraceRecord>,
+        I::Item: Borrow<TraceRecord>,
     {
         let mut expander = EventExpander::new(config);
         let mut r = Replayer::new(config);
         for rec in records {
-            expander.feed(std::borrow::Borrow::borrow(&rec), &mut |ev| r.step(&ev));
+            expander.feed(rec.borrow(), &mut |ev| r.step(&ev));
         }
         r.finish()
     }
 
-    /// Expands and replays columnar record blocks — the batched-decode
-    /// twin of [`Simulator::run_stream`], fed straight from
-    /// `tracestore::Archive::blocks` or any [`fstrace::RecordBlock`]
-    /// producer.
+    /// Expands and replays columnar record blocks — [`Simulator::run_stream`]
+    /// over each block's records in order, fed straight from
+    /// `tracestore::Archive::blocks` or any [`RecordBlock`] producer.
     pub fn run_blocks<I>(blocks: I, config: &CacheConfig) -> CacheMetrics
     where
         I: IntoIterator,
-        I::Item: std::borrow::Borrow<fstrace::RecordBlock>,
+        I::Item: Borrow<RecordBlock>,
     {
-        let mut expander = EventExpander::new(config);
-        let mut r = Replayer::new(config);
-        for block in blocks {
-            expander.feed_block(std::borrow::Borrow::borrow(&block), &mut |ev| r.step(&ev));
-        }
-        r.finish()
-    }
-
-    /// Replays a refillable block source through one reused column
-    /// buffer — the allocation-free twin of [`Simulator::run_blocks`].
-    /// With a pipelined `tracestore::ArchiveBlocks` source the drained
-    /// buffer is handed back to the producer on every refill, so the
-    /// steady state allocates nothing.
-    pub fn run_fill<S: fstrace::FillBlock>(mut source: S, config: &CacheConfig) -> CacheMetrics {
-        let mut expander = EventExpander::new(config);
-        let mut r = Replayer::new(config);
-        let mut block = fstrace::RecordBlock::new();
-        while source.fill_next(&mut block) {
-            expander.feed_block(&block, &mut |ev| r.step(&ev));
-        }
-        r.finish()
+        let records = blocks.into_iter().flat_map(|block| {
+            let n = block.borrow().len();
+            (0..n).map(move |i| block.borrow().get(i))
+        });
+        Self::run_stream(records, config)
     }
 }
 
@@ -976,8 +831,10 @@ mod tests {
         }
     }
 
-    /// Replaying columnar blocks equals replaying the record stream,
-    /// across block boundaries that split mid-file-session.
+    /// Replaying columnar blocks — borrowed through `run_blocks`, or
+    /// owned and drained through one reused `FillRecords` buffer —
+    /// equals replaying the materialized expansion, across block
+    /// boundaries that split mid-file-session, at every fidelity.
     #[test]
     fn run_blocks_matches_run_stream() {
         let trace = busy_trace();
@@ -997,14 +854,22 @@ mod tests {
                         .expect("well-formed");
                 blocks.push(b);
             }
-            let config = CacheConfig {
-                rw_handling: RwHandling::Both,
-                simulate_paging: true,
-                ..cfg()
-            };
-            let batched = Simulator::run_blocks(&blocks, &config);
-            let streamed = Simulator::run_stream(trace.records(), &config);
-            assert_eq!(batched, streamed, "step {step}");
+            for fidelity in Fidelity::ALL {
+                let config = CacheConfig {
+                    rw_handling: RwHandling::Both,
+                    simulate_paging: true,
+                    fidelity,
+                    ..cfg()
+                };
+                let want = Simulator::run_events(&replay_events(&trace, &config), &config);
+                let batched = Simulator::run_blocks(&blocks, &config);
+                assert_eq!(batched, want, "step {step} {fidelity:?}");
+                let filled = Simulator::run_stream(
+                    fstrace::FillRecords::new(blocks.iter().cloned()),
+                    &config,
+                );
+                assert_eq!(filled, want, "step {step} {fidelity:?}");
+            }
         }
     }
 
@@ -1112,15 +977,19 @@ mod tests {
     }
 
     /// The expander emits one expansion per instance, exactly like a
-    /// `replay_events` call.
+    /// `replay_events` call. The exact diffs are on this thread's
+    /// count; the process-wide counter also moves with other tests.
     #[test]
     fn expander_counts_one_expansion() {
-        let before = expansion_count();
+        let thread_count = || THREAD_EXPANSIONS.with(|n| n.get());
+        let before = thread_count();
+        let global_before = expansion_count();
         let _ = EventExpander::new(&cfg());
-        assert_eq!(expansion_count(), before + 1);
+        assert_eq!(thread_count(), before + 1);
         let trace = busy_trace();
         let _ = replay_events(&trace, &cfg());
-        assert_eq!(expansion_count(), before + 2);
+        assert_eq!(thread_count(), before + 2);
+        assert!(expansion_count() >= global_before + 2);
     }
 
     /// Replay events come out in nondecreasing time order (what

@@ -6,7 +6,7 @@
 //! experiments can check they are quoting warmed-up numbers.
 
 use crate::config::CacheConfig;
-use crate::replay::{replay_events, ReplayEvent, Replayer};
+use crate::replay::{replay_events, Replayer};
 use fstrace::Trace;
 
 /// One sample of the interval miss ratio.
@@ -54,14 +54,7 @@ impl MissSeries {
         let mut window_start = 0u64;
         let mut last = (0u64, 0u64); // (accesses, ios) at window start.
         for ev in &events {
-            let t = match *ev {
-                ReplayEvent::SizeHint { time_ms, .. }
-                | ReplayEvent::Transfer { time_ms, .. }
-                | ReplayEvent::Op { time_ms, .. }
-                | ReplayEvent::TruncateTo { time_ms, .. }
-                | ReplayEvent::Delete { time_ms, .. } => time_ms,
-            };
-            while t >= window_start + window_ms {
+            while ev.time() >= window_start + window_ms {
                 let m = &replayer.cache().metrics;
                 let now_acc = m.logical_reads + m.logical_writes;
                 let now_ios = m.disk_reads + m.disk_writes;

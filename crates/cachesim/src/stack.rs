@@ -32,9 +32,13 @@
 //!   timestamps reproduces write-through, flush-back (any interval), and
 //!   delayed-write accounting bit-identically in the same single pass.
 //!
-//! What cannot be expressed: FIFO replacement (no inclusion property).
-//! Such cells — and subgroups of one cell, where a profile saves
-//! nothing — fall back to the direct [`crate::BlockCache`] simulator;
+//! The engine consumes the same block decomposition as the direct
+//! [`crate::BlockCache`] (size map, block split, whole-write test,
+//! truncate/delete invalidation), so it profiles the block references
+//! of any [`crate::Fidelity`]. What cannot be expressed: FIFO
+//! replacement (no inclusion property) and capacities past the tree
+//! cap. Such cells — and subgroups of one cell, where a profile saves
+//! nothing — fall back to the direct simulator;
 //! [`crate::sweep::run_source`] does the partitioning.
 //!
 //! The order-statistic structure is a Fenwick tree over recency
@@ -46,31 +50,26 @@
 
 use std::collections::BTreeSet;
 
-use fstrace::{FastMap, FastSet, FileId, TraceRecord};
+use fstrace::{FastMap, FastSet, FileId};
 use simstat::Distribution;
 
 use crate::cache::BlockId;
-use crate::config::{CacheConfig, Fidelity, Replacement, WritePolicy};
+use crate::config::{CacheConfig, Replacement, WritePolicy};
 use crate::metrics::CacheMetrics;
-use crate::replay::{EventExpander, ReplayEvent};
+use crate::replay::{BlockSink, BlockSplit, ReplayEvent};
 
 /// Caps the Fenwick tree size; configurations this large fall back to
 /// direct simulation rather than risk `u32` sequence overflow.
 const MAX_TRACKED_BLOCKS: u64 = 1 << 30;
 
 /// Whether a single configuration's metrics can be derived from a
-/// stack-distance profile (block fidelity, LRU replacement, sane
-/// capacity).
+/// stack-distance profile (LRU replacement, sane capacity).
 ///
-/// The engine's per-block byte accounting models [`Fidelity::Block`]
-/// expansion only; syscall/open-fidelity cells always fall back to
-/// direct simulation. Profilable cells still need a *partner* sharing
-/// block size, elision, and invalidation settings before profiling
-/// beats a direct replay; that grouping is the sweep engine's job.
+/// Profilable cells still need a *partner* sharing fidelity, block
+/// size, elision, and invalidation settings before profiling beats a
+/// direct replay; that grouping is the sweep engine's job.
 pub fn profilable(config: &CacheConfig) -> bool {
-    config.fidelity == Fidelity::Block
-        && config.replacement == Replacement::Lru
-        && config.capacity_blocks() < MAX_TRACKED_BLOCKS
+    config.replacement == Replacement::Lru && config.capacity_blocks() < MAX_TRACKED_BLOCKS
 }
 
 /// A Fenwick (binary indexed) tree over 0/1 occupancy of sequence
@@ -191,7 +190,7 @@ struct CellSpec {
     /// Index into the sorted distinct capacity list.
     cap_idx: usize,
     /// `None` for write-through (derived), `Some(p)` indexing
-    /// [`StackEngine::pol`] otherwise.
+    /// [`Profile::pol`] otherwise.
     policy_idx: Option<usize>,
 }
 
@@ -200,10 +199,14 @@ struct CellSpec {
 /// cell, each bit-identical to a direct [`crate::Simulator`] run of
 /// that cell over the same events.
 pub struct StackEngine {
-    // Shared cell parameters.
-    bs: u64,
+    split: BlockSplit,
+    profile: Profile,
+}
+
+/// The recency stack and per-capacity accounting the block
+/// decomposition feeds.
+struct Profile {
     elision: bool,
-    invalidate_on_delete: bool,
     /// Sorted distinct capacities, in blocks. `K = caps.len()`.
     caps: Vec<u64>,
     cells: Vec<CellSpec>,
@@ -217,10 +220,6 @@ pub struct StackEngine {
     active: u64,
     next_seq: u32,
     per_file: FastMap<FileId, FastSet<u64>>,
-
-    // Replay state mirroring `Replayer`.
-    sizes: FastMap<FileId, u64>,
-    end_time: u64,
 
     // Distance accounting. `*_split[k]` counts accesses whose distance
     // exceeded exactly the `k` smallest capacities (misses for capacity
@@ -239,12 +238,13 @@ impl StackEngine {
     /// Builds a profiler covering `cells`, or `None` when the cells are
     /// not jointly expressible: every cell must be [`profilable`] and
     /// all must share block size, whole-block elision, delete
-    /// invalidation, and expansion options (they consume one event
-    /// stream). Any write policy mix is fine.
+    /// invalidation, and expansion options — fidelity included (they
+    /// consume one event stream). Any write policy mix is fine.
     pub fn try_new(cells: &[CacheConfig]) -> Option<StackEngine> {
         let first = cells.first()?;
         for c in cells {
             let compatible = profilable(c)
+                && c.fidelity == first.fidelity
                 && c.block_size == first.block_size
                 && c.whole_block_elision == first.whole_block_elision
                 && c.invalidate_on_delete == first.invalidate_on_delete
@@ -293,10 +293,8 @@ impl StackEngine {
             })
             .collect();
 
-        Some(StackEngine {
-            bs: first.block_size,
+        let profile = Profile {
             elision: first.whole_block_elision,
-            invalidate_on_delete: first.invalidate_on_delete,
             caps,
             cells,
             pol,
@@ -307,8 +305,6 @@ impl StackEngine {
             active: 0,
             next_seq: 0,
             per_file: FastMap::default(),
-            sizes: FastMap::default(),
-            end_time: 0,
             total_reads: 0,
             total_writes: 0,
             read_split: vec![0; k + 1],
@@ -316,9 +312,27 @@ impl StackEngine {
             write_partial_split: vec![0; k + 1],
             tree_peak: 0,
             distances: 0,
+        };
+        Some(StackEngine {
+            split: BlockSplit::new(first),
+            profile,
         })
     }
 
+    /// Applies one replay event through the block decomposition the
+    /// direct simulator uses.
+    pub fn step(&mut self, ev: &ReplayEvent) {
+        self.split.step(ev, &mut self.profile);
+    }
+
+    /// Finalizes residency accounting and assembles one
+    /// [`CacheMetrics`] per requested cell, in input order.
+    pub fn finish(self) -> Vec<CacheMetrics> {
+        self.profile.finish(self.split.end_time)
+    }
+}
+
+impl Profile {
     /// Positional depth of sequence slot `seq`: 1 = most recent, holes
     /// count.
     fn depth(&self, seq: u32) -> u64 {
@@ -420,6 +434,107 @@ impl StackEngine {
         }
     }
 
+    /// Invalidates one block: its entry becomes a hole in place (so no
+    /// other entry's position changes), and dirty copies are dropped
+    /// without writing — counted per capacity column where the block
+    /// was dirty, which is necessarily a subset of the columns whose
+    /// cache held it.
+    fn invalidate_block(&mut self, id: BlockId, now_ms: u64) {
+        let Some(seq) = self.blocks.remove(&id) else {
+            return;
+        };
+        self.owner[seq as usize] = SeqState::Hole;
+        self.holes.insert(seq);
+        let k = self.caps.len();
+        for ps in &mut self.pol {
+            if let Some(part) = ps.dirty.remove(&id) {
+                for i in part.m..k {
+                    ps.never_written[i] += 1;
+                    ps.residency[i].add(now_ms.saturating_sub(part.t[i]), 1);
+                }
+            }
+        }
+    }
+
+    /// Residency for blocks still dirty at `end_time`, then the cells'
+    /// metrics in input order.
+    fn finish(mut self, end_time: u64) -> Vec<CacheMetrics> {
+        let k = self.caps.len();
+        // End-of-run residency for still-dirty blocks, without disk
+        // writes (`BlockCache::finish` semantics).
+        for ps in &mut self.pol {
+            for (_, part) in ps.dirty.drain() {
+                for i in part.m..k {
+                    ps.residency[i].add(end_time.saturating_sub(part.t[i]), 1);
+                }
+            }
+        }
+
+        // `split[j]` counted accesses missing capacities `< j`, so the
+        // miss count at capacity index `i` is the suffix sum over
+        // `j > i`.
+        let suffix = |split: &[u64]| -> Vec<u64> {
+            let mut out = vec![0u64; k];
+            let mut acc = 0u64;
+            for i in (0..k).rev() {
+                acc += split[i + 1];
+                out[i] = acc;
+            }
+            out
+        };
+        let read_miss = suffix(&self.read_split);
+        let whole_miss = suffix(&self.write_whole_split);
+        let partial_miss = suffix(&self.write_partial_split);
+        let dirtied: Vec<Vec<u64>> = self
+            .pol
+            .iter()
+            .map(|ps| suffix(&ps.dirtied_split))
+            .collect();
+
+        let reg = obs::global();
+        reg.counter("cachesim.stack.distances_recorded")
+            .add(self.distances);
+        reg.gauge("cachesim.stack.tree_nodes_peak")
+            .record(self.tree_peak);
+
+        self.cells
+            .iter()
+            .map(|cell| {
+                let i = cell.cap_idx;
+                let mut m = CacheMetrics {
+                    logical_reads: self.total_reads,
+                    logical_writes: self.total_writes,
+                    read_hits: self.total_reads - read_miss[i],
+                    disk_reads: read_miss[i] + partial_miss[i],
+                    ..CacheMetrics::default()
+                };
+                if self.elision {
+                    m.elided_fetches = whole_miss[i];
+                } else {
+                    m.disk_reads += whole_miss[i];
+                }
+                match cell.policy_idx {
+                    // Write-through: every logical write goes straight
+                    // to disk with zero residency, at any capacity.
+                    None => {
+                        m.disk_writes = self.total_writes;
+                        m.blocks_dirtied = self.total_writes;
+                        m.dirty_residency_ms.add(0, self.total_writes);
+                    }
+                    Some(p) => {
+                        m.disk_writes = self.pol[p].disk_writes[i];
+                        m.blocks_dirtied = dirtied[p][i];
+                        m.dirty_blocks_never_written = self.pol[p].never_written[i];
+                        m.dirty_residency_ms = self.pol[p].residency[i].clone();
+                    }
+                }
+                m
+            })
+            .collect()
+    }
+}
+
+impl BlockSink for Profile {
     /// One block reference: `write` is `None` for reads, else
     /// `Some(whole_block_overwrite)`.
     fn access(&mut self, id: BlockId, now_ms: u64, write: Option<bool>) {
@@ -562,45 +677,12 @@ impl StackEngine {
         }
     }
 
-    /// Invalidates one block: its entry becomes a hole in place (so no
-    /// other entry's position changes), and dirty copies are dropped
-    /// without writing — counted per capacity column where the block
-    /// was dirty, which is necessarily a subset of the columns whose
-    /// cache held it.
-    fn invalidate_block(&mut self, id: BlockId, now_ms: u64) {
-        let Some(seq) = self.blocks.remove(&id) else {
-            return;
-        };
-        self.owner[seq as usize] = SeqState::Hole;
-        self.holes.insert(seq);
-        let k = self.caps.len();
-        for ps in &mut self.pol {
-            if let Some(part) = ps.dirty.remove(&id) {
-                for i in part.m..k {
-                    ps.never_written[i] += 1;
-                    ps.residency[i].add(now_ms.saturating_sub(part.t[i]), 1);
-                }
-            }
-        }
-    }
-
-    fn invalidate_file(&mut self, file: FileId, now_ms: u64) {
-        let Some(blocks) = self.per_file.remove(&file) else {
-            return;
-        };
-        for block in blocks {
-            self.invalidate_block(BlockId { file, block }, now_ms);
-        }
-    }
-
-    fn invalidate_beyond(&mut self, file: FileId, first_block: u64, now_ms: u64) {
+    fn invalidate(&mut self, file: FileId, first_block: u64, now_ms: u64) {
         let Some(set) = self.per_file.get_mut(&file) else {
             return;
         };
         let doomed: Vec<u64> = set.iter().copied().filter(|&b| b >= first_block).collect();
-        for b in &doomed {
-            set.remove(b);
-        }
+        set.retain(|&b| b < first_block);
         if set.is_empty() {
             self.per_file.remove(&file);
         }
@@ -608,187 +690,12 @@ impl StackEngine {
             self.invalidate_block(BlockId { file, block }, now_ms);
         }
     }
-
-    /// Applies one replay event — the profiler's twin of
-    /// `Replayer::step`, with identical block splitting, whole-write
-    /// detection, and invalidation semantics.
-    pub fn step(&mut self, ev: &ReplayEvent) {
-        let bs = self.bs;
-        self.end_time = self.end_time.max(ev.time());
-        match *ev {
-            ReplayEvent::SizeHint { file, size, .. } => {
-                let e = self.sizes.entry(file).or_insert(size);
-                *e = (*e).max(size);
-            }
-            ReplayEvent::Transfer {
-                time_ms,
-                file,
-                offset,
-                len,
-                write,
-            } => {
-                if len == 0 {
-                    return;
-                }
-                let size = self.sizes.entry(file).or_insert(0);
-                let end = offset + len;
-                let old_size = *size;
-                *size = old_size.max(end);
-                for block in offset / bs..=(end - 1) / bs {
-                    let id = BlockId { file, block };
-                    if write {
-                        let bstart = block * bs;
-                        let bend = bstart + bs;
-                        let old_valid = old_size.saturating_sub(bstart).min(bs);
-                        let covered_hi = end.min(bend);
-                        let whole = old_valid == 0
-                            || (offset <= bstart && covered_hi >= bstart + old_valid);
-                        self.access(id, time_ms, Some(whole));
-                    } else {
-                        self.access(id, time_ms, None);
-                    }
-                }
-            }
-            // Op-level events only exist at syscall/open fidelity,
-            // which `profilable` excludes; `try_new` therefore never
-            // builds an engine that could see one.
-            ReplayEvent::Op { .. } => {
-                unreachable!("stack profiling is block-fidelity only")
-            }
-            ReplayEvent::TruncateTo {
-                time_ms,
-                file,
-                new_len,
-            } => {
-                let size = self.sizes.entry(file).or_insert(0);
-                *size = (*size).min(new_len);
-                if self.invalidate_on_delete {
-                    if new_len == 0 {
-                        self.invalidate_file(file, time_ms);
-                    } else {
-                        self.invalidate_beyond(file, new_len.div_ceil(bs), time_ms);
-                    }
-                }
-            }
-            ReplayEvent::Delete { time_ms, file } => {
-                self.sizes.remove(&file);
-                if self.invalidate_on_delete {
-                    self.invalidate_file(file, time_ms);
-                }
-            }
-        }
-    }
-
-    /// Finalizes residency accounting and assembles one
-    /// [`CacheMetrics`] per requested cell, in input order.
-    pub fn finish(mut self) -> Vec<CacheMetrics> {
-        let k = self.caps.len();
-        // End-of-run residency for still-dirty blocks, without disk
-        // writes (`BlockCache::finish` semantics).
-        for ps in &mut self.pol {
-            for (_, part) in ps.dirty.drain() {
-                for i in part.m..k {
-                    ps.residency[i].add(self.end_time.saturating_sub(part.t[i]), 1);
-                }
-            }
-        }
-
-        // `split[j]` counted accesses missing capacities `< j`, so the
-        // miss count at capacity index `i` is the suffix sum over
-        // `j > i`.
-        let suffix = |split: &[u64]| -> Vec<u64> {
-            let mut out = vec![0u64; k];
-            let mut acc = 0u64;
-            for i in (0..k).rev() {
-                acc += split[i + 1];
-                out[i] = acc;
-            }
-            out
-        };
-        let read_miss = suffix(&self.read_split);
-        let whole_miss = suffix(&self.write_whole_split);
-        let partial_miss = suffix(&self.write_partial_split);
-        let dirtied: Vec<Vec<u64>> = self
-            .pol
-            .iter()
-            .map(|ps| suffix(&ps.dirtied_split))
-            .collect();
-
-        let reg = obs::global();
-        reg.counter("cachesim.stack.distances_recorded")
-            .add(self.distances);
-        reg.gauge("cachesim.stack.tree_nodes_peak")
-            .record(self.tree_peak);
-
-        self.cells
-            .iter()
-            .map(|cell| {
-                let i = cell.cap_idx;
-                let mut m = CacheMetrics {
-                    logical_reads: self.total_reads,
-                    logical_writes: self.total_writes,
-                    read_hits: self.total_reads - read_miss[i],
-                    disk_reads: read_miss[i] + partial_miss[i],
-                    ..CacheMetrics::default()
-                };
-                if self.elision {
-                    m.elided_fetches = whole_miss[i];
-                } else {
-                    m.disk_reads += whole_miss[i];
-                }
-                match cell.policy_idx {
-                    // Write-through: every logical write goes straight
-                    // to disk with zero residency, at any capacity.
-                    None => {
-                        m.disk_writes = self.total_writes;
-                        m.blocks_dirtied = self.total_writes;
-                        m.dirty_residency_ms.add(0, self.total_writes);
-                    }
-                    Some(p) => {
-                        m.disk_writes = self.pol[p].disk_writes[i];
-                        m.blocks_dirtied = dirtied[p][i];
-                        m.dirty_blocks_never_written = self.pol[p].never_written[i];
-                        m.dirty_residency_ms = self.pol[p].residency[i].clone();
-                    }
-                }
-                m
-            })
-            .collect()
-    }
-}
-
-/// Profiles pre-expanded events for `cells` in one pass, or `None`
-/// when the cells are not jointly expressible (see
-/// [`StackEngine::try_new`]).
-pub fn profile_events(events: &[ReplayEvent], cells: &[CacheConfig]) -> Option<Vec<CacheMetrics>> {
-    let mut engine = StackEngine::try_new(cells)?;
-    for ev in events {
-        engine.step(ev);
-    }
-    Some(engine.finish())
-}
-
-/// Expands a record stream once (counting one expansion, like any
-/// simulator run) and profiles it for `cells` in one pass — the
-/// bounded-memory entry point for all-profilable sweep groups.
-pub fn profile_stream<I>(records: I, cells: &[CacheConfig]) -> Option<Vec<CacheMetrics>>
-where
-    I: IntoIterator,
-    I::Item: std::borrow::Borrow<TraceRecord>,
-{
-    let mut engine = StackEngine::try_new(cells)?;
-    let mut expander = EventExpander::new(&cells[0]);
-    for rec in records {
-        expander.feed(std::borrow::Borrow::borrow(&rec), &mut |ev| {
-            engine.step(&ev)
-        });
-    }
-    Some(engine.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Fidelity;
     use crate::replay::{replay_events, Simulator};
     use fstrace::{AccessMode, Trace, TraceBuilder};
 
@@ -806,13 +713,19 @@ mod tests {
             .collect()
     }
 
-    fn assert_matches_direct(trace: &Trace, cells: &[CacheConfig]) {
-        let events = replay_events(trace, &cells[0]);
-        let profiled = profile_events(&events, cells).expect("profilable");
+    /// Profiles the trace for `cells` in one engine pass, checks every
+    /// cell against a direct simulation, and returns the profile.
+    fn assert_matches_direct(trace: &Trace, cells: &[CacheConfig]) -> Vec<CacheMetrics> {
+        let mut engine = StackEngine::try_new(cells).expect("profilable");
+        for ev in replay_events(trace, &cells[0]) {
+            engine.step(&ev);
+        }
+        let profiled = engine.finish();
         for (config, got) in cells.iter().zip(&profiled) {
             let want = Simulator::run(trace, config);
             assert_eq!(got, &want, "config {config:?}");
         }
+        profiled
     }
 
     /// Reads, overwrites, truncates, and deletes — the full event
@@ -882,9 +795,7 @@ mod tests {
         b.close(6_100, o, 4_096);
         let trace = b.finish();
         let cells = cells_for(&[1, 2, 3, 4], &[WritePolicy::DelayedWrite]);
-        assert_matches_direct(&trace, &cells);
-        let events = replay_events(&trace, &cells[0]);
-        let profiled = profile_events(&events, &cells).expect("profilable");
+        let profiled = assert_matches_direct(&trace, &cells);
         // Capacity 2: the re-read must miss (4 disk reads total).
         assert_eq!(profiled[1].disk_reads, 4);
         // Capacity 3: the re-read hits (file 0 was 3rd most recent).
@@ -913,6 +824,12 @@ mod tests {
             ..lru.clone()
         };
         assert!(StackEngine::try_new(&[lru.clone(), no_inval]).is_none());
+        let syscall = CacheConfig {
+            fidelity: Fidelity::Syscall,
+            ..lru.clone()
+        };
+        assert!(profilable(&syscall));
+        assert!(StackEngine::try_new(&[lru.clone(), syscall]).is_none());
         assert!(StackEngine::try_new(&[]).is_none());
         assert!(StackEngine::try_new(&[lru]).is_some());
     }
@@ -932,6 +849,20 @@ mod tests {
                     .collect();
                 assert_matches_direct(&trace, &cells);
             }
+        }
+    }
+
+    #[test]
+    fn op_fidelities_match_direct() {
+        // Syscall and open fidelity replay `Op` extents: every write is
+        // whole and the size map is never read, in the profile as in
+        // the direct cache.
+        for fidelity in [Fidelity::Syscall, Fidelity::Open] {
+            let cells: Vec<CacheConfig> = cells_for(&[1, 2, 5, 100], &WritePolicy::TABLE_VI)
+                .into_iter()
+                .map(|c| CacheConfig { fidelity, ..c })
+                .collect();
+            assert_matches_direct(&busy_trace(), &cells);
         }
     }
 

@@ -1,4 +1,4 @@
-//! Parallel configuration sweeps sharing one trace expansion.
+//! Parallel configuration sweeps sharing one read of the trace.
 //!
 //! Every experiment in Section 6 evaluates a *grid* of configurations
 //! against the same trace: cache sizes × write policies (Table VI),
@@ -11,51 +11,42 @@
 //! write policy, replacement, elision, invalidation) only change how
 //! the *same* event stream is consumed.
 //!
-//! [`run`] therefore groups the requested configurations by expansion
-//! key, materializes each group's event vector **once**, and fans the
-//! per-configuration simulations out over a scoped thread pool that
-//! borrows the events read-only. Results come back indexed exactly like
-//! the input slice, so output is deterministic regardless of the thread
-//! count — and because [`Simulator::run_events`] is itself
-//! deterministic, every metric is bit-identical to what a sequential
-//! [`Simulator::run`] of that configuration would produce.
+//! [`run_source`] therefore reads its record stream **once**, whatever
+//! the grid. It groups the requested configurations by expansion key
+//! and gives each group one [`crate::EventExpander`], fed from that one
+//! pass. Within a group, LRU cells sharing block size, elision, and
+//! invalidation settings differ only in capacity and write policy —
+//! exactly what the [`crate::stack`] profiler derives from **one**
+//! replay via stack distances. Each group thus splits into *tasks*:
+//! profile subgroups (two or more cells each) and direct cells (FIFO
+//! replacement, partnerless parameter combos, capacities past the
+//! profiler's cap; see [`stack::profilable`]), turning an S-size ×
+//! P-policy grid from S×P replays into one profiled replay. A group
+//! with a single task steps it during the pass, holding O(open files)
+//! state; any other group buffers its events once and fans its tasks
+//! out over a scoped thread pool that borrows them read-only.
 //!
-//! [`run_source`] generalizes this to any replayable record stream —
-//! e.g. an incremental trace-file reader or the k-way server merge —
-//! without ever materializing the records themselves. Buffering is
-//! required only when a group has **more than one** cell (the expanded
-//! events are consumed once per cell); a single-cell group streams
-//! records through the [`crate::EventExpander`] directly into its
-//! simulator, holding O(open files) state.
-//!
-//! Within each expansion group, block-fidelity LRU cells sharing block
-//! size, elision, and invalidation settings differ only in capacity and
-//! write policy — exactly what the [`crate::stack`] profiler derives
-//! from **one** replay via stack distances. The stack engine models
-//! block-fidelity expansion only, so syscall/open-fidelity cells are
-//! explicit fallbacks ([`stack::profilable`]). The engine partitions
-//! each group into such profile subgroups (two or more cells each) plus
-//! the remaining *direct* cells (other fidelities, FIFO replacement,
-//! partnerless parameter combos),
-//! turning an S-size × P-policy grid from S×P replays into one profiled
-//! pass plus the fallback cells. A group consisting of a single profile
-//! subgroup streams records straight into the profiler; mixed groups
-//! materialize the event vector once and run subgroups and direct cells
-//! side by side on the thread pool.
+//! Results come back indexed exactly like the input slice, so output is
+//! deterministic regardless of the thread count — and because every
+//! task is itself deterministic, every metric is bit-identical to what
+//! a sequential [`crate::Simulator::run`] of that configuration would
+//! produce.
 //!
 //! The engine is dependency-free: plain [`std::thread::scope`] workers
 //! pulling indices from an atomic counter, defaulting to
 //! [`std::thread::available_parallelism`] threads.
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use fstrace::{Trace, TraceRecord};
 
 use crate::config::{CacheConfig, Fidelity, RwHandling};
 use crate::metrics::CacheMetrics;
-use crate::replay::{EventExpander, ReplayEvent, Simulator};
-use crate::stack;
+use crate::replay::{EventExpander, ReplayEvent, Replayer};
+use crate::stack::{self, StackEngine};
 
 /// The subset of [`CacheConfig`] that [`crate::replay_events`] depends on.
 ///
@@ -105,101 +96,70 @@ pub fn default_jobs() -> usize {
 }
 
 /// Simulates every configuration against the trace using
-/// [`default_jobs`] worker threads. See [`run_with_jobs`].
+/// [`default_jobs`] worker threads. See [`run_source`].
 pub fn run(trace: &Trace, configs: &[CacheConfig]) -> Vec<(CacheConfig, CacheMetrics)> {
-    run_with_jobs(trace, configs, default_jobs())
+    run_source(trace.records(), configs, default_jobs())
 }
 
-/// Simulates every configuration against the trace on `jobs` worker
-/// threads, expanding the trace once per [`ExpansionKey`] group.
-///
-/// The result vector is ordered exactly like `configs`, and each entry
-/// is bit-identical to `Simulator::run(trace, &config)` for that
-/// configuration, for any `jobs >= 1`.
-pub fn run_with_jobs(
-    trace: &Trace,
-    configs: &[CacheConfig],
-    jobs: usize,
-) -> Vec<(CacheConfig, CacheMetrics)> {
-    run_source(|| trace.records().iter(), configs, jobs)
+/// One unit of replay work: a profile subgroup (two or more cells) or
+/// one direct cell.
+struct Task {
+    /// Config indices, in input order.
+    cells: Vec<usize>,
+    profile: bool,
 }
 
-/// Simulates every configuration against a replayable record stream on
-/// `jobs` worker threads, expanding the stream once per
-/// [`ExpansionKey`] group.
-///
-/// `source` may be called several times and must yield the same
-/// records, in time order, each call: once per *streaming* group (a
-/// single cell, or a group profiled whole), plus at most **one** call
-/// shared by every event-materializing group — their expanders all
-/// consume the same pass, so a mixed sweep never re-decodes the stream
-/// per buffered group. Each buffered group's event vector is
-/// materialized once and borrowed read-only by the thread pool.
-///
-/// The result vector is ordered exactly like `configs`, and each entry
-/// is bit-identical to `Simulator::run` of that configuration over the
-/// same records, for any `jobs >= 1`.
-pub fn run_source<I, F>(
-    source: F,
-    configs: &[CacheConfig],
-    jobs: usize,
-) -> Vec<(CacheConfig, CacheMetrics)>
-where
-    I: IntoIterator,
-    I::Item: std::borrow::Borrow<TraceRecord>,
-    F: Fn() -> I,
-{
-    let reg = obs::global();
-    let _sweep_timing = reg.span("cachesim.sweep.run").start();
-    // Per-cell timing handles, shared by all workers (lock-free span,
-    // coarse-grained histogram — one record per simulated cell).
-    let cell_span = reg.span("cachesim.sweep.cell");
-    let cell_us = reg.histogram("cachesim.sweep.cell_us");
+impl Task {
+    fn engine(&self, configs: &[CacheConfig]) -> Engine {
+        if self.profile {
+            let cells: Vec<CacheConfig> = self.cells.iter().map(|&i| configs[i].clone()).collect();
+            Engine::Profile(
+                StackEngine::try_new(&cells)
+                    .expect("partitioned subgroup cells are jointly profilable"),
+            )
+        } else {
+            Engine::Direct(Replayer::new(&configs[self.cells[0]]))
+        }
+    }
+}
 
-    // Group config indices by expansion key, preserving first-seen
-    // order. At most 18 distinct keys exist (3 fidelities × 3
-    // rw-handlings × paging), so a linear scan beats a hash map.
-    let mut groups: Vec<(ExpansionKey, Vec<usize>)> = Vec::new();
-    for (i, c) in configs.iter().enumerate() {
-        let key = ExpansionKey::of(c);
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, idxs)) => idxs.push(i),
-            None => groups.push((key, vec![i])),
+/// A task's replay state.
+enum Engine {
+    Direct(Replayer),
+    Profile(StackEngine),
+}
+
+impl Engine {
+    fn step(&mut self, ev: &ReplayEvent) {
+        match self {
+            Engine::Direct(r) => r.step(ev),
+            Engine::Profile(p) => p.step(ev),
         }
     }
 
-    let mut slots: Vec<Option<CacheMetrics>> = vec![None; configs.len()];
-    let mut profiled_cells = 0u64;
-    let mut fallback_cells = 0u64;
-    // Groups that must materialize their event vector. They are
-    // collected first and then fed from ONE shared pass over the
-    // source: each record fans out to every buffered group's expander,
-    // so a sweep with several event-materializing groups decodes (or
-    // merges, or pipelines) the record stream once, not once per group.
-    struct Buffered {
-        /// Config indices of the group (first entry keys the expander).
-        first: usize,
-        direct: Vec<usize>,
-        subgroups: Vec<Vec<usize>>,
-        events: Vec<ReplayEvent>,
-    }
-    let mut buffered: Vec<Buffered> = Vec::new();
-    for (_, idxs) in &groups {
-        if let [i] = idxs.as_slice() {
-            // A lone cell consumes the expansion exactly once: stream
-            // records through the expander with no event buffering. A
-            // profile of one cell would save nothing, so this counts
-            // as a fallback.
-            slots[*i] = Some(timed_cell(&cell_span, &cell_us, || {
-                Simulator::run_stream(source(), &configs[*i])
-            }));
-            fallback_cells += 1;
-            continue;
+    fn finish(self) -> Vec<CacheMetrics> {
+        match self {
+            Engine::Direct(r) => vec![r.finish()],
+            Engine::Profile(p) => p.finish(),
         }
+    }
+}
 
-        // Partition the group into stack-profile subgroups (cells that
-        // differ only in capacity and write policy — two or more each)
-        // and the direct remainder.
+/// One expansion group: its expander and its tasks. A group with a
+/// single task steps it during the pass (`inline`); any other group
+/// buffers its events for the worker pool.
+struct Group {
+    expander: EventExpander,
+    tasks: Vec<Task>,
+    inline: Option<Engine>,
+    events: Vec<ReplayEvent>,
+}
+
+impl Group {
+    /// Partitions one expansion group's config indices into stack
+    /// profile subgroups (cells that differ only in capacity and write
+    /// policy — two or more each) and the direct remainder.
+    fn new(idxs: &[usize], configs: &[CacheConfig]) -> Group {
         let mut direct: Vec<usize> = Vec::new();
         let mut subgroups: Vec<((u64, bool, bool), Vec<usize>)> = Vec::new();
         for &i in idxs {
@@ -214,132 +174,158 @@ where
                 direct.push(i);
             }
         }
-        subgroups.retain(|(_, cells)| {
+        let mut tasks: Vec<Task> = Vec::new();
+        for (_, cells) in subgroups {
             if cells.len() >= 2 {
-                true
+                tasks.push(Task {
+                    cells,
+                    profile: true,
+                });
             } else {
-                direct.extend_from_slice(cells);
-                false
+                direct.extend(cells);
             }
-        });
+        }
         direct.sort_unstable();
-        profiled_cells += subgroups.iter().map(|(_, c)| c.len() as u64).sum::<u64>();
-        fallback_cells += direct.len() as u64;
-
-        if direct.is_empty() && subgroups.len() == 1 {
-            // The whole group is one profile: stream records straight
-            // through the expander into the profiler — one pass, no
-            // event buffering, every capacity and policy at once.
-            let cell_idxs = &subgroups[0].1;
-            let cells: Vec<CacheConfig> = cell_idxs.iter().map(|&i| configs[i].clone()).collect();
-            let metrics = timed_cells(&cell_span, &cell_us, cells.len(), || {
-                stack::profile_stream(source(), &cells)
-                    .expect("partitioned subgroup cells are jointly profilable")
-            });
-            for (&i, m) in cell_idxs.iter().zip(metrics) {
-                slots[i] = Some(m);
-            }
-            continue;
-        }
-
-        buffered.push(Buffered {
-            first: idxs[0],
-            direct,
-            subgroups: subgroups.into_iter().map(|(_, cells)| cells).collect(),
-            events: Vec::new(),
-        });
-    }
-
-    if !buffered.is_empty() {
-        // One expansion pass shared by every buffered group: each
-        // record feeds each group's expander, each expander fills its
-        // own event vector for the workers to borrow read-only.
-        let mut expanders: Vec<EventExpander> = buffered
-            .iter()
-            .map(|b| EventExpander::new(&configs[b.first]))
-            .collect();
-        for rec in source() {
-            let rec = std::borrow::Borrow::borrow(&rec);
-            for (b, ex) in buffered.iter_mut().zip(&mut expanders) {
-                ex.feed(rec, &mut |ev| b.events.push(ev));
-            }
-        }
-
-        // Profile subgroups first: they are the heaviest tasks, so
-        // they should start before the pool fills up with quick cells.
-        enum Task<'a> {
-            Profile(&'a [ReplayEvent], &'a [usize]),
-            Direct(&'a [ReplayEvent], usize),
-        }
-        let tasks: Vec<Task> = buffered
-            .iter()
-            .flat_map(|b| {
-                b.subgroups
-                    .iter()
-                    .map(|cells| Task::Profile(&b.events, cells))
-            })
-            .chain(
-                buffered
-                    .iter()
-                    .flat_map(|b| b.direct.iter().map(|&i| Task::Direct(&b.events, i))),
-            )
-            .collect();
-        let run_task = |task: &Task| -> Vec<(usize, CacheMetrics)> {
-            match *task {
-                Task::Direct(events, i) => vec![(
-                    i,
-                    timed_cell(&cell_span, &cell_us, || {
-                        Simulator::run_events(events, &configs[i])
-                    }),
-                )],
-                Task::Profile(events, cell_idxs) => {
-                    let cells: Vec<CacheConfig> =
-                        cell_idxs.iter().map(|&i| configs[i].clone()).collect();
-                    let metrics = timed_cells(&cell_span, &cell_us, cells.len(), || {
-                        stack::profile_events(events, &cells)
-                            .expect("partitioned subgroup cells are jointly profilable")
-                    });
-                    cell_idxs.iter().copied().zip(metrics).collect()
-                }
-            }
+        tasks.extend(direct.into_iter().map(|i| Task {
+            cells: vec![i],
+            profile: false,
+        }));
+        let inline = match tasks.as_slice() {
+            [only] => Some(only.engine(configs)),
+            _ => None,
         };
-        let workers = jobs.max(1).min(tasks.len());
-        if workers <= 1 {
-            for task in &tasks {
-                for (i, m) in run_task(task) {
-                    slots[i] = Some(m);
-                }
+        Group {
+            expander: EventExpander::new(&configs[idxs[0]]),
+            tasks,
+            inline,
+            events: Vec::new(),
+        }
+    }
+
+    fn feed(&mut self, rec: &TraceRecord) {
+        match &mut self.inline {
+            Some(engine) => self.expander.feed(rec, &mut |ev| engine.step(&ev)),
+            None => self.expander.feed(rec, &mut |ev| self.events.push(ev)),
+        }
+    }
+}
+
+/// Simulates every configuration against a record stream on `jobs`
+/// worker threads, reading the stream once and expanding it once per
+/// [`ExpansionKey`] group.
+///
+/// `records` must come in time order. A group with one task (a direct
+/// cell or one profile subgroup) replays straight off the stream; each
+/// other group's event vector is materialized once and borrowed
+/// read-only by the thread pool.
+///
+/// The result vector is ordered exactly like `configs`, and each entry
+/// is bit-identical to `Simulator::run` of that configuration over the
+/// same records, for any `jobs >= 1`.
+pub fn run_source<I>(
+    records: I,
+    configs: &[CacheConfig],
+    jobs: usize,
+) -> Vec<(CacheConfig, CacheMetrics)>
+where
+    I: IntoIterator,
+    I::Item: Borrow<TraceRecord>,
+{
+    let reg = obs::global();
+    let _sweep_timing = reg.span("cachesim.sweep.run").start();
+    // Per-cell timing handles, shared by all workers (lock-free span,
+    // coarse-grained histogram — one record per simulated cell).
+    let cell_span = reg.span("cachesim.sweep.cell");
+    let cell_us = reg.histogram("cachesim.sweep.cell_us");
+
+    // Group config indices by expansion key, preserving first-seen
+    // order. At most 18 distinct keys exist (3 fidelities × 3
+    // rw-handlings × paging), so a linear scan beats a hash map.
+    let mut keyed: Vec<(ExpansionKey, Vec<usize>)> = Vec::new();
+    for (i, c) in configs.iter().enumerate() {
+        let key = ExpansionKey::of(c);
+        match keyed.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, idxs)) => idxs.push(i),
+            None => keyed.push((key, vec![i])),
+        }
+    }
+    let mut groups: Vec<Group> = keyed
+        .iter()
+        .map(|(_, idxs)| Group::new(idxs, configs))
+        .collect();
+
+    // The one pass: each record feeds every group's expander.
+    let started = Instant::now();
+    if !groups.is_empty() {
+        for rec in records {
+            let rec = rec.borrow();
+            for g in &mut groups {
+                g.feed(rec);
             }
-        } else {
-            let next = AtomicUsize::new(0);
-            let done = thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut out: Vec<(usize, CacheMetrics)> = Vec::new();
-                            loop {
-                                let n = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(task) = tasks.get(n) else { break };
-                                out.extend(run_task(task));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("sweep worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (i, m) in done {
+        }
+    }
+    let mut slots: Vec<Option<CacheMetrics>> = vec![None; configs.len()];
+    let mut inline_cells = 0;
+    for g in &mut groups {
+        if let Some(engine) = g.inline.take() {
+            inline_cells += g.tasks[0].cells.len();
+            for (&i, m) in g.tasks[0].cells.iter().zip(engine.finish()) {
                 slots[i] = Some(m);
             }
         }
     }
-    reg.counter("cachesim.stack.profiled_cells")
-        .add(profiled_cells);
+    // Tasks stepped during the pass share its wall time.
+    record_cells(&cell_span, &cell_us, inline_cells, started.elapsed());
+
+    // The buffered groups' tasks, profile subgroups first: they are the
+    // heaviest, so they should start before the pool fills up with
+    // quick cells.
+    let mut tasks: Vec<(&[ReplayEvent], &Task)> = groups
+        .iter()
+        .filter(|g| g.tasks.len() > 1)
+        .flat_map(|g| g.tasks.iter().map(|t| (g.events.as_slice(), t)))
+        .collect();
+    tasks.sort_by_key(|(_, t)| !t.profile);
+    let run_task = |&(events, task): &(&[ReplayEvent], &Task)| -> Vec<(usize, CacheMetrics)> {
+        let started = Instant::now();
+        let mut engine = task.engine(configs);
+        for ev in events {
+            engine.step(ev);
+        }
+        let metrics = engine.finish();
+        record_cells(&cell_span, &cell_us, task.cells.len(), started.elapsed());
+        task.cells.iter().copied().zip(metrics).collect()
+    };
+    let next = AtomicUsize::new(0);
+    let done = thread::scope(|s| {
+        let handles: Vec<_> = (0..jobs.max(1).min(tasks.len()))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out: Vec<(usize, CacheMetrics)> = Vec::new();
+                    while let Some(task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        out.extend(run_task(task));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sweep worker panicked"))
+            .collect::<Vec<_>>()
+    });
+    for (i, m) in done {
+        slots[i] = Some(m);
+    }
+    let all_tasks = || groups.iter().flat_map(|g| &g.tasks);
+    reg.counter("cachesim.stack.profiled_cells").add(
+        all_tasks()
+            .filter(|t| t.profile)
+            .map(|t| t.cells.len() as u64)
+            .sum(),
+    );
     reg.counter("cachesim.stack.fallback_cells")
-        .add(fallback_cells);
+        .add(all_tasks().filter(|t| !t.profile).count() as u64);
 
     let out: Vec<(CacheConfig, CacheMetrics)> = configs
         .iter()
@@ -350,16 +336,14 @@ where
     out
 }
 
-/// Simulates every configuration against a replayable **block** stream
+/// Simulates every configuration against a refillable **block** source
 /// — the columnar twin of [`run_source`] for batched-decode producers
 /// like `tracestore::Archive::blocks`.
 ///
-/// `source` must yield the same blocks, in time order, each call (see
-/// [`run_source`] for how many calls a sweep makes); records are
-/// materialized from the columns one view at a time via
-/// [`fstrace::FillRecords`], which drains each block through one reused
-/// set of column buffers — so block producers that implement
-/// [`fstrace::FillBlock`] natively (e.g.
+/// `source` is called once. Records are materialized from the columns
+/// one view at a time via [`fstrace::FillRecords`], which drains each
+/// block through one reused set of column buffers — so block producers
+/// that implement [`fstrace::FillBlock`] natively (e.g.
 /// `tracestore::ArchiveBlocks`) stream through the sweep with no
 /// per-chunk allocation, and plain block iterators work via the blanket
 /// impl. Grouping, profiling, and parallelism behavior is exactly
@@ -371,43 +355,21 @@ pub fn run_block_source<S, F>(
 ) -> Vec<(CacheConfig, CacheMetrics)>
 where
     S: fstrace::FillBlock,
-    F: Fn() -> S,
+    F: FnOnce() -> S,
 {
-    run_source(|| fstrace::FillRecords::new(source()), configs, jobs)
+    run_source(fstrace::FillRecords::new(source()), configs, jobs)
 }
 
-/// Runs one profiled subgroup under wall-clock timing, attributing an
-/// equal share of the pass to each of its `cells` cells so per-cell
-/// span counts and histograms stay comparable with direct cells.
-fn timed_cells(
-    span: &obs::Span,
-    hist: &obs::Histogram,
-    cells: usize,
-    run: impl FnOnce() -> Vec<CacheMetrics>,
-) -> Vec<CacheMetrics> {
-    let started = std::time::Instant::now();
-    let metrics = run();
-    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+/// Records one task's wall time as `cells` equal per-cell shares, so
+/// per-cell span counts and histograms stay comparable between profiled
+/// subgroups and direct cells.
+fn record_cells(span: &obs::Span, hist: &obs::Histogram, cells: usize, elapsed: Duration) {
+    let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
     let share = ns / cells.max(1) as u64;
     for _ in 0..cells {
         span.record_ns(share);
         hist.record(share / 1_000);
     }
-    metrics
-}
-
-/// Runs one sweep cell under wall-clock timing.
-fn timed_cell(
-    span: &obs::Span,
-    hist: &obs::Histogram,
-    cell: impl FnOnce() -> CacheMetrics,
-) -> CacheMetrics {
-    let started = std::time::Instant::now();
-    let metrics = cell();
-    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    span.record_ns(ns);
-    hist.record(ns / 1_000);
-    metrics
 }
 
 /// Batch-adds one sweep's aggregate traffic into the global registry.
@@ -451,6 +413,7 @@ fn publish_sweep_totals(
 mod tests {
     use super::*;
     use crate::config::WritePolicy;
+    use crate::replay::Simulator;
     use fstrace::{AccessMode, TraceBuilder};
 
     fn small_trace() -> Trace {
@@ -489,7 +452,7 @@ mod tests {
         let trace = small_trace();
         let configs = grid();
         for jobs in [1, 2, 8] {
-            let swept = run_with_jobs(&trace, &configs, jobs);
+            let swept = run_source(trace.records(), &configs, jobs);
             assert_eq!(swept.len(), configs.len());
             for (i, (c, m)) in swept.iter().enumerate() {
                 assert_eq!(*c, configs[i], "order must match input");
@@ -511,15 +474,15 @@ mod tests {
         };
         assert_ne!(ExpansionKey::of(&plain), ExpansionKey::of(&paging));
         let trace = small_trace();
-        let out = run_with_jobs(&trace, &[plain, paging], 2);
+        let out = run_source(trace.records(), &[plain, paging], 2);
         assert!(out[1].1.logical_reads > out[0].1.logical_reads);
     }
 
     #[test]
     fn empty_and_single_config_edge_cases() {
         let trace = small_trace();
-        assert!(run_with_jobs(&trace, &[], 4).is_empty());
-        let one = run_with_jobs(&trace, &[CacheConfig::default()], 4);
+        assert!(run_source(trace.records(), &[], 4).is_empty());
+        let one = run_source(trace.records(), &[CacheConfig::default()], 4);
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].1, Simulator::run(&trace, &CacheConfig::default()));
     }
@@ -527,17 +490,20 @@ mod tests {
     #[test]
     fn run_source_matches_run_for_owned_streams() {
         let trace = small_trace();
-        // A grid with a lone paging cell: exercises both the streamed
-        // single-cell path and the buffered multi-cell path.
+        // A grid with a lone paging cell: one group steps its only task
+        // during the pass, the other buffers for the pool.
         let mut configs = grid();
         configs.push(CacheConfig {
             simulate_paging: true,
             ..CacheConfig::default()
         });
         for jobs in [1, 4] {
-            let streamed = run_source(|| trace.records().iter().copied(), &configs, jobs);
-            let materialized = run_with_jobs(&trace, &configs, jobs);
-            assert_eq!(streamed, materialized, "jobs={jobs}");
+            let owned = run_source(trace.records().iter().copied(), &configs, jobs);
+            let borrowed = run_source(trace.records(), &configs, jobs);
+            assert_eq!(owned, borrowed, "jobs={jobs}");
+            for (c, m) in &owned {
+                assert_eq!(*m, Simulator::run(&trace, c), "jobs={jobs}");
+            }
         }
     }
 
@@ -571,7 +537,7 @@ mod tests {
             let blocks = blocks_of(step);
             for jobs in [1, 3] {
                 let batched = run_block_source(|| blocks.iter().cloned(), &configs, jobs);
-                let streamed = run_source(|| trace.records().iter(), &configs, jobs);
+                let streamed = run_source(trace.records(), &configs, jobs);
                 assert_eq!(batched, streamed, "step {step} jobs {jobs}");
             }
         }
@@ -604,7 +570,7 @@ mod tests {
             ..CacheConfig::default()
         });
         for jobs in [1, 3] {
-            let swept = run_with_jobs(&trace, &configs, jobs);
+            let swept = run_source(trace.records(), &configs, jobs);
             for (i, (c, m)) in swept.iter().enumerate() {
                 assert_eq!(*c, configs[i]);
                 assert_eq!(*m, Simulator::run(&trace, c), "jobs={jobs} config {i}");
@@ -642,7 +608,7 @@ mod tests {
             }
         }
         for jobs in [1, 4] {
-            let swept = run_with_jobs(&trace, &configs, jobs);
+            let swept = run_source(trace.records(), &configs, jobs);
             for (i, (c, m)) in swept.iter().enumerate() {
                 assert_eq!(*c, configs[i], "order must match input");
                 assert_eq!(*m, Simulator::run(&trace, c), "jobs={jobs} config {i}");
@@ -655,7 +621,7 @@ mod tests {
         let trace = small_trace();
         let one = CacheConfig::default();
         let configs = vec![one.clone(), one.clone(), one.clone()];
-        let swept = run_with_jobs(&trace, &configs, 2);
+        let swept = run_source(trace.records(), &configs, 2);
         let want = Simulator::run(&trace, &one);
         assert_eq!(swept.len(), 3);
         for (_, m) in &swept {

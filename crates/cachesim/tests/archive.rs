@@ -107,7 +107,7 @@ fn archive_fed_sweep_matches_in_memory_sweep() {
                     .append_to(&mut records);
             }
             assert!(blocks.report().is_clean());
-            let swept = sweep::run_source(|| records.iter(), &configs, jobs);
+            let swept = sweep::run_source(records.iter(), &configs, jobs);
             assert_eq!(swept.len(), baseline.len());
             for ((ca, ma), (cb, mb)) in baseline.iter().zip(&swept) {
                 assert_eq!(ca, cb);
@@ -126,11 +126,9 @@ fn sequential_archive_source_feeds_sweep_directly() {
     // The archive's record iterator is itself a record source; unwrap is
     // safe because the archive was just written.
     let swept = sweep::run_source(
-        || {
-            archive
-                .records(tracestore::Corruption::Fail)
-                .map(|r| r.expect("fresh archive cannot be corrupt"))
-        },
+        archive
+            .records(tracestore::Corruption::Fail)
+            .map(|r| r.expect("fresh archive cannot be corrupt")),
         &configs,
         2,
     );

@@ -11,8 +11,7 @@
 use std::collections::HashMap;
 
 use cachesim::{
-    replay_events, sweep, CacheConfig, EventExpander, Fidelity, ReplayEvent, RwHandling, Simulator,
-    WritePolicy,
+    replay_events, sweep, CacheConfig, Fidelity, ReplayEvent, RwHandling, Simulator, WritePolicy,
 };
 use fstrace::{AccessMode, FileId, OpenId, Trace, TraceBuilder, TraceEvent, TraceRecord, UserId};
 use proptest::prelude::*;
@@ -248,6 +247,48 @@ proptest! {
         }
     }
 
+    /// Syscall fidelity bills the same runs, at the same points and in
+    /// the same order, as block fidelity (DESIGN.md §15): its events
+    /// are the block-fidelity events with every `Transfer` turned into
+    /// an `Op`.
+    #[test]
+    fn syscall_events_are_block_events_as_ops(trace in arb_raw_trace()) {
+        for rw in [RwHandling::Read, RwHandling::Write, RwHandling::Both] {
+            for paging in [false, true] {
+                let block = CacheConfig {
+                    rw_handling: rw,
+                    simulate_paging: paging,
+                    ..CacheConfig::default()
+                };
+                let syscall = CacheConfig {
+                    fidelity: Fidelity::Syscall,
+                    ..block.clone()
+                };
+                let want: Vec<ReplayEvent> = replay_events(&trace, &block)
+                    .into_iter()
+                    .map(|ev| match ev {
+                        ReplayEvent::Transfer {
+                            time_ms,
+                            file,
+                            offset,
+                            len,
+                            write,
+                        } => ReplayEvent::Op {
+                            time_ms,
+                            file,
+                            offset,
+                            len,
+                            write,
+                        },
+                        other => other,
+                    })
+                    .collect();
+                let got = replay_events(&trace, &syscall);
+                prop_assert_eq!(got, want, "rw {:?} paging {}", rw, paging);
+            }
+        }
+    }
+
     /// Block and syscall fidelity touch exactly the same blocks: the
     /// logical read/write traffic matches event-for-event; only the
     /// fetch accounting may differ.
@@ -291,7 +332,7 @@ proptest! {
                 }
             }
         }
-        let results = sweep::run_source(|| trace.records().iter(), &configs, jobs);
+        let results = sweep::run_source(trace.records(), &configs, jobs);
         prop_assert_eq!(results.len(), configs.len());
         for (config, metrics) in &results {
             prop_assert_eq!(metrics.clone(), Simulator::run(&trace, config));
@@ -648,23 +689,4 @@ fn syscall_fidelity_golden_events() {
         },
     ];
     assert_eq!(got, want);
-}
-
-/// `EventExpander::new` picks the variant matching the config.
-#[test]
-fn expander_variant_follows_config() {
-    for fidelity in Fidelity::ALL {
-        let config = CacheConfig {
-            fidelity,
-            ..CacheConfig::default()
-        };
-        let expander = EventExpander::new(&config);
-        let matched = matches!(
-            (&expander, fidelity),
-            (EventExpander::Block(_), Fidelity::Block)
-                | (EventExpander::Syscall(_), Fidelity::Syscall)
-                | (EventExpander::Open(_), Fidelity::Open)
-        );
-        assert!(matched, "{fidelity:?}");
-    }
 }

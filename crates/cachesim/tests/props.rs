@@ -1,7 +1,7 @@
 //! Property-based tests for the block cache engine and the replay.
 
 use cachesim::{
-    replay_events, stack, sweep, BlockCache, CacheConfig, Replacement, Simulator, WritePolicy,
+    replay_events, sweep, BlockCache, CacheConfig, Replacement, Simulator, StackEngine, WritePolicy,
 };
 use fstrace::{AccessMode, FileId, OpenId, Trace, TraceBuilder, TraceEvent, TraceRecord, UserId};
 use proptest::prelude::*;
@@ -252,8 +252,11 @@ proptest! {
                 })
             })
             .collect();
-        let events = replay_events(&trace, &cells[0]);
-        let profiled = stack::profile_events(&events, &cells).expect("profilable cells");
+        let mut engine = StackEngine::try_new(&cells).expect("profilable cells");
+        for ev in replay_events(&trace, &cells[0]) {
+            engine.step(&ev);
+        }
+        let profiled = engine.finish();
         prop_assert_eq!(profiled.len(), cells.len());
         for (config, got) in cells.iter().zip(profiled) {
             let want = Simulator::run(&trace, config);
@@ -262,9 +265,9 @@ proptest! {
     }
 
     /// The shared-expansion sweep is bit-identical to simulating each
-    /// configuration alone, for any worker count — across expansion
-    /// groups with several cells (same block size, different sizes and
-    /// write policies) and the single-cell streaming path.
+    /// configuration alone, for any worker count — across profile
+    /// subgroups with several cells (same block size, different sizes
+    /// and write policies) and a partnerless direct cell.
     #[test]
     fn sweep_source_matches_individual_runs(
         trace in arb_raw_trace(),
@@ -283,15 +286,15 @@ proptest! {
                 }
             }
         }
-        // A lone block size: its expansion group has exactly one cell,
-        // which takes the no-buffering streaming path.
+        // A lone block size: a partnerless direct cell, replayed off
+        // the group's shared event buffer.
         configs.push(CacheConfig {
             cache_bytes: 16 * 16384,
             block_size: 16384,
             write_policy: WritePolicy::DelayedWrite,
             ..CacheConfig::default()
         });
-        let results = sweep::run_source(|| trace.records().iter(), &configs, jobs);
+        let results = sweep::run_source(trace.records(), &configs, jobs);
         prop_assert_eq!(results.len(), configs.len());
         for (config, metrics) in &results {
             prop_assert_eq!(metrics.clone(), Simulator::run(&trace, config));

@@ -5,7 +5,7 @@
 //! tests in one binary run concurrently, and any other test that
 //! triggered an expansion would perturb a before/after diff.
 
-use cachesim::{sweep, CacheConfig, WritePolicy};
+use cachesim::{replay_events, sweep, CacheConfig, EventExpander, Fidelity, WritePolicy};
 use fstrace::{AccessMode, Trace, TraceBuilder};
 
 fn trace() -> Trace {
@@ -25,6 +25,14 @@ fn trace() -> Trace {
 fn sweep_expands_once_per_group() {
     let trace = trace();
 
+    // Each expander counts one expansion, exactly like a
+    // `replay_events` call.
+    let before = cachesim::expansion_count();
+    let _ = EventExpander::new(&CacheConfig::default());
+    assert_eq!(cachesim::expansion_count(), before + 1);
+    let _ = replay_events(&trace, &CacheConfig::default());
+    assert_eq!(cachesim::expansion_count(), before + 2);
+
     // A full Table VI-shaped grid (sizes x policies) shares one key.
     let grid: Vec<CacheConfig> = [128u64, 512, 2048]
         .iter()
@@ -43,7 +51,7 @@ fn sweep_expands_once_per_group() {
     for jobs in [1usize, 2, 8] {
         let before = obs::global().snapshot();
         let count_before = cachesim::expansion_count();
-        let results = sweep::run_with_jobs(&trace, &grid, jobs);
+        let results = sweep::run_source(trace.records(), &grid, jobs);
         let after = obs::global().snapshot();
         assert_eq!(
             cachesim::expansion_count() - count_before,
@@ -91,7 +99,7 @@ fn sweep_expands_once_per_group() {
     );
 
     let before = cachesim::expansion_count();
-    sweep::run_with_jobs(&trace, &grid, 4);
+    sweep::run_source(trace.records(), &grid, 4);
     assert_eq!(
         cachesim::expansion_count() - before,
         1,
@@ -110,7 +118,7 @@ fn sweep_expands_once_per_group() {
         .collect();
     let before_snap = obs::global().snapshot();
     let before = cachesim::expansion_count();
-    sweep::run_with_jobs(&trace, &blocks, 4);
+    sweep::run_source(trace.records(), &blocks, 4);
     assert_eq!(cachesim::expansion_count() - before, 1);
     let after_snap = obs::global().snapshot();
     assert_eq!(
@@ -124,6 +132,32 @@ fn sweep_expands_once_per_group() {
         "singleton block-size subgroups must fall back to direct cells"
     );
 
+    // Fidelity is part of the key, and the profiler takes every
+    // fidelity: the grid at all three levels is three expansions, with
+    // every cell profiled.
+    let fidelities: Vec<CacheConfig> = Fidelity::ALL
+        .into_iter()
+        .flat_map(|fidelity| {
+            grid.iter().map(move |c| CacheConfig {
+                fidelity,
+                ..c.clone()
+            })
+        })
+        .collect();
+    let before_snap = obs::global().snapshot();
+    let before = cachesim::expansion_count();
+    sweep::run_source(trace.records(), &fidelities, 4);
+    assert_eq!(cachesim::expansion_count() - before, 3);
+    let after_snap = obs::global().snapshot();
+    let d =
+        |name: &str| after_snap.counter(name).unwrap_or(0) - before_snap.counter(name).unwrap_or(0);
+    assert_eq!(
+        d("cachesim.stack.profiled_cells"),
+        fidelities.len() as u64,
+        "syscall and open cells profile like block cells"
+    );
+    assert_eq!(d("cachesim.stack.fallback_cells"), 0);
+
     // Paging flips the expansion key: exactly one extra expansion.
     let mut mixed = grid;
     mixed.push(CacheConfig {
@@ -131,7 +165,7 @@ fn sweep_expands_once_per_group() {
         ..CacheConfig::default()
     });
     let before = cachesim::expansion_count();
-    sweep::run_with_jobs(&trace, &mixed, 4);
+    sweep::run_source(trace.records(), &mixed, 4);
     assert_eq!(
         cachesim::expansion_count() - before,
         2,

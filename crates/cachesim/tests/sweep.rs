@@ -3,8 +3,12 @@
 //! count, and sharing one expansion across a group must never change
 //! the results.
 
-use cachesim::{sweep, CacheConfig, CacheMetrics, RwHandling, Simulator, WritePolicy};
-use fstrace::{AccessMode, FileId, Trace, TraceBuilder};
+use std::cell::Cell;
+
+use cachesim::{
+    sweep, CacheConfig, CacheMetrics, Fidelity, Replacement, RwHandling, Simulator, WritePolicy,
+};
+use fstrace::{AccessMode, FileId, RecordBlock, Trace, TraceBuilder};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -103,7 +107,7 @@ fn sweep_equals_sequential_at_any_thread_count() {
     assert!(configs.len() >= 8);
     let sequential: Vec<CacheMetrics> = configs.iter().map(|c| Simulator::run(&trace, c)).collect();
     for jobs in [1usize, 2, 8] {
-        let swept = sweep::run_with_jobs(&trace, &configs, jobs);
+        let swept = sweep::run_source(trace.records(), &configs, jobs);
         assert_eq!(swept.len(), configs.len());
         for (i, (c, m)) in swept.iter().enumerate() {
             assert_eq!(c, &configs[i], "jobs={jobs}: order must match input");
@@ -126,9 +130,147 @@ fn table_vi_grid_is_exact() {
             })
         })
         .collect();
-    let swept = sweep::run_with_jobs(&trace, &configs, 8);
+    let swept = sweep::run_source(trace.records(), &configs, 8);
     for (c, m) in &swept {
         assert_eq!(m, &Simulator::run(&trace, c));
+    }
+}
+
+/// An iterator that counts the items it hands out.
+struct Counting<'a, I> {
+    inner: I,
+    pulled: &'a Cell<usize>,
+}
+
+impl<I: Iterator> Iterator for Counting<'_, I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        let item = self.inner.next()?;
+        self.pulled.set(self.pulled.get() + 1);
+        Some(item)
+    }
+}
+
+/// The trace's records as columnar blocks of at most `step` records.
+fn blocks_of(trace: &Trace, step: usize) -> Vec<RecordBlock> {
+    let mut buf = Vec::new();
+    let mut prev = 0u64;
+    for r in trace.records() {
+        prev = fstrace::codec::encode_into(&mut buf, r, prev);
+    }
+    let mut blocks = Vec::new();
+    let mut pos = 0;
+    let mut ticks = 0u64;
+    while pos < buf.len() {
+        let mut b = RecordBlock::new();
+        ticks = fstrace::block::decode_block(&buf, &mut pos, ticks, buf.len(), step, &mut b)
+            .expect("well-formed");
+        blocks.push(b);
+    }
+    blocks
+}
+
+/// Table VI's sizes × policies (4 KB blocks, LRU) at one fidelity.
+fn table_vi(fidelity: Fidelity) -> Vec<CacheConfig> {
+    [390u64, 1024, 2048, 4096, 8192, 16_384]
+        .iter()
+        .flat_map(|&kb| {
+            WritePolicy::TABLE_VI.into_iter().map(move |p| CacheConfig {
+                cache_bytes: kb * 1024,
+                write_policy: p,
+                fidelity,
+                ..CacheConfig::default()
+            })
+        })
+        .collect()
+}
+
+/// Every grid shape reads its source exactly once — record streams and
+/// block sources alike — whether its expansion groups step one task
+/// during the pass, buffer events for the pool, or mix the two.
+#[test]
+fn every_grid_reads_its_source_once() {
+    let trace = seeded_trace(0xC0DE, 300);
+    let lone_paging = CacheConfig {
+        simulate_paging: true,
+        ..CacheConfig::default()
+    };
+    // Figure 7: sizes with paging off and on (two one-task groups).
+    let fig7: Vec<CacheConfig> = [1u64, 2, 4, 8, 16]
+        .iter()
+        .flat_map(|&mb| {
+            [false, true].into_iter().map(move |paging| CacheConfig {
+                cache_bytes: mb << 20,
+                simulate_paging: paging,
+                ..CacheConfig::default()
+            })
+        })
+        .collect();
+    // The three-fidelity Table VI grid (three one-task groups).
+    let fidelities: Vec<CacheConfig> = Fidelity::ALL.into_iter().flat_map(table_vi).collect();
+    // Table VI plus a lone paging cell (a profile and a direct cell,
+    // each alone in its group).
+    let mut with_paging = table_vi(Fidelity::Block);
+    with_paging.push(lone_paging.clone());
+    // Block sizes, a FIFO column and a lone paging cell: one buffered
+    // group of several tasks next to a one-task group.
+    let mut mixed: Vec<CacheConfig> = [1024u64, 4096, 16_384]
+        .iter()
+        .flat_map(|&bs| {
+            [64u64, 256].into_iter().map(move |kb| CacheConfig {
+                cache_bytes: kb * 1024,
+                block_size: bs,
+                ..CacheConfig::default()
+            })
+        })
+        .collect();
+    mixed.push(CacheConfig {
+        replacement: Replacement::Fifo,
+        ..CacheConfig::default()
+    });
+    mixed.push(lone_paging);
+
+    let blocks = blocks_of(&trace, 64);
+    assert!(blocks.len() > 2, "want a multi-block source");
+    for (name, configs) in [
+        ("fig7", fig7),
+        ("three fidelities", fidelities),
+        ("table6 + paging", with_paging),
+        ("mixed", mixed),
+    ] {
+        for jobs in [1, 3] {
+            let records_pulled = Cell::new(0);
+            let swept = sweep::run_source(
+                Counting {
+                    inner: trace.records().iter(),
+                    pulled: &records_pulled,
+                },
+                &configs,
+                jobs,
+            );
+            assert_eq!(records_pulled.get(), trace.len(), "{name} jobs={jobs}");
+            for (c, m) in &swept {
+                assert_eq!(m, &Simulator::run(&trace, c), "{name} jobs={jobs}");
+            }
+
+            let opened = Cell::new(0);
+            let blocks_pulled = Cell::new(0);
+            let batched = sweep::run_block_source(
+                || {
+                    opened.set(opened.get() + 1);
+                    Counting {
+                        inner: blocks.iter().cloned(),
+                        pulled: &blocks_pulled,
+                    }
+                },
+                &configs,
+                jobs,
+            );
+            assert_eq!(opened.get(), 1, "{name} jobs={jobs}");
+            assert_eq!(blocks_pulled.get(), blocks.len(), "{name} jobs={jobs}");
+            assert_eq!(batched, swept, "{name} jobs={jobs}");
+        }
     }
 }
 
@@ -165,7 +307,7 @@ proptest! {
                 ..CacheConfig::default()
             })
             .collect();
-        let swept = sweep::run_with_jobs(&trace, &configs, jobs);
+        let swept = sweep::run_source(trace.records(), &configs, jobs);
         for (i, (c, m)) in swept.iter().enumerate() {
             let fresh = Simulator::run(&trace, c);
             prop_assert_eq!(

@@ -253,8 +253,8 @@ fn main() {
     // Sweep identity: Table VI over the archive replay must equal the
     // in-memory sweep bit for bit.
     let configs = grid();
-    let baseline = sweep::run_with_jobs(trace, &configs, jobs);
-    let replayed = sweep::run_source(|| par_records.iter(), &configs, jobs);
+    let baseline = sweep::run_source(trace.records(), &configs, jobs);
+    let replayed = sweep::run_source(par_records.iter(), &configs, jobs);
     let identical = baseline == replayed;
 
     // Recovery: flip one byte in the middle of the middle chunk.

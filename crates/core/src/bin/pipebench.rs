@@ -14,9 +14,10 @@
 //!   decode on a worker pool with the consumer;
 //! * **replay** — decode plus a full cache simulation of one
 //!   representative Table VI cell (2 MB, delayed write, 4 KB blocks),
-//!   again serial vs pipelined; the pipelined path runs through
-//!   [`Simulator::run_fill`], so drained column buffers recycle back
-//!   to the decode workers and the steady state allocates nothing;
+//!   again serial vs pipelined; the pipelined path streams through
+//!   [`Simulator::run_stream`] over one [`fstrace::FillRecords`], so
+//!   drained column buffers recycle back to the decode workers and the
+//!   steady state allocates nothing;
 //! * **full analysis** — decode plus the entire Section 5 analysis
 //!   suite (`run_analyzers_blocks`) through the pipelined reader.
 //!
@@ -165,7 +166,7 @@ fn main() {
 
     // Replay: decode plus a full cache simulation of one Table VI
     // cell. Serial interleaves decode and replay on one thread;
-    // pipelined overlaps them, recycling buffers via `run_fill`.
+    // pipelined overlaps them, recycling buffers via `FillRecords`.
     let replay_config = CacheConfig {
         cache_bytes: 2 << 20,
         block_size: 4096,
@@ -181,8 +182,8 @@ fn main() {
         )
     });
     let (replay_pipe_ms, pipe_metrics) = best_ms(repeat, || {
-        Simulator::run_fill(
-            Arc::clone(&archive).pipelined(Corruption::Fail, workers),
+        Simulator::run_stream(
+            fstrace::FillRecords::new(Arc::clone(&archive).pipelined(Corruption::Fail, workers)),
             &replay_config,
         )
     });

@@ -125,7 +125,7 @@ fn main() {
 
     // Profiled first (cold caches), direct second: any warm-up effect
     // biases against the speedup being claimed.
-    let (profiled_ms, profiled) = timed(|| sweep::run_with_jobs(&out.trace, &configs, jobs));
+    let (profiled_ms, profiled) = timed(|| sweep::run_source(out.trace.records(), &configs, jobs));
     let (direct_ms, direct) = timed(|| direct_sweep(&out.trace, &configs, jobs));
     let identical = profiled == direct;
     let speedup = direct_ms / profiled_ms.max(1e-9);

@@ -56,9 +56,8 @@ pub struct FidelityCompare {
 }
 
 /// Replays the Table VI grid at all three fidelities in one sweep call:
-/// the block-fidelity group stack-profiles as usual while the syscall
-/// and open groups (explicit stack fallbacks) replay direct, each from
-/// its own shared expansion.
+/// one pass over the trace, one expansion per fidelity, and each
+/// fidelity's 24 cells stack-profiled together.
 pub fn run(set: &TraceSet) -> FidelityCompare {
     let trace = &set.a5().out.trace;
     let mut configs: Vec<CacheConfig> = Vec::new();

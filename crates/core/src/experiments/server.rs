@@ -72,7 +72,7 @@ pub fn run(set: &TraceSet) -> Server {
         .sum();
     let configs = server_configs(set.fidelity);
     let results = sweep::run_source(
-        || merged_records(&traces).map(|r| r.expect("in-memory merge cannot fail")),
+        merged_records(&traces).map(|r| r.expect("in-memory merge cannot fail")),
         &configs,
         sweep::default_jobs(),
     );
@@ -122,7 +122,7 @@ pub fn run_archived(set: &TraceSet, path: &Path, jobs: usize) -> Server {
     users.sort_unstable();
     users.dedup();
     let configs = server_configs(set.fidelity);
-    let results = sweep::run_source(|| merged.records(), &configs, jobs);
+    let results = sweep::run_source(merged.records(), &configs, jobs);
     Server {
         clients: set.entries.len(),
         records: merged.len(),

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use cachesim::{replay_events, CacheConfig, Simulator, WritePolicy};
+use cachesim::{sweep, CacheConfig, CacheMetrics, WritePolicy};
 
 use crate::report::Table;
 use crate::TraceSet;
@@ -59,46 +59,30 @@ pub fn run(set: &TraceSet) -> Table1 {
     let mut sizes = a5_suite.sizes.clone();
     let mut lt = a5_suite.lifetimes.clone();
 
-    // Cache: 4 MB elimination range across policies.
-    let base = CacheConfig {
-        cache_bytes: 4 << 20,
-        block_size: 4096,
+    // Cache: the 4 MB elimination range across policies, then the best
+    // block size at 400 KB and at 4 MB (delayed write) — one sweep.
+    let cell = |cache_bytes: u64, block_kb: u64, write_policy| CacheConfig {
+        cache_bytes,
+        block_size: block_kb * 1024,
+        write_policy,
         fidelity: set.fidelity,
         ..CacheConfig::default()
     };
-    let events = replay_events(a5, &base);
-    let wt = Simulator::run_events(
-        &events,
-        &CacheConfig {
-            write_policy: WritePolicy::WriteThrough,
-            ..base.clone()
-        },
-    )
-    .miss_ratio();
-    let dw = Simulator::run_events(
-        &events,
-        &CacheConfig {
-            write_policy: WritePolicy::DelayedWrite,
-            ..base.clone()
-        },
-    )
-    .miss_ratio();
-
-    // Best block size at 400 KB and 4 MB (delayed write).
-    let best_block = |cache_bytes: u64| -> u64 {
-        [1u64, 2, 4, 8, 16, 32]
-            .into_iter()
-            .min_by_key(|&bs| {
-                let cfg = CacheConfig {
-                    cache_bytes,
-                    block_size: bs * 1024,
-                    write_policy: WritePolicy::DelayedWrite,
-                    fidelity: set.fidelity,
-                    ..CacheConfig::default()
-                };
-                Simulator::run(a5, &cfg).disk_ios()
-            })
-            .unwrap_or(0)
+    let mut configs = vec![
+        cell(4 << 20, 4, WritePolicy::WriteThrough),
+        cell(4 << 20, 4, WritePolicy::DelayedWrite),
+    ];
+    for cache_bytes in [400 * 1024, 4 << 20] {
+        for block_kb in [1u64, 2, 4, 8, 16, 32] {
+            configs.push(cell(cache_bytes, block_kb, WritePolicy::DelayedWrite));
+        }
+    }
+    let results = sweep::run(a5, &configs);
+    let (wt, dw) = (results[0].1.miss_ratio(), results[1].1.miss_ratio());
+    let best_block = |row: &[(CacheConfig, CacheMetrics)]| -> u64 {
+        row.iter()
+            .min_by_key(|(_, m)| m.disk_ios())
+            .map_or(0, |(c, _)| c.block_size / 1024)
     };
 
     Table1 {
@@ -111,7 +95,7 @@ pub fn run(set: &TraceSet) -> Table1 {
         bytes_dead_30s: lt.fraction_of_bytes_le_secs(30.0),
         bytes_dead_5min: lt.fraction_of_bytes_le_secs(300.0),
         four_mb_elimination: (1.0 - wt, 1.0 - dw),
-        best_block_kb: (best_block(400 * 1024), best_block(4 << 20)),
+        best_block_kb: (best_block(&results[2..8]), best_block(&results[8..])),
     }
 }
 

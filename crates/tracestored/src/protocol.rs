@@ -63,6 +63,16 @@ pub const MAX_FRAME: u32 = 64 << 20;
 /// ten-second windows are 5.3 years.
 pub const MAX_ANALYSIS_WINDOWS: u64 = 1 << 24;
 
+/// Cap on the block accesses one `sweep` reply may replay. A replay's
+/// work grows with the bytes its records bill, not with their count:
+/// an `open` and a `close` at 2^62 bytes bill 2^50 4 KiB blocks. Closes
+/// at 2^30, 2^32 and 2^34 bytes sweep one size in about 14, 45 and
+/// 170 ms (release build, 2-vCPU Intel Xeon), linear in the extent, so
+/// that pair would take about 1.5 years. A snapshot whose records would
+/// make more than this many block accesses gets an error reply instead;
+/// 2^28 is about 11 s of one-cell replay.
+pub const MAX_SWEEP_BLOCKS: u64 = 1 << 28;
+
 /// The ingest handshake: which merge input this connection feeds.
 ///
 /// `offsets` are the id offsets this input's records are remapped by

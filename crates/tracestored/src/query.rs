@@ -19,7 +19,7 @@ use fsanalysis::{AnalysisStream, AnalysisSuite};
 use fstrace::{Timestamp, Trace, TraceRecord, TraceSummary};
 use tracestore::{Archive, Corruption};
 
-use crate::protocol::MAX_ANALYSIS_WINDOWS;
+use crate::protocol::{MAX_ANALYSIS_WINDOWS, MAX_SWEEP_BLOCKS};
 
 /// A consistent view of the served data at one instant.
 #[derive(Debug, Clone, Default)]
@@ -35,6 +35,10 @@ fn archive_error(path: &Path, e: impl std::fmt::Display) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("shard {}: {e}", path.display()),
     )
+}
+
+fn invalid_input(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, message)
 }
 
 fn open_shard(path: &Path) -> io::Result<Archive> {
@@ -127,16 +131,42 @@ impl DataSnapshot {
 
     /// Runs a cache-size sweep (LRU, default policy) over the served
     /// trace, one cell per entry of `sizes_kb`.
+    ///
+    /// # Errors
+    ///
+    /// Besides read errors, fails without replaying when a size's byte
+    /// count overflows `u64`, or when the records would make more than
+    /// [`MAX_SWEEP_BLOCKS`] block accesses — counted by one expansion
+    /// pass that sums each billed extent's block span.
     pub fn sweep(&self, sizes_kb: &[u64], jobs: usize) -> io::Result<String> {
-        let records = self.materialize(jobs)?;
-        let configs: Vec<cachesim::CacheConfig> = sizes_kb
+        let base = cachesim::CacheConfig::default();
+        let configs = sizes_kb
             .iter()
-            .map(|&kb| cachesim::CacheConfig {
-                cache_bytes: kb * 1024,
-                ..cachesim::CacheConfig::default()
+            .map(|&kb| {
+                let cache_bytes = kb.checked_mul(1024).ok_or_else(|| {
+                    invalid_input(format!("sweep: {kb} KiB overflows a 64-bit byte count"))
+                })?;
+                Ok(cachesim::CacheConfig {
+                    cache_bytes,
+                    ..base.clone()
+                })
             })
-            .collect();
-        let results = cachesim::sweep::run_source(|| records.iter(), &configs, jobs);
+            .collect::<io::Result<Vec<_>>>()?;
+        let records = self.materialize(jobs)?;
+        let mut expander = cachesim::EventExpander::new(&base);
+        let mut blocks = 0u64;
+        for rec in &records {
+            expander.feed(rec, &mut |ev| {
+                blocks = blocks.saturating_add(ev.block_accesses(base.block_size));
+            });
+            if blocks > MAX_SWEEP_BLOCKS {
+                return Err(invalid_input(format!(
+                    "sweep: replaying the records would make more than \
+                     {MAX_SWEEP_BLOCKS} block accesses, over the cap"
+                )));
+            }
+        }
+        let results = cachesim::sweep::run_source(records.iter(), &configs, jobs);
         let mut out = String::from("cache_kb  miss_ratio  disk_reads  disk_writes\n");
         for (config, metrics) in &results {
             out.push_str(&format!(
@@ -171,13 +201,10 @@ impl TimeSpan {
         let window_ms = shortest.saturating_mul(1000).max(1);
         let windows = last.as_ms() / window_ms - first.as_ms() / window_ms + 1;
         if windows > MAX_ANALYSIS_WINDOWS {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "analyze: records from {first} to {last} span {windows} windows of \
-                     {shortest} s, over the cap of {MAX_ANALYSIS_WINDOWS}"
-                ),
-            ));
+            return Err(invalid_input(format!(
+                "analyze: records from {first} to {last} span {windows} windows of \
+                 {shortest} s, over the cap of {MAX_ANALYSIS_WINDOWS}"
+            )));
         }
         Ok(())
     }
@@ -389,6 +416,51 @@ mod tests {
         let b = render_suite(&suite);
         assert_eq!(a, b);
         assert!(a.contains("whole_file_fraction"));
+    }
+
+    #[test]
+    fn sweep_rejects_replays_over_the_block_cap() {
+        // An open and a close at 2^62 bytes, one sealed and one in the
+        // tail: replaying them would touch 2^50 blocks.
+        let records = vec![
+            TraceRecord::new(
+                0,
+                TraceEvent::Open {
+                    open_id: OpenId(1),
+                    file_id: FileId(1),
+                    user_id: UserId(1),
+                    mode: AccessMode::ReadOnly,
+                    size: 0,
+                    created: false,
+                },
+            ),
+            TraceRecord::new(
+                10,
+                TraceEvent::Close {
+                    open_id: OpenId(1),
+                    final_pos: 1 << 62,
+                },
+            ),
+        ];
+        let (snap, dir) = snapshot_of(&records, 1);
+        let started = std::time::Instant::now();
+        let err = snap.sweep(&[64, 400], 2).unwrap_err();
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("over the cap"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sweep_rejects_an_overflowing_size() {
+        let records = synthetic(20);
+        let (snap, dir) = snapshot_of(&records, 20);
+        let started = std::time::Instant::now();
+        let err = snap.sweep(&[64, 1 << 54], 2).unwrap_err();
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("overflows"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

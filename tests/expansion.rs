@@ -56,4 +56,14 @@ fn experiments_share_one_expansion_per_trace() {
         3,
         "ablations must expand once per rw-handling variant"
     );
+
+    // Cross-fidelity Table VI: fidelity is part of the key — three
+    // expansions for 72 cells, all from one pass over the trace.
+    let before = cachesim::expansion_count();
+    experiments::fidelity::run(&set);
+    assert_eq!(
+        cachesim::expansion_count() - before,
+        3,
+        "fidelity must expand once per fidelity level"
+    );
 }

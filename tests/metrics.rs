@@ -7,10 +7,10 @@
 //!    the accounting identity `read_hits + read_misses ==
 //!    logical_reads`.
 //! 2. Global sweep counters must show exactly one trace expansion per
-//!    (`rw_handling` × `simulate_paging`) group for every worker count,
-//!    with aggregate traffic satisfying the same identity — and the
-//!    rendered experiment output must stay bit-identical across
-//!    `--jobs` settings.
+//!    (`fidelity` × `rw_handling` × `simulate_paging`) group and one
+//!    timing per cell for every worker count, with aggregate traffic
+//!    satisfying the same identity — and the rendered experiment output
+//!    must stay bit-identical across `--jobs` settings.
 //!
 //! The global registry's counters are process-wide, so this binary
 //! holds a single test and nothing else: integration tests in one
@@ -103,6 +103,16 @@ fn obs_metrics_invariants() {
             "fig7 expands once per paging mode at jobs={jobs}"
         );
         assert_eq!(d("cachesim.sweep.groups"), 2, "jobs={jobs}");
+        // Both groups are one profile each, stepped during the pass:
+        // the pass's time still lands once on every cell.
+        let cell_count_before = before.span("cachesim.sweep.cell").map_or(0, |s| s.count);
+        let cell_count_after = after.span("cachesim.sweep.cell").map_or(0, |s| s.count);
+        assert_eq!(
+            cell_count_after - cell_count_before,
+            d("cachesim.sweep.cells"),
+            "every fig7 cell is timed exactly once at jobs={jobs}"
+        );
+        assert_eq!(d("cachesim.sweep.cells"), 10, "jobs={jobs}");
     }
     cachesim::sweep::set_default_jobs(0);
 
