@@ -96,6 +96,26 @@ awk -F'[:,]' '
     }' target/artifacts/BENCH_4.json
 echo "   wrote target/artifacts/BENCH_4.json"
 
+echo "== Table VII profiled sweep benchmark artifact"
+# The grid where a profile saves least: Table VII's 6 block sizes x 4
+# cache sizes are six 4-cell profiles, timed against one expansion plus
+# 24 direct replays on a 2-hour trace (shorter traces time too noisily
+# to gate). The binary exits nonzero if the results differ; the gate
+# re-asserts identity and requires the profiles to be at least 1.2x
+# faster.
+./target/release/sweepbench --hours 2 --seed 1985 --jobs 1 --json \
+    > target/artifacts/BENCH_4_table7.json
+awk -F'[:,]' '
+    /"table7_speedup"/ { speedup = $2 }
+    /"table7_identical"/ { identical = $2 }
+    END {
+        gsub(/[ "]/, "", identical)
+        if (identical != "true") { print "   table7 sweep: results diverged"; exit 1 }
+        if (speedup + 0 < 1.2) { print "   table7 sweep: speedup " speedup " < 1.2x"; exit 1 }
+        print "   table7 sweep: identical results, " speedup "x over direct replays"
+    }' target/artifacts/BENCH_4_table7.json
+echo "   wrote target/artifacts/BENCH_4_table7.json"
+
 echo "== archive corruption-recovery smoke"
 # Pack a 2-hour trace into a tracestore archive, let archivebench flip
 # one byte in the middle of a mid-file chunk, and require that exactly

@@ -36,21 +36,25 @@
 //! [`crate::BlockCache`] (size map, block split, whole-write test,
 //! truncate/delete invalidation), so it profiles the block references
 //! of any [`crate::Fidelity`]. What cannot be expressed: FIFO
-//! replacement (no inclusion property) and capacities past the tree
+//! replacement (no inclusion property) and capacities past the slot
 //! cap. Such cells — and subgroups of one cell, where a profile saves
 //! nothing — fall back to the direct simulator;
 //! [`crate::sweep::run_source`] does the partitioning.
 //!
-//! The order-statistic structure is a Fenwick tree over recency
-//! sequence numbers: depth queries and "who sits at depth `c`"
-//! selections are both O(log n) with n bounded by the largest tracked
-//! capacity (entries sinking past it are pruned — they are in no
-//! tracked cache, so a later reference is a cold miss everywhere, which
-//! is exactly what forgetting them produces).
+//! The recency stack is a slab-backed doubly linked list, like
+//! [`crate::BlockCache`]'s, with one *marker* per tracked capacity on
+//! the entry at exactly that depth, and each entry recording its
+//! *segment*: how many tracked capacities lie above it. A reference's
+//! distance class is its entry's segment, and the eviction walk steps
+//! only the markers it crosses, so a reference costs O(1) per crossed
+//! capacity. The list is bounded by the largest tracked capacity
+//! (entries sinking past it are pruned — they are in no tracked cache,
+//! so a later reference is a cold miss everywhere, which is exactly
+//! what forgetting them produces).
 
-use std::collections::BTreeSet;
+use std::collections::BinaryHeap;
 
-use fstrace::{FastMap, FastSet, FileId};
+use fstrace::{FastMap, FileId};
 use simstat::Distribution;
 
 use crate::cache::BlockId;
@@ -58,8 +62,8 @@ use crate::config::{CacheConfig, Replacement, WritePolicy};
 use crate::metrics::CacheMetrics;
 use crate::replay::{BlockSink, BlockSplit, ReplayEvent};
 
-/// Caps the Fenwick tree size; configurations this large fall back to
-/// direct simulation rather than risk `u32` sequence overflow.
+/// Caps the largest tracked capacity; configurations this large fall
+/// back to direct simulation rather than risk `u32` slot overflow.
 const MAX_TRACKED_BLOCKS: u64 = 1 << 30;
 
 /// Whether a single configuration's metrics can be derived from a
@@ -72,107 +76,47 @@ pub fn profilable(config: &CacheConfig) -> bool {
     config.replacement == Replacement::Lru && config.capacity_blocks() < MAX_TRACKED_BLOCKS
 }
 
-/// A Fenwick (binary indexed) tree over 0/1 occupancy of sequence
-/// slots, supporting prefix sums and rank selection in O(log n).
-struct Fenwick {
-    tree: Vec<u32>,
-    /// Tree capacity (`tree.len() - 1`), a power of two, so the select
-    /// walk starts at the root in one step.
-    top_bit: usize,
-}
+const NIL: u32 = u32::MAX;
 
-impl Fenwick {
-    fn new(slots: usize) -> Self {
-        // Pad capacity to a power of two: `select` then needs no bounds
-        // check (every probe `pos + step` stays `<= cap`, because `pos`
-        // is a sum of distinct steps larger than `step`), which lets
-        // the walk run branch-free.
-        let cap = slots.next_power_of_two().max(1);
-        Fenwick {
-            tree: vec![0; cap + 1],
-            top_bit: cap,
-        }
-    }
-
-    /// Adds `delta` at sequence slot `seq` (0-based).
-    fn add(&mut self, seq: u32, delta: i32) {
-        let mut i = seq as usize + 1;
-        while i < self.tree.len() {
-            self.tree[i] = self.tree[i].wrapping_add(delta as u32);
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Number of occupied slots with sequence `<= seq`.
-    fn prefix(&self, seq: u32) -> u64 {
-        let mut i = seq as usize + 1;
-        let mut acc = 0u64;
-        while i > 0 {
-            acc += u64::from(self.tree[i]);
-            i -= i & i.wrapping_neg();
-        }
-        acc
-    }
-
-    /// Smallest sequence slot whose prefix sum reaches `k` (`k >= 1`;
-    /// caller guarantees such a slot exists).
-    ///
-    /// The descent is branchless: each level turns "descend right?"
-    /// into a 0/1 mask, so the loop is a fixed log₂(cap) iterations of
-    /// straight-line arithmetic with no unpredictable branch — this
-    /// walk dominates the profiled sweep's per-access cost.
-    fn select(&self, k: u64) -> u32 {
-        let mut pos = 0usize;
-        let mut rem = k;
-        let mut step = self.top_bit;
-        while step > 0 {
-            // The root probe (`pos == 0`, `step == cap`) reads the
-            // whole-tree sum, which is `>= rem` by the caller's
-            // guarantee, so `pos + step` never exceeds `cap`.
-            let v = u64::from(self.tree[pos + step]);
-            let take = usize::from(v < rem);
-            rem -= v * take as u64;
-            pos += step & take.wrapping_neg();
-            step >>= 1;
-        }
-        pos as u32 // 1-based slot `pos + 1` → 0-based sequence `pos`.
-    }
-}
-
-/// What occupies one sequence slot of the recency stack.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SeqState {
-    /// Slot unused (never allocated, consumed, or pruned).
-    Empty,
-    /// An invalidated entry: keeps its position, owns no block.
-    Hole,
-    /// A live cached block.
-    Block(BlockId),
-}
-
-/// Per-(policy, block) dirty record.
-///
-/// `m` is the smallest capacity index at which the block is still
-/// dirty (capacities are sorted ascending, and dirtiness is a suffix:
-/// small caches evict-and-clean first). `t[i]` is the time the block
-/// became dirty in the capacity-`i` cache, valid for `i >= m` — the
-/// timestamps differ per capacity because a small cache that evicted
-/// and re-dirtied the block restarts its residency clock while a large
-/// cache's older clock keeps running.
-struct DirtyPart {
-    m: usize,
-    t: Vec<u64>,
+/// One recency-list entry: a cached block, or the hole an invalidation
+/// left in its place.
+struct Entry {
+    /// The block (stale once the entry is a hole).
+    id: BlockId,
+    /// Recency stamp, never renumbered: the list runs newest first.
+    stamp: u64,
+    /// The number of tracked capacities smaller than the entry's depth.
+    seg: u32,
+    prev: u32,
+    next: u32,
+    /// Neighbours in the block's per-file chain (see `per_file`).
+    fprev: u32,
+    fnext: u32,
 }
 
 /// Dirty-block bookkeeping for one tracked write policy across all
 /// capacities (write-through needs none: its per-cell write traffic is
 /// capacity-independent and derived analytically).
+///
+/// Per slot, `m` is the smallest capacity index at which the block is
+/// still dirty, `K` when it is clean (capacities are sorted ascending,
+/// and dirtiness is a suffix: small caches evict-and-clean first).
+/// `t[slot * K + i]` is the time the block became dirty in the
+/// capacity-`i` cache, valid for `i >= m` — the timestamps differ per
+/// capacity because a small cache that evicted and re-dirtied the block
+/// restarts its residency clock while a large cache's older clock keeps
+/// running.
 struct PolicyState {
     policy: WritePolicy,
     /// Flush interval for `FlushBack`, `None` otherwise.
     interval_ms: Option<u64>,
     last_flush_ms: u64,
-    dirty: FastMap<BlockId, DirtyPart>,
+    m: Vec<u32>,
+    t: Vec<u64>,
+    /// Every slot dirtied since the last flush scan, once each (`listed`
+    /// marks them); some may be clean again.
+    dirty_slots: Vec<u32>,
+    listed: Vec<bool>,
     /// Per capacity index: writebacks (flushes + evictions).
     disk_writes: Vec<u64>,
     /// Per capacity index: dirty blocks invalidated before any write.
@@ -212,14 +156,22 @@ struct Profile {
     cells: Vec<CellSpec>,
     pol: Vec<PolicyState>,
 
-    // The recency stack.
-    fen: Fenwick,
-    owner: Vec<SeqState>,
+    // The recency stack, most recent first. It never shrinks: a pruned
+    // or consumed entry always makes room for the referenced block.
+    entries: Vec<Entry>,
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
+    len: u64,
+    next_stamp: u64,
+    /// `markers[j]` is the entry at depth `caps[j]`, for every capacity
+    /// the list has reached.
+    markers: Vec<u32>,
     blocks: FastMap<BlockId, u32>,
-    holes: BTreeSet<u32>,
-    active: u64,
-    next_seq: u32,
-    per_file: FastMap<FileId, FastSet<u64>>,
+    /// Every hole as `(stamp, slot)`: the top is the shallowest.
+    holes: BinaryHeap<(u64, u32)>,
+    /// Head slot of each file's chain of cached blocks.
+    per_file: FastMap<FileId, u32>,
 
     // Distance accounting. `*_split[k]` counts accesses whose distance
     // exceeded exactly the `k` smallest capacities (misses for capacity
@@ -229,8 +181,6 @@ struct Profile {
     read_split: Vec<u64>,
     write_whole_split: Vec<u64>,
     write_partial_split: Vec<u64>,
-
-    tree_peak: u64,
     distances: u64,
 }
 
@@ -276,7 +226,10 @@ impl StackEngine {
                                     _ => None,
                                 },
                                 last_flush_ms: 0,
-                                dirty: FastMap::default(),
+                                m: Vec::new(),
+                                t: Vec::new(),
+                                dirty_slots: Vec::new(),
+                                listed: Vec::new(),
                                 disk_writes: vec![0; k],
                                 never_written: vec![0; k],
                                 residency: vec![Distribution::new(); k],
@@ -298,19 +251,21 @@ impl StackEngine {
             caps,
             cells,
             pol,
-            fen: Fenwick::new(64),
-            owner: vec![SeqState::Empty; 64],
+            entries: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            len: 0,
+            next_stamp: 0,
+            markers: Vec::with_capacity(k),
             blocks: FastMap::default(),
-            holes: BTreeSet::new(),
-            active: 0,
-            next_seq: 0,
+            holes: BinaryHeap::new(),
             per_file: FastMap::default(),
             total_reads: 0,
             total_writes: 0,
             read_split: vec![0; k + 1],
             write_whole_split: vec![0; k + 1],
             write_partial_split: vec![0; k + 1],
-            tree_peak: 0,
             distances: 0,
         };
         Some(StackEngine {
@@ -333,58 +288,120 @@ impl StackEngine {
 }
 
 impl Profile {
-    /// Positional depth of sequence slot `seq`: 1 = most recent, holes
-    /// count.
-    fn depth(&self, seq: u32) -> u64 {
-        self.active - self.fen.prefix(seq) + 1
-    }
-
-    /// Sequence slot of the entry at positional depth `c` (1-based;
-    /// caller guarantees `c <= active`).
-    fn seq_at_depth(&self, c: u64) -> u32 {
-        self.fen.select(self.active - c + 1)
-    }
-
-    /// Renumbers live entries densely from 0, growing the slot arrays
-    /// when more than half full. Amortized O(1) per access: each
-    /// compaction reclaims at least half the slot space.
-    fn compact(&mut self) {
-        let live: Vec<(u32, SeqState)> = self
-            .owner
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !matches!(s, SeqState::Empty))
-            .map(|(i, s)| (i as u32, *s))
-            .collect();
-        let mut slots = self.owner.len();
-        while live.len() + 1 > slots / 2 {
-            slots *= 2;
+    fn unlink(&mut self, i: u32) {
+        let (prev, next) = (self.entries[i as usize].prev, self.entries[i as usize].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.entries[p as usize].next = next,
         }
-        self.fen = Fenwick::new(slots);
-        self.owner = vec![SeqState::Empty; slots];
-        self.holes.clear();
-        for (new_seq, (_, state)) in live.iter().enumerate() {
-            let new_seq = new_seq as u32;
-            self.owner[new_seq as usize] = *state;
-            self.fen.add(new_seq, 1);
-            match state {
-                SeqState::Hole => {
-                    self.holes.insert(new_seq);
-                }
-                SeqState::Block(id) => {
-                    self.blocks.insert(*id, new_seq);
-                }
-                SeqState::Empty => unreachable!(),
+        match next {
+            NIL => self.tail = prev,
+            n => self.entries[n as usize].prev = prev,
+        }
+    }
+
+    /// Links slot `i` on top with a fresh stamp.
+    fn push_front(&mut self, i: u32) {
+        let old_head = self.head;
+        let e = &mut self.entries[i as usize];
+        (e.prev, e.next, e.stamp, e.seg) = (NIL, old_head, self.next_stamp, 0);
+        self.next_stamp += 1;
+        match old_head {
+            NIL => self.tail = i,
+            h => self.entries[h as usize].prev = i,
+        }
+        self.head = i;
+    }
+
+    /// Puts the unlinked slot `hole` in `old`'s place with its stamp,
+    /// segment and marker, leaving `old` unlinked.
+    fn replace(&mut self, old: u32, hole: u32) {
+        let o = &self.entries[old as usize];
+        let (prev, next, stamp, seg) = (o.prev, o.next, o.stamp, o.seg);
+        let h = &mut self.entries[hole as usize];
+        (h.prev, h.next, h.stamp, h.seg) = (prev, next, stamp, seg);
+        match prev {
+            NIL => self.head = hole,
+            p => self.entries[p as usize].next = hole,
+        }
+        match next {
+            NIL => self.tail = hole,
+            n => self.entries[n as usize].prev = hole,
+        }
+        if self.markers.get(seg as usize) == Some(&old) {
+            self.markers[seg as usize] = hole;
+        }
+    }
+
+    /// Moves a marker on entry `i`, which is about to sink or leave its
+    /// position, one entry toward the top — onto `top`, the block about
+    /// to be pushed, when `i` is the head.
+    fn step_marker(&mut self, i: u32, top: u32) {
+        let e = &self.entries[i as usize];
+        if self.markers.get(e.seg as usize) == Some(&i) {
+            self.markers[e.seg as usize] = if e.prev == NIL { top } else { e.prev };
+        }
+    }
+
+    /// Links slot `i` at the head of its file's chain.
+    fn file_link(&mut self, i: u32) {
+        let file = self.entries[i as usize].id.file;
+        let old_head = self.per_file.insert(file, i).unwrap_or(NIL);
+        let e = &mut self.entries[i as usize];
+        (e.fprev, e.fnext) = (NIL, old_head);
+        if old_head != NIL {
+            self.entries[old_head as usize].fprev = i;
+        }
+    }
+
+    /// Unlinks slot `i` from its file's chain, dropping the map entry
+    /// when the chain empties.
+    fn file_unlink(&mut self, i: u32) {
+        let e = &self.entries[i as usize];
+        let (file, fprev, fnext) = (e.id.file, e.fprev, e.fnext);
+        if fprev != NIL {
+            self.entries[fprev as usize].fnext = fnext;
+        } else if fnext != NIL {
+            self.per_file.insert(file, fnext);
+        } else {
+            self.per_file.remove(&file);
+        }
+        if fnext != NIL {
+            self.entries[fnext as usize].fprev = fprev;
+        }
+    }
+
+    /// A slot for a block not on the stack, in its file's chain but not
+    /// yet in the list; clean under every policy.
+    fn alloc(&mut self, id: BlockId) -> u32 {
+        let entry = Entry {
+            id,
+            stamp: 0,
+            seg: 0,
+            prev: NIL,
+            next: NIL,
+            fprev: NIL,
+            fnext: NIL,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.entries[i as usize] = entry;
+                i
             }
-        }
-        self.next_seq = live.len() as u32;
-    }
-
-    /// Drops the entry at `seq` from the tree entirely.
-    fn clear_slot(&mut self, seq: u32) {
-        self.owner[seq as usize] = SeqState::Empty;
-        self.fen.add(seq, -1);
-        self.active -= 1;
+            None => {
+                self.entries.push(entry);
+                let k = self.caps.len();
+                for ps in &mut self.pol {
+                    ps.m.push(k as u32);
+                    ps.t.resize(ps.t.len() + k, 0);
+                    ps.listed.push(false);
+                }
+                (self.entries.len() - 1) as u32
+            }
+        };
+        self.blocks.insert(id, i);
+        self.file_link(i);
+        i
     }
 
     /// Catch-up flush scans, mirroring `BlockCache::run_flush_if_due`:
@@ -397,10 +414,12 @@ impl Profile {
                 continue;
             };
             if now_ms.saturating_sub(ps.last_flush_ms) >= interval_ms {
-                for (_, part) in ps.dirty.drain() {
-                    for i in part.m..k {
+                for s in ps.dirty_slots.drain(..) {
+                    let s = s as usize;
+                    ps.listed[s] = false;
+                    for i in std::mem::replace(&mut ps.m[s], k as u32) as usize..k {
                         ps.disk_writes[i] += 1;
-                        ps.residency[i].add(now_ms.saturating_sub(part.t[i]), 1);
+                        ps.residency[i].add(now_ms.saturating_sub(ps.t[s * k + i]), 1);
                     }
                 }
                 ps.last_flush_ms = now_ms - (now_ms - ps.last_flush_ms) % interval_ms;
@@ -408,50 +427,23 @@ impl Profile {
         }
     }
 
-    /// Accounts an eviction of `victim` from the capacity-index-`j`
-    /// cache at `now_ms`: a dirty victim is written back, exactly like
-    /// `BlockCache::evict`.
+    /// Accounts an eviction of the block in slot `victim` from the
+    /// capacity-index-`j` cache at `now_ms`: a dirty victim is written
+    /// back, exactly like `BlockCache::evict`.
     ///
     /// The victim can only be dirty at capacity `j` with `m == j`:
     /// depths are nondecreasing between accesses, so it crossed every
     /// smaller capacity boundary (cleaning those columns) before this
     /// one, and a re-dirtying write would have moved it back to the
     /// top.
-    fn evict_dirty(&mut self, victim: BlockId, j: usize, now_ms: u64) {
-        let k = self.caps.len();
+    fn evict_dirty(&mut self, victim: u32, j: usize, now_ms: u64) {
+        let (s, k) = (victim as usize, self.caps.len());
         for ps in &mut self.pol {
-            if let Some(part) = ps.dirty.get_mut(&victim) {
-                debug_assert!(part.m >= j, "dirty suffix must start at or past {j}");
-                if part.m == j {
-                    ps.disk_writes[j] += 1;
-                    ps.residency[j].add(now_ms.saturating_sub(part.t[j]), 1);
-                    part.m = j + 1;
-                    if part.m == k {
-                        ps.dirty.remove(&victim);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Invalidates one block: its entry becomes a hole in place (so no
-    /// other entry's position changes), and dirty copies are dropped
-    /// without writing — counted per capacity column where the block
-    /// was dirty, which is necessarily a subset of the columns whose
-    /// cache held it.
-    fn invalidate_block(&mut self, id: BlockId, now_ms: u64) {
-        let Some(seq) = self.blocks.remove(&id) else {
-            return;
-        };
-        self.owner[seq as usize] = SeqState::Hole;
-        self.holes.insert(seq);
-        let k = self.caps.len();
-        for ps in &mut self.pol {
-            if let Some(part) = ps.dirty.remove(&id) {
-                for i in part.m..k {
-                    ps.never_written[i] += 1;
-                    ps.residency[i].add(now_ms.saturating_sub(part.t[i]), 1);
-                }
+            debug_assert!(ps.m[s] as usize >= j, "dirty below capacity {j}");
+            if ps.m[s] as usize == j {
+                ps.disk_writes[j] += 1;
+                ps.residency[j].add(now_ms.saturating_sub(ps.t[s * k + j]), 1);
+                ps.m[s] += 1;
             }
         }
     }
@@ -463,9 +455,10 @@ impl Profile {
         // End-of-run residency for still-dirty blocks, without disk
         // writes (`BlockCache::finish` semantics).
         for ps in &mut self.pol {
-            for (_, part) in ps.dirty.drain() {
-                for i in part.m..k {
-                    ps.residency[i].add(end_time.saturating_sub(part.t[i]), 1);
+            for &s in &ps.dirty_slots {
+                let s = s as usize;
+                for i in ps.m[s] as usize..k {
+                    ps.residency[i].add(end_time.saturating_sub(ps.t[s * k + i]), 1);
                 }
             }
         }
@@ -494,8 +487,8 @@ impl Profile {
         let reg = obs::global();
         reg.counter("cachesim.stack.distances_recorded")
             .add(self.distances);
-        reg.gauge("cachesim.stack.tree_nodes_peak")
-            .record(self.tree_peak);
+        // The list never shrinks, so its final length is its peak.
+        reg.gauge("cachesim.stack.tree_nodes_peak").record(self.len);
 
         self.cells
             .iter()
@@ -538,45 +531,42 @@ impl BlockSink for Profile {
     /// One block reference: `write` is `None` for reads, else
     /// `Some(whole_block_overwrite)`.
     fn access(&mut self, id: BlockId, now_ms: u64, write: Option<bool>) {
-        if self.next_seq as usize == self.owner.len() {
-            self.compact();
-        }
         self.flush_if_due(now_ms);
         self.distances += 1;
 
-        let s_b = self.blocks.get(&id).copied();
-        let d = match s_b {
-            Some(s) => self.depth(s),
-            None => u64::MAX,
-        };
-        let k = self.caps.partition_point(|&c| c < d);
+        let k = self.caps.len();
+        let b = self.blocks.get(&id).copied();
+        let seg = b.map_or(k, |s| self.entries[s as usize].seg as usize);
         match write {
             None => {
                 self.total_reads += 1;
-                self.read_split[k] += 1;
+                self.read_split[seg] += 1;
             }
             Some(true) => {
                 self.total_writes += 1;
-                self.write_whole_split[k] += 1;
+                self.write_whole_split[seg] += 1;
             }
             Some(false) => {
                 self.total_writes += 1;
-                self.write_partial_split[k] += 1;
+                self.write_partial_split[seg] += 1;
             }
         }
 
-        // The shallowest hole (highest sequence) above the referenced
-        // block. Holes below it are irrelevant this access: positions
-        // at or beyond the block's depth do not move.
+        // The shallowest hole, if it lies above the referenced block.
+        // Holes below it are irrelevant this access: positions at or
+        // beyond the block's depth do not move.
         let hole = self
             .holes
-            .iter()
-            .next_back()
-            .copied()
-            .filter(|&hs| s_b.is_none_or(|s| hs > s));
-        let bound = match hole {
-            Some(hs) => self.depth(hs),
-            None => d,
+            .peek()
+            .filter(|&&(stamp, _)| b.is_none_or(|s| stamp > self.entries[s as usize].stamp))
+            .map(|&(_, h)| h);
+        let bound = hole.map_or(seg, |h| self.entries[h as usize].seg as usize);
+        // A miss that consumes no hole lengthens the list, unless the
+        // list already reaches the largest capacity (the walk prunes).
+        let grows = b.is_none() && hole.is_none() && self.markers.len() < k;
+        let top = match b {
+            Some(s) => s,
+            None => self.alloc(id),
         };
 
         // Eviction walk: the entry at depth exactly `caps[j]` shifts to
@@ -584,34 +574,29 @@ impl BlockSink for Profile {
         // capacity below both the reuse depth (larger ones hit) and the
         // shallowest hole (those fill free space instead). Such entries
         // are valid blocks: no holes exist above the shallowest one.
-        let last = self.caps.len() - 1;
-        for j in 0..self.caps.len() {
-            let c = self.caps[j];
-            if c >= bound || c > self.active {
-                break;
-            }
-            let victim_seq = self.seq_at_depth(c);
-            let SeqState::Block(victim) = self.owner[victim_seq as usize] else {
-                unreachable!("entries above the shallowest hole are valid blocks");
-            };
-            self.evict_dirty(victim, j, now_ms);
-            if j == last {
+        for j in 0..bound.min(self.markers.len()) {
+            let v = self.markers[j];
+            debug_assert_eq!(
+                self.blocks.get(&self.entries[v as usize].id),
+                Some(&v),
+                "entries above the shallowest hole are valid blocks"
+            );
+            self.evict_dirty(v, j, now_ms);
+            self.step_marker(v, top);
+            self.entries[v as usize].seg = j as u32 + 1;
+            if j == k - 1 {
                 // Sunk past the largest tracked capacity: in no cache
                 // any more, so forget it — a future reference is a cold
                 // miss everywhere, which is exactly what the direct
-                // simulators see. Bounds the tree at `caps[last]`.
-                self.clear_slot(victim_seq);
-                self.blocks.remove(&victim);
-                if let Some(set) = self.per_file.get_mut(&victim.file) {
-                    set.remove(&victim.block);
-                    if set.is_empty() {
-                        self.per_file.remove(&victim.file);
-                    }
-                }
+                // simulators see. Bounds the list at `caps[k - 1]`.
                 debug_assert!(
-                    self.pol.iter().all(|ps| !ps.dirty.contains_key(&victim)),
+                    self.pol.iter().all(|ps| ps.m[v as usize] as usize == k),
                     "pruned entry must be clean everywhere"
                 );
+                self.unlink(v);
+                self.file_unlink(v);
+                self.blocks.remove(&self.entries[v as usize].id);
+                self.free.push(v);
             }
         }
 
@@ -620,74 +605,71 @@ impl BlockSink for Profile {
         // hole migrates down — net positions: entries above the old
         // hole sink one, everything else stays), then push the block on
         // top.
-        match (s_b, hole) {
-            (Some(s), Some(hs)) => {
-                self.holes.remove(&hs);
-                self.clear_slot(hs);
-                self.owner[s as usize] = SeqState::Hole;
-                self.holes.insert(s);
+        if let Some(h) = hole {
+            self.holes.pop();
+            self.step_marker(h, top);
+            self.unlink(h);
+            match b {
+                Some(s) => {
+                    self.replace(s, h);
+                    self.holes.push((self.entries[h as usize].stamp, h));
+                }
+                None => self.free.push(h),
             }
-            (Some(s), None) => {
-                self.clear_slot(s);
-            }
-            (None, Some(hs)) => {
-                self.holes.remove(&hs);
-                self.clear_slot(hs);
-            }
-            (None, None) => {}
+        } else if let Some(s) = b {
+            self.step_marker(s, top);
+            self.unlink(s);
         }
-        let ns = self.next_seq;
-        self.next_seq += 1;
-        self.owner[ns as usize] = SeqState::Block(id);
-        self.fen.add(ns, 1);
-        self.active += 1;
-        self.blocks.insert(id, ns);
-        if s_b.is_none() {
-            self.per_file.entry(id.file).or_default().insert(id.block);
+        self.push_front(top);
+        if grows {
+            self.len += 1;
+            if self.caps[self.markers.len()] == self.len {
+                self.markers.push(self.tail);
+            }
         }
-        self.tree_peak = self.tree_peak.max(self.active);
 
         // Dirty transitions: a write dirties the block in every
         // capacity column where it was clean (`i < m`), restarting
         // those residency clocks; columns `>= m` keep their original
         // dirtied-at times, exactly like the direct write-hit path.
         if write.is_some() {
-            let k = self.caps.len();
+            let s = top as usize;
             for ps in &mut self.pol {
-                match ps.dirty.get_mut(&id) {
-                    Some(part) => {
-                        ps.dirtied_split[part.m] += 1;
-                        for i in 0..part.m {
-                            part.t[i] = now_ms;
-                        }
-                        part.m = 0;
-                    }
-                    None => {
-                        ps.dirtied_split[k] += 1;
-                        ps.dirty.insert(
-                            id,
-                            DirtyPart {
-                                m: 0,
-                                t: vec![now_ms; k],
-                            },
-                        );
-                    }
+                let m = std::mem::replace(&mut ps.m[s], 0) as usize;
+                ps.dirtied_split[m] += 1;
+                ps.t[s * k..s * k + m].fill(now_ms);
+                if !ps.listed[s] {
+                    ps.listed[s] = true;
+                    ps.dirty_slots.push(top);
                 }
             }
         }
     }
 
     fn invalidate(&mut self, file: FileId, first_block: u64, now_ms: u64) {
-        let Some(set) = self.per_file.get_mut(&file) else {
-            return;
-        };
-        let doomed: Vec<u64> = set.iter().copied().filter(|&b| b >= first_block).collect();
-        set.retain(|&b| b < first_block);
-        if set.is_empty() {
-            self.per_file.remove(&file);
-        }
-        for block in doomed {
-            self.invalidate_block(BlockId { file, block }, now_ms);
+        let k = self.caps.len();
+        let mut i = self.per_file.get(&file).copied().unwrap_or(NIL);
+        while i != NIL {
+            let e = &self.entries[i as usize];
+            let (id, stamp, fnext) = (e.id, e.stamp, e.fnext);
+            if id.block >= first_block {
+                // The entry becomes a hole in place (no other entry's
+                // position changes), and dirty copies are dropped
+                // without writing — counted per capacity column where
+                // the block was dirty, necessarily a subset of the
+                // columns whose cache held it.
+                self.file_unlink(i);
+                self.blocks.remove(&id);
+                self.holes.push((stamp, i));
+                let s = i as usize;
+                for ps in &mut self.pol {
+                    for c in std::mem::replace(&mut ps.m[s], k as u32) as usize..k {
+                        ps.never_written[c] += 1;
+                        ps.residency[c].add(now_ms.saturating_sub(ps.t[s * k + c]), 1);
+                    }
+                }
+            }
+            i = fnext;
         }
     }
 }
@@ -869,7 +851,7 @@ mod tests {
     #[test]
     fn compaction_survives_long_reference_streams() {
         // Far more distinct blocks than the largest capacity: forces
-        // pruning and repeated sequence-space compaction.
+        // pruning and steady slot reuse.
         let mut b = TraceBuilder::new();
         let u = b.new_user_id();
         for round in 0..4u64 {
@@ -882,5 +864,82 @@ mod tests {
         }
         let cells = cells_for(&[2, 7, 16], &WritePolicy::TABLE_VI);
         assert_matches_direct(&b.finish(), &cells);
+    }
+
+    /// A trace of one-block references seven seconds apart (so the
+    /// 30-second flush fires every few): `rN` reads file N's only
+    /// block, `wN` overwrites it whole, `uN` unlinks file N.
+    fn one_block_trace(script: &str) -> Trace {
+        let mut b = TraceBuilder::new();
+        let u = b.new_user_id();
+        for (i, op) in script.split_whitespace().enumerate() {
+            let t = i as u64 * 7_000;
+            let f = fstrace::FileId(op[1..].parse().expect("file number"));
+            let mode = match &op[..1] {
+                "r" => AccessMode::ReadOnly,
+                "w" => AccessMode::WriteOnly,
+                _ => {
+                    b.unlink(t, f, u);
+                    continue;
+                }
+            };
+            let o = b.open(t, f, u, mode, 4_096, false);
+            b.close(t + 100, o, 4_096);
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn one_block_capacity_rereferences_the_top() {
+        // The capacity-1 marker sits on the block re-referenced on top
+        // and must stay there; the dirty copy stays dirty in place.
+        let trace = one_block_trace("w0 w0 r0 r1 r1 w1 w1 r0 r0 w0 r1 r1");
+        assert_matches_direct(&trace, &cells_for(&[1, 3], &WritePolicy::TABLE_VI));
+    }
+
+    #[test]
+    fn hole_on_top_consumed_by_a_miss() {
+        // Unlinking the block on top leaves a hole at depth 1 carrying
+        // the capacity-1 marker; the next miss consumes it and takes
+        // the marker. The dirty `w3` dies unwritten on top.
+        let trace = one_block_trace("w0 r1 u1 r2 r0 w3 u3 w4 r0 r2 r4 r1");
+        assert_matches_direct(&trace, &cells_for(&[1, 2, 3], &WritePolicy::TABLE_VI));
+    }
+
+    #[test]
+    fn hole_directly_above_the_rereferenced_block() {
+        // `u1` leaves a hole right above block 0 (at depth 2, then at
+        // depth 1 after `r0 r1 u1`); re-reading 0 consumes it, and 0's
+        // old slot becomes the new hole with 0's capacity-3 marker,
+        // which the next miss (`r3`) must find there.
+        let cells = cells_for(&[1, 2, 3, 4], &WritePolicy::TABLE_VI);
+        let trace = one_block_trace("w0 r1 w2 u1 r0 r3 r5 r0 r2 w0 r1 u1 r0 r4 r5 w2 r0 r3");
+        assert_matches_direct(&trace, &cells);
+        // With dirty 7 between the hole and 6, the new hole at 6's old
+        // depth keeps 6's stamp: it lies below 7, so re-reading 7 is a
+        // plain hit that consumes nothing and writes nothing back.
+        let trace = one_block_trace("r6 w7 r8 r9 u8 r6 r7 r9 r6 w7 r8");
+        assert_matches_direct(&trace, &cells);
+    }
+
+    #[test]
+    fn markers_appear_as_the_stack_grows() {
+        // Ten distinct blocks, one new block per step, each followed by
+        // a re-reference of an older one: every capacity's marker first
+        // appears at the tail, then every segment boundary is crossed.
+        let script: Vec<String> = (0..10)
+            .flat_map(|n| [format!("w{n}"), format!("r{}", n / 2)])
+            .collect();
+        let trace = one_block_trace(&script.join(" "));
+        assert_matches_direct(&trace, &cells_for(&[1, 2, 3, 5, 8], &WritePolicy::TABLE_VI));
+    }
+
+    #[test]
+    fn prunes_when_the_largest_capacity_is_one_block() {
+        // One capacity of one block: every miss prunes the top entry
+        // through the marker it also moves onto the incoming block, and
+        // holes on top are consumed by hits and misses alike.
+        let trace = one_block_trace("w0 r1 w0 r0 u0 w2 r1 r1 w3 u3 r4 w4 r0 u0 r0");
+        assert_matches_direct(&trace, &cells_for(&[1], &WritePolicy::TABLE_VI));
     }
 }

@@ -1,7 +1,8 @@
 //! Property-based tests for the block cache engine and the replay.
 
 use cachesim::{
-    replay_events, sweep, BlockCache, CacheConfig, Replacement, Simulator, StackEngine, WritePolicy,
+    replay_events, sweep, BlockCache, CacheConfig, Fidelity, Replacement, Simulator, StackEngine,
+    WritePolicy,
 };
 use fstrace::{AccessMode, FileId, OpenId, Trace, TraceBuilder, TraceEvent, TraceRecord, UserId};
 use proptest::prelude::*;
@@ -298,6 +299,63 @@ proptest! {
         prop_assert_eq!(results.len(), configs.len());
         for (config, metrics) in &results {
             prop_assert_eq!(metrics.clone(), Simulator::run(&trace, config));
+        }
+    }
+}
+
+proptest! {
+    // More cases than the block above: each draws a whole grid, and
+    // a capacity sitting exactly at a re-referenced depth is rare.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The profiler's per-capacity markers under every knob a profile
+    /// subgroup shares: a random capacity set (duplicates allowed, and
+    /// sometimes one past any trace's footprint, so the list never
+    /// fills), block size, elision, invalidation and fidelity, with a
+    /// random flush interval next to the Table VI policies. Every cell
+    /// equals its direct simulation.
+    #[test]
+    fn stack_profile_matches_direct_on_random_grids(
+        trace in arb_raw_trace(),
+        caps_blocks in prop::collection::vec(1u64..=64, 1..9),
+        beyond_footprint in any::<bool>(),
+        block_kb_log2 in 0u32..6,
+        whole_block_elision in any::<bool>(),
+        invalidate_on_delete in any::<bool>(),
+        fidelity in prop_oneof![Just(Fidelity::Block), Just(Fidelity::Syscall), Just(Fidelity::Open)],
+        interval_ms in 1u64..200_000,
+    ) {
+        let mut caps_blocks = caps_blocks;
+        if beyond_footprint {
+            // Six files of at most 200 kB: under 1,200 1 KiB blocks.
+            caps_blocks.push(1 << 16);
+        }
+        let block_size = 1024u64 << block_kb_log2;
+        let mut policies = WritePolicy::TABLE_VI.to_vec();
+        policies.push(WritePolicy::FlushBack { interval_ms });
+        let cells: Vec<CacheConfig> = caps_blocks
+            .iter()
+            .flat_map(|&blocks| {
+                policies.iter().map(move |&write_policy| CacheConfig {
+                    cache_bytes: blocks * block_size,
+                    block_size,
+                    write_policy,
+                    whole_block_elision,
+                    invalidate_on_delete,
+                    fidelity,
+                    ..CacheConfig::default()
+                })
+            })
+            .collect();
+        let mut engine = StackEngine::try_new(&cells).expect("profilable cells");
+        for ev in replay_events(&trace, &cells[0]) {
+            engine.step(&ev);
+        }
+        let profiled = engine.finish();
+        prop_assert_eq!(profiled.len(), cells.len());
+        for (config, got) in cells.iter().zip(profiled) {
+            let want = Simulator::run(&trace, config);
+            prop_assert_eq!(got, want, "config {:?}", config);
         }
     }
 }

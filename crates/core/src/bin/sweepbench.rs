@@ -4,19 +4,26 @@
 //! sweepbench [--hours H] [--seed S] [--jobs N] [--json]
 //! ```
 //!
-//! Generates one a5-profile trace, then runs the Table VI grid (6 cache
-//! sizes × 4 write policies, all LRU) twice: through `cachesim::sweep`
-//! (one stack-distance profiled pass), and directly (one shared
-//! expansion of the trace, then 24 `Simulator::run_events` replays on
-//! `--jobs` threads — what the sweep does for cells it cannot profile).
-//! Both produce bit-identical metrics — the `identical` output field
-//! proves it on every run — so the only difference is wall-clock time.
-//! ci.sh runs this in quick mode and records the result as
-//! `BENCH_4.json`, asserting the profiled sweep is at least 3× faster.
+//! Generates one a5-profile trace, then runs two grids twice each:
+//! through `cachesim::sweep` (stack-distance profiled passes), and
+//! directly (one shared expansion of the trace, then one
+//! `Simulator::run_events` replay per cell on `--jobs` threads — what
+//! the sweep does for cells it cannot profile). The grids are Table VI
+//! (6 cache sizes × 4 write policies at 4 KiB blocks: one 24-cell
+//! profile) and Table VII (6 block sizes × 4 cache sizes, delayed
+//! write: six 4-cell profiles, the shape where profiling gains least).
+//! Both sides produce bit-identical metrics — the `identical` and
+//! `table7_identical` fields prove it on every run, and the binary
+//! exits nonzero otherwise — so the only difference is wall-clock
+//! time. ci.sh records a quick run as `BENCH_4.json`, asserting the
+//! Table VI profile is at least 3× faster, and a 2-hour run as
+//! `BENCH_4_table7.json`, asserting the Table VII profiles are at least
+//! 1.2× faster.
 
 use std::thread;
 use std::time::Instant;
 
+use bsdtrace::paper::{TABLE_VII_BLOCK_KB, TABLE_VII_CACHE_KB};
 use cachesim::{replay_events, sweep, CacheConfig, CacheMetrics, Simulator, WritePolicy};
 use fstrace::Trace;
 use workload::{generate, MachineProfile, WorkloadConfig};
@@ -40,8 +47,23 @@ fn grid() -> Vec<CacheConfig> {
         .collect()
 }
 
-/// The grid without stack-distance profiling: one expansion of the
-/// trace (every Table VI cell shares its expansion key), then one
+/// The Table VII grid: every block size × cache size, delayed write.
+fn table7_grid() -> Vec<CacheConfig> {
+    TABLE_VII_BLOCK_KB
+        .iter()
+        .flat_map(|&block_kb| {
+            TABLE_VII_CACHE_KB.iter().map(move |&cache_kb| CacheConfig {
+                cache_bytes: cache_kb * 1024,
+                block_size: block_kb * 1024,
+                write_policy: WritePolicy::DelayedWrite,
+                ..CacheConfig::default()
+            })
+        })
+        .collect()
+}
+
+/// A grid without stack-distance profiling: one expansion of the
+/// trace (every cell of either grid shares one expansion key), then one
 /// direct replay per cell, the cells split across `jobs` scoped
 /// threads.
 fn direct_sweep(
@@ -121,20 +143,24 @@ fn main() {
         ..WorkloadConfig::default()
     };
     let out = generate(&config).unwrap_or_else(|e| die(&format!("generate: {e}")));
-    let configs = grid();
-
     // Profiled first (cold caches), direct second: any warm-up effect
     // biases against the speedup being claimed.
-    let (profiled_ms, profiled) = timed(|| sweep::run_source(out.trace.records(), &configs, jobs));
-    let (direct_ms, direct) = timed(|| direct_sweep(&out.trace, &configs, jobs));
-    let identical = profiled == direct;
-    let speedup = direct_ms / profiled_ms.max(1e-9);
-
+    let compare = |configs: &[CacheConfig]| {
+        let (profiled_ms, profiled) =
+            timed(|| sweep::run_source(out.trace.records(), configs, jobs));
+        let (direct_ms, direct) = timed(|| direct_sweep(&out.trace, configs, jobs));
+        let speedup = direct_ms / profiled_ms.max(1e-9);
+        (direct_ms, profiled_ms, speedup, profiled == direct)
+    };
+    let configs = grid();
+    let (direct_ms, profiled_ms, speedup, identical) = compare(&configs);
+    // The profiler's counters describe the Table VI pass alone.
     let snap = obs::global().snapshot();
     let distances = snap
         .counter("cachesim.stack.distances_recorded")
         .unwrap_or(0);
     let tree_peak = snap.gauge("cachesim.stack.tree_nodes_peak").unwrap_or(0);
+    let (t7_direct_ms, t7_profiled_ms, t7_speedup, t7_identical) = compare(&table7_grid());
 
     if json {
         let mut s = String::from("{\n");
@@ -149,7 +175,11 @@ fn main() {
         s.push_str(&format!("  \"speedup\": {speedup:.2},\n"));
         s.push_str(&format!("  \"distances_recorded\": {distances},\n"));
         s.push_str(&format!("  \"tree_nodes_peak\": {tree_peak},\n"));
-        s.push_str(&format!("  \"identical\": {identical}\n"));
+        s.push_str(&format!("  \"identical\": {identical},\n"));
+        s.push_str(&format!("  \"table7_direct_ms\": {t7_direct_ms:.1},\n"));
+        s.push_str(&format!("  \"table7_profiled_ms\": {t7_profiled_ms:.1},\n"));
+        s.push_str(&format!("  \"table7_speedup\": {t7_speedup:.2},\n"));
+        s.push_str(&format!("  \"table7_identical\": {t7_identical}\n"));
         s.push('}');
         println!("{s}");
     } else {
@@ -162,9 +192,16 @@ fn main() {
         println!("  distances_recorded: {distances}");
         println!("  tree_nodes_peak: {tree_peak}");
         println!("  identical: {identical}");
+        println!("  table7_direct_ms: {t7_direct_ms:.1}");
+        println!("  table7_profiled_ms: {t7_profiled_ms:.1}");
+        println!("  table7_speedup: {t7_speedup:.2}x");
+        println!("  table7_identical: {t7_identical}");
     }
     if !identical {
         die("profiled sweep diverged from direct simulation");
+    }
+    if !t7_identical {
+        die("profiled Table VII sweep diverged from direct simulation");
     }
 }
 

@@ -100,8 +100,9 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 ///
 /// Any malformed stream — bad length, out-of-window offset, overrun,
 /// trailing garbage — yields an error; the decoder never panics and
-/// never grows `out` beyond `expected_len`. On error the buffer's
-/// contents are unspecified.
+/// never grows `out` beyond `expected_len`, nor reserves more than the
+/// stream's tokens could decode to. On error the buffer's contents are
+/// unspecified.
 pub fn decompress_into(
     stream: &[u8],
     expected_len: usize,
@@ -114,7 +115,11 @@ pub fn decompress_into(
         return Err(corrupt());
     }
     out.clear();
-    out.reserve(raw_len);
+    // A 3-byte match token yields at most `MAX_MATCH` bytes and a
+    // literal token less than its own length, so a header claiming more
+    // than that over a short stream reserves only what it could fill.
+    let decodable = (stream.len() - pos).div_ceil(3).saturating_mul(MAX_MATCH);
+    out.reserve(raw_len.min(decodable));
     while out.len() < raw_len {
         let &ctrl = stream.get(pos).ok_or_else(corrupt)?;
         pos += 1;
@@ -220,6 +225,19 @@ mod tests {
         roundtrip(&data);
         let packed = compress(&data);
         assert!(packed.len() < 64, "RLE should collapse: {}", packed.len());
+    }
+
+    #[test]
+    fn huge_declared_length_reserves_only_what_the_tokens_can_fill() {
+        // A header claiming 2^28 bytes (the chunk cap) over one token
+        // byte: the decoder must fail without reserving 256 MiB.
+        let raw_len = 1usize << 28;
+        let mut stream = Vec::new();
+        put_varint(&mut stream, raw_len as u64);
+        stream.push(0x80);
+        let mut out = Vec::new();
+        assert!(decompress_into(&stream, raw_len, &mut out).is_err());
+        assert!(out.capacity() < 1024, "reserved {} bytes", out.capacity());
     }
 
     #[test]

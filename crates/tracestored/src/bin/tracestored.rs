@@ -17,7 +17,8 @@ usage:
 
   tracestored client --addr A CMD
       CMD: summary | analyze | sweep KB[,KB...] | range FROM_MS TO_MS
-         | metrics | ingest FILE.tsa | shutdown";
+         | metrics | ingest FILE.tsa | shutdown
+      A sweep names at most 64 sizes.";
 
 fn die(msg: &str) -> ! {
     eprintln!("tracestored: {msg}");

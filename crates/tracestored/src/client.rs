@@ -88,6 +88,8 @@ impl Client {
     }
 
     /// A cache sweep over the served trace, one row per size in KiB.
+    /// A request naming more than [`protocol::MAX_SWEEP_SIZES`] sizes
+    /// gets an error reply.
     pub fn sweep(&mut self, sizes_kb: &[u64]) -> io::Result<String> {
         let mut payload = Vec::new();
         put_varint(&mut payload, sizes_kb.len() as u64);

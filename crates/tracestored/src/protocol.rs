@@ -73,6 +73,11 @@ pub const MAX_ANALYSIS_WINDOWS: u64 = 1 << 24;
 /// 2^28 is about 11 s of one-cell replay.
 pub const MAX_SWEEP_BLOCKS: u64 = 1 << 28;
 
+/// Cap on the cache sizes one `sweep` request may name (the reply has
+/// one row per size). A request naming more gets an error reply before
+/// any size is read.
+pub const MAX_SWEEP_SIZES: u64 = 64;
+
 /// The ingest handshake: which merge input this connection feeds.
 ///
 /// `offsets` are the id offsets this input's records are remapped by

@@ -575,8 +575,17 @@ impl Connection {
                     let mut pos = 0;
                     let count = get_varint(payload, &mut pos)
                         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+                    if count > protocol::MAX_SWEEP_SIZES {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidInput,
+                            format!(
+                                "sweep: {count} sizes requested, over the cap of {}",
+                                protocol::MAX_SWEEP_SIZES
+                            ),
+                        ));
+                    }
                     let mut sizes = Vec::new();
-                    for _ in 0..count.min(64) {
+                    for _ in 0..count {
                         sizes.push(get_varint(payload, &mut pos).map_err(|e| {
                             io::Error::new(io::ErrorKind::InvalidData, e.to_string())
                         })?);

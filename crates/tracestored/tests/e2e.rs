@@ -292,6 +292,42 @@ fn concurrent_ingest_matches_offline_merge_and_local_analyses() {
 }
 
 #[test]
+fn sweep_past_the_size_cap_gets_an_error_and_the_daemon_keeps_serving() {
+    let dir = tmpdir("sweep-cap");
+    let config = ServerConfig {
+        dir: dir.clone(),
+        query_jobs: 2,
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = tracestored::spawn(config).expect("spawn server");
+    let addr = addr.to_string();
+    stream_as_client(&addr, 1, 0, &machine_stream(0, 200), 50);
+
+    let cap = protocol::MAX_SWEEP_SIZES;
+    let sizes: Vec<u64> = (1..=cap + 1).collect();
+    let mut q = Client::connect(&addr).expect("query client");
+    let table = q.sweep(&sizes[..cap as usize]).expect("sweep at the cap");
+    assert_eq!(
+        table.lines().count() as u64,
+        cap + 1,
+        "header plus one row per size"
+    );
+    let err = q.sweep(&sizes).expect_err("one size past the cap");
+    assert!(err.to_string().contains(&format!("cap of {cap}")), "{err}");
+    // The error reply costs neither the connection nor the daemon.
+    assert_eq!(
+        q.sweep(&[64, 400])
+            .expect("sweep after the error")
+            .lines()
+            .count(),
+        3
+    );
+    q.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("server run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn killed_mid_frame_connection_corrupts_nothing() {
     let server_dir = tmpdir("kill-server");
     let config = ServerConfig {
