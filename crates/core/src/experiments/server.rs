@@ -71,11 +71,7 @@ pub fn run(set: &TraceSet) -> Server {
         })
         .sum();
     let configs = server_configs(set.fidelity);
-    let results = sweep::run_source(
-        merged_records(&traces).map(|r| r.expect("in-memory merge cannot fail")),
-        &configs,
-        sweep::default_jobs(),
-    );
+    let results = sweep::run_source(merged_records(&traces), &configs, sweep::default_jobs());
     Server {
         clients: traces.len(),
         records,
@@ -101,9 +97,7 @@ pub fn run_archived(set: &TraceSet, path: &Path, jobs: usize) -> Server {
         }
         None => {
             let traces: Vec<&Trace> = set.entries.iter().map(|e| &e.out.trace).collect();
-            let records: Vec<TraceRecord> = merged_records(&traces)
-                .map(|r| r.expect("in-memory merge cannot fail"))
-                .collect();
+            let records: Vec<TraceRecord> = merged_records(&traces).collect();
             let trace = Trace::from_records(records);
             archive::store_trace(path, "server-merged", &trace);
             eprintln!("  server: merged trace archived to {}", path.display());

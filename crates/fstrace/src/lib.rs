@@ -23,8 +23,9 @@
 //!   every hot id-keyed table in the replay and analysis loops.
 //! * [`source`] — streaming [`source::RecordSource`] /
 //!   [`source::RecordSink`] contracts, the k-way time-ordered
-//!   [`MergeSource`], and the [`ReorderBuffer`] that bounds the memory
-//!   of almost-sorted producers.
+//!   [`FleetMerge`] (and [`merged_records`], its pull driver over
+//!   in-memory traces), and the [`ReorderBuffer`] that bounds the
+//!   memory of almost-sorted producers.
 //! * [`session`] — reconstruction of per-open access patterns
 //!   ([`OpenSession`], [`Run`]): the sequential runs, transfer billing at
 //!   the next close/seek, and derived file size at close.
@@ -68,8 +69,7 @@ pub use hash::{FastMap, FastSet};
 pub use ids::{FileId, OpenId, Timestamp, UserId, TICK_MS};
 pub use session::{OpenSession, Run, SessionBuilder, SessionSet, Step};
 pub use source::{
-    merged_records, FleetMerge, IdOffsets, MergeSource, RecordSink, RecordSource, ReorderBuffer,
-    TextSink,
+    merged_records, FleetMerge, IdOffsets, RecordSink, RecordSource, ReorderBuffer, TextSink,
 };
 pub use summary::TraceSummary;
 pub use trace::{Trace, TraceBuilder};

@@ -2,15 +2,16 @@
 //!
 //! The paper's tracer streamed events off a live kernel for days; this
 //! module gives the reproduction the same shape. A [`RecordSource`] is
-//! any fallible iterator of [`TraceRecord`]s — an in-memory trace, an
-//! incremental [`crate::TraceReader`], or a [`MergeSource`] combining
-//! several of either. A [`RecordSink`] is anywhere records go — a
-//! `Vec`, a [`TraceWriter`], a [`TextSink`]. Producers that emit
-//! records slightly out of order (the workload engine interleaves
-//! actors within a scheduling step) pass through a [`ReorderBuffer`],
-//! whose occupancy high-water mark is exported as the
-//! `fstrace.pipeline.buffered_records_peak` gauge — the observable form
-//! of the bounded-memory claim.
+//! any fallible iterator of [`TraceRecord`]s — an in-memory trace or an
+//! incremental [`crate::TraceReader`]. A [`RecordSink`] is anywhere
+//! records go — a `Vec`, a [`TraceWriter`], a [`TextSink`]. One k-way
+//! merge, [`FleetMerge`], combines time-ordered streams; producers push
+//! into it, and [`merged_records`] pulls in-memory traces through it.
+//! Producers that emit records slightly out of order (the workload
+//! engine interleaves actors within a scheduling step) pass through a
+//! [`ReorderBuffer`], whose occupancy high-water mark is exported as
+//! the `fstrace.pipeline.buffered_records_peak` gauge — the observable
+//! form of the bounded-memory claim.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -156,119 +157,95 @@ pub fn remap_record(rec: &TraceRecord, off: IdOffsets) -> TraceRecord {
     }
 }
 
-/// K-way time-ordered merge of several record sources.
-///
-/// Each input must itself be in nondecreasing time order (every
-/// [`RecordSource`] is); the merge then emits the exact sequence a
-/// concatenate-remap-stable-sort of the materialized inputs would —
-/// records with equal timestamps come out in input order, and within
-/// one input in that input's order — while buffering only one record
-/// per input. This is what lets the server experiment simulate the sum
-/// of N client traces without ever materializing the merged trace.
-///
-/// On the first error from any input, the merge yields that error and
-/// ends; a partially merged stream cannot be resynchronized.
-pub struct MergeSource<S> {
-    sources: Vec<S>,
-    offsets: Vec<IdOffsets>,
-    /// Head record of each non-exhausted source, keyed into by `heap`.
-    heads: Vec<Option<TraceRecord>>,
-    /// Min-heap of (head time, source index); the index tie-break makes
-    /// equal-time ordering match stable concatenation order.
-    heap: BinaryHeap<Reverse<(Timestamp, usize)>>,
-    pending_err: Option<DecodeError>,
-    started: bool,
-    failed: bool,
-}
-
-impl<S> MergeSource<S>
-where
-    S: Iterator<Item = Result<TraceRecord, DecodeError>>,
-{
-    /// Combines sources, remapping each one's ids by its offsets.
-    pub fn new(sources: Vec<(S, IdOffsets)>) -> Self {
-        let (sources, offsets): (Vec<S>, Vec<IdOffsets>) = sources.into_iter().unzip();
-        let heads = sources.iter().map(|_| None).collect();
-        MergeSource {
-            sources,
-            offsets,
-            heads,
-            heap: BinaryHeap::new(),
-            pending_err: None,
-            started: false,
-            failed: false,
-        }
-    }
-
-    /// Pulls the next record of source `i` into `heads`/`heap`.
-    fn advance(&mut self, i: usize) {
-        match self.sources[i].next() {
-            Some(Ok(rec)) => {
-                let rec = remap_record(&rec, self.offsets[i]);
-                self.heap.push(Reverse((rec.time, i)));
-                self.heads[i] = Some(rec);
-            }
-            Some(Err(e)) => self.pending_err = Some(e),
-            None => {}
-        }
-    }
-}
-
-impl<S> Iterator for MergeSource<S>
-where
-    S: Iterator<Item = Result<TraceRecord, DecodeError>>,
-{
-    type Item = Result<TraceRecord, DecodeError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        if !self.started {
-            self.started = true;
-            for i in 0..self.sources.len() {
-                self.advance(i);
-            }
-        }
-        if let Some(e) = self.pending_err.take() {
-            self.failed = true;
-            return Some(Err(e));
-        }
-        let Reverse((_, i)) = self.heap.pop()?;
-        let rec = self.heads[i].take().expect("heap entry has a head record");
-        self.advance(i);
-        Some(Ok(rec))
-    }
-}
-
-/// An infallible in-memory record iterator, for feeding [`MergeSource`].
-type TraceRecords<'a> = std::iter::Map<
-    std::slice::Iter<'a, TraceRecord>,
-    fn(&TraceRecord) -> Result<TraceRecord, DecodeError>,
->;
-
-fn ok_record(rec: &TraceRecord) -> Result<TraceRecord, DecodeError> {
-    Ok(*rec)
-}
-
 /// Streams the k-way merge of in-memory traces with automatic
 /// collision-free id offsets — [`Trace::merge`]'s record sequence
-/// without the materialization. The inputs are infallible, so every
-/// item is `Ok`.
-pub fn merged_records<'a>(traces: &[&'a Trace]) -> MergeSource<TraceRecords<'a>> {
-    let mut sources: Vec<(TraceRecords<'a>, IdOffsets)> = Vec::with_capacity(traces.len());
+/// without the materialization.
+///
+/// A pull driver over [`FleetMerge`]: it always advances the input
+/// whose progress is lowest (the one with the earliest unpushed
+/// record), pushes that input's records for its next tick, and yields
+/// whatever the merge releases. The output is therefore the
+/// concatenate-remap-stable-sort sequence — equal timestamps in input
+/// order, each input's own order kept — while at most one tick's
+/// records per input are buffered. This is what lets the server
+/// experiment simulate the sum of N client traces without ever
+/// materializing the merged trace.
+pub fn merged_records<'a>(traces: &[&'a Trace]) -> MergedRecords<'a> {
+    let mut merge = FleetMerge::new(auto_offsets(traces));
+    let inputs: Vec<&[TraceRecord]> = traces.iter().map(|t| t.records()).collect();
+    for (i, recs) in inputs.iter().enumerate() {
+        if recs.is_empty() {
+            merge.finish_input(i);
+        }
+    }
+    MergedRecords {
+        inputs,
+        merge,
+        released: Vec::new(),
+        next: 0,
+    }
+}
+
+/// Collision-free offsets for merging `traces`: each input's ids start
+/// past every id of the inputs before it.
+fn auto_offsets(traces: &[&Trace]) -> Vec<IdOffsets> {
+    let mut offsets = Vec::with_capacity(traces.len());
     let mut off = IdOffsets::default();
     for t in traces {
-        sources.push((
-            t.records().iter().map(ok_record as fn(&TraceRecord) -> _),
-            off,
-        ));
+        offsets.push(off);
         let (o, f, u) = t.max_ids();
         off.open += o + 1;
         off.file += f + 1;
         off.user += u + 1;
     }
-    MergeSource::new(sources)
+    offsets
+}
+
+/// The iterator [`merged_records`] returns.
+pub struct MergedRecords<'a> {
+    /// Each input's records not yet pushed into `merge`.
+    inputs: Vec<&'a [TraceRecord]>,
+    merge: FleetMerge,
+    /// Records the last release emitted; `next` indexes the first not
+    /// yet yielded.
+    released: Vec<TraceRecord>,
+    next: usize,
+}
+
+impl Iterator for MergedRecords<'_> {
+    type Item = TraceRecord;
+
+    fn next(&mut self) -> Option<TraceRecord> {
+        loop {
+            if let Some(&rec) = self.released.get(self.next) {
+                self.next += 1;
+                return Some(rec);
+            }
+            self.released.clear();
+            self.next = 0;
+            // An input's progress is the time of its first unpushed
+            // record; ties go to the lowest index.
+            let (i, tick) = self
+                .inputs
+                .iter()
+                .enumerate()
+                .filter_map(|(i, recs)| recs.first().map(|r| (i, r.time)))
+                .min_by_key(|&(_, time)| time)?;
+            let recs = self.inputs[i];
+            let n = recs.iter().take_while(|r| r.time == tick).count();
+            for rec in &recs[..n] {
+                self.merge.push(i, rec);
+            }
+            self.inputs[i] = &recs[n..];
+            match self.inputs[i].first() {
+                Some(next) => self.merge.set_progress(i, next.time.as_ms()),
+                None => self.merge.finish_input(i),
+            }
+            self.merge
+                .release(&mut self.released)
+                .expect("writing to a Vec cannot fail");
+        }
+    }
 }
 
 /// The `fstrace.pipeline.buffered_records_peak` gauge: the most records
@@ -426,20 +403,20 @@ struct FleetInput {
     in_heap: bool,
 }
 
-/// Watermark-gated k-way merge for concurrently produced streams.
+/// Watermark-gated k-way merge of time-ordered streams.
 ///
-/// [`MergeSource`] pulls; `FleetMerge` is its push-mode sibling for
-/// producers that live on other threads: each simulated machine feeds
-/// records (in its own nondecreasing time order) and separately
-/// advances a *progress watermark* — a promise that everything it will
-/// ever emit before that time has already been pushed. [`release`]
-/// then emits every record whose quantized time lies strictly below
-/// the **fleet watermark** (the minimum progress over unfinished
-/// inputs), ordered by `(time, input index, push order)` — exactly the
-/// sequence [`MergeSource`] over the complete per-input streams would
-/// produce, and therefore independent of how pushes, progress updates,
-/// and releases interleave. That schedule-independence is the fleet
-/// determinism contract: a merge fed by N racing threads is
+/// Producers push: each input (a simulated machine, an ingest
+/// connection, or one trace under [`merged_records`]) feeds records in
+/// its own nondecreasing time order and separately advances a
+/// *progress watermark* — a promise that everything it will ever emit
+/// before that time has already been pushed. [`release`] then emits
+/// every record whose quantized time lies strictly below the **fleet
+/// watermark** (the minimum progress over unfinished inputs), ordered
+/// by `(time, input index, push order)` — exactly the sequence a
+/// concatenate-remap-stable-sort of the complete per-input streams
+/// would produce, and therefore independent of how pushes, progress
+/// updates, and releases interleave. That schedule-independence is the
+/// fleet determinism contract: a merge fed by N racing threads is
 /// byte-identical to the same merge fed serially.
 ///
 /// The slowest input gates the merge, so buffering is bounded by how
@@ -613,7 +590,6 @@ impl FleetMerge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{FillRecords, RecordBlock};
     use crate::event::AccessMode;
     use crate::trace::TraceBuilder;
 
@@ -629,56 +605,14 @@ mod tests {
         b.finish()
     }
 
-    /// Splits a trace's encoded form into blocks of `step` records.
-    fn blocks_of(trace: &Trace, step: usize) -> Vec<RecordBlock> {
-        let mut buf = Vec::new();
-        let mut prev = 0u64;
-        for r in trace.records() {
-            prev = codec::encode_into(&mut buf, r, prev);
+    /// The independent model of every merge: concatenate the remapped
+    /// inputs in order and let `from_records`' stable sort arrange them.
+    fn concat_remap_stable_sort(traces: &[&Trace]) -> Vec<TraceRecord> {
+        let mut concat = Vec::new();
+        for (t, off) in traces.iter().zip(auto_offsets(traces)) {
+            concat.extend(t.records().iter().map(|r| remap_record(r, off)));
         }
-        let mut blocks = Vec::new();
-        let mut pos = 0;
-        let mut ticks = 0u64;
-        while pos < buf.len() {
-            let mut b = RecordBlock::new();
-            ticks = crate::block::decode_block(&buf, &mut pos, ticks, buf.len(), step, &mut b)
-                .expect("well-formed");
-            blocks.push(b);
-        }
-        blocks
-    }
-
-    #[test]
-    fn block_sources_merge_like_record_sources() {
-        let a = client(0, 5);
-        let b = client(35, 4);
-        let sources: Vec<_> = [&a, &b]
-            .into_iter()
-            .map(|t| {
-                (
-                    FillRecords::new(blocks_of(t, 3).into_iter()).map(Ok),
-                    IdOffsets::default(),
-                )
-            })
-            .collect();
-        let streamed: Vec<TraceRecord> = MergeSource::new(sources)
-            .map(|r| r.expect("block merge is infallible here"))
-            .collect();
-        // The oracle: the same merge over plain record iterators.
-        let expected: Vec<TraceRecord> = MergeSource::new(
-            [&a, &b]
-                .into_iter()
-                .map(|t| {
-                    (
-                        t.records().to_vec().into_iter().map(Ok),
-                        IdOffsets::default(),
-                    )
-                })
-                .collect(),
-        )
-        .map(|r| r.expect("record merge is infallible here"))
-        .collect();
-        assert_eq!(streamed, expected);
+        Trace::from_records(concat).records().to_vec()
     }
 
     #[test]
@@ -686,9 +620,7 @@ mod tests {
         let a = client(0, 5);
         let b = client(35, 4);
         let c = client(10, 3);
-        let streamed: Vec<TraceRecord> = merged_records(&[&a, &b, &c])
-            .map(|r| r.expect("in-memory merge is infallible"))
-            .collect();
+        let streamed: Vec<TraceRecord> = merged_records(&[&a, &b, &c]).collect();
         let merged = Trace::merge(&[a, b, c]);
         assert_eq!(streamed, merged.records());
     }
@@ -697,7 +629,7 @@ mod tests {
     fn merge_ties_prefer_earlier_source() {
         let a = client(100, 1); // open at 100, close at 130
         let b = client(100, 1);
-        let recs: Vec<TraceRecord> = merged_records(&[&a, &b]).map(|r| r.unwrap()).collect();
+        let recs: Vec<TraceRecord> = merged_records(&[&a, &b]).collect();
         // Equal timestamps: source 0's record first, like stable sort.
         assert_eq!(recs[0].time, recs[1].time);
         assert_eq!(recs[0].event.open_id(), Some(OpenId(0)));
@@ -726,9 +658,7 @@ mod tests {
         };
         let traces = [make(3), make(2), make(4), make(1)];
         let refs: Vec<&Trace> = traces.iter().collect();
-        let streamed: Vec<TraceRecord> = merged_records(&refs)
-            .map(|r| r.expect("in-memory merge is infallible"))
-            .collect();
+        let streamed: Vec<TraceRecord> = merged_records(&refs).collect();
         let materialized = Trace::merge(&traces);
         assert_eq!(streamed, materialized.records());
         // Byte-for-byte: the streamed sequence encodes to exactly the
@@ -754,21 +684,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_stops_at_first_source_error() {
-        let good = vec![Ok(TraceRecord::new(
-            0,
-            TraceEvent::Unlink {
-                file_id: FileId(0),
-                user_id: UserId(0),
-            },
-        ))];
-        let bad: Vec<Result<TraceRecord, DecodeError>> = vec![Err(DecodeError::BadVarint)];
-        let mut m = MergeSource::new(vec![
-            (good.into_iter(), IdOffsets::default()),
-            (bad.into_iter(), IdOffsets::default()),
-        ]);
-        assert!(m.next().expect("first item").is_err());
-        assert!(m.next().is_none());
+    fn pull_merge_buffers_at_most_one_tick_per_input() {
+        // Every record of these clients sits on its own tick.
+        let traces = [client(0, 40), client(35, 30), client(10, 20)];
+        let refs: Vec<&Trace> = traces.iter().collect();
+        let mut merged = merged_records(&refs);
+        let mut yielded = 0;
+        while merged.next().is_some() {
+            yielded += 1;
+            assert!(merged.merge.buffered() <= refs.len());
+        }
+        assert_eq!(yielded, 180);
     }
 
     #[test]
@@ -866,31 +792,18 @@ mod tests {
         out
     }
 
-    /// The same collision-free offsets [`merged_records`] would pick.
-    fn auto_offsets(traces: &[&Trace]) -> Vec<IdOffsets> {
-        let mut offsets = Vec::with_capacity(traces.len());
-        let mut off = IdOffsets::default();
-        for t in traces {
-            offsets.push(off);
-            let (o, f, u) = t.max_ids();
-            off.open += o + 1;
-            off.file += f + 1;
-            off.user += u + 1;
-        }
-        offsets
-    }
-
     #[test]
     fn fleet_merge_matches_pull_merge() {
+        // Pushed in any chunking, or pulled by `merged_records`, the
+        // merge is the concatenate-remap-stable-sort sequence.
         let a = client(0, 5);
         let b = client(35, 4);
         let c = client(10, 3);
-        let expected: Vec<TraceRecord> = merged_records(&[&a, &b, &c])
-            .map(|r| r.expect("in-memory merge is infallible"))
-            .collect();
+        let expected = concat_remap_stable_sort(&[&a, &b, &c]);
         for chunk in [1, 2, 7, 100] {
             assert_eq!(fleet_merge_chunked(&[&a, &b, &c], chunk), expected);
         }
+        assert_eq!(merged_records(&[&a, &b, &c]).collect::<Vec<_>>(), expected);
     }
 
     #[test]
@@ -899,9 +812,7 @@ mod tests {
         // tick, so the output order is pure tie-breaking.
         let a = client(100, 3);
         let b = client(100, 3);
-        let expected: Vec<TraceRecord> = merged_records(&[&a, &b])
-            .map(|r| r.expect("in-memory merge is infallible"))
-            .collect();
+        let expected = concat_remap_stable_sort(&[&a, &b]);
         let merged = fleet_merge_chunked(&[&a, &b], 2);
         assert_eq!(merged, expected);
         // Ties resolve input 0 first at every tied tick.

@@ -235,15 +235,13 @@ impl Trace {
     /// it (the scenario Section 6 of the paper opens with).
     ///
     /// A thin wrapper over the streaming k-way
-    /// [`merge`](source::merged_records): collecting that source yields
-    /// exactly the concatenate-remap-stable-sort sequence this function
-    /// always produced, so callers that can consume a stream (the
-    /// server experiment) skip the materialization entirely.
+    /// [`merge`](source::merged_records): collecting that iterator
+    /// yields exactly the concatenate-remap-stable-sort sequence this
+    /// function always produced, so callers that can consume a stream
+    /// (the server experiment) skip the materialization entirely.
     pub fn merge(traces: &[Trace]) -> Trace {
         let refs: Vec<&Trace> = traces.iter().collect();
-        let records = source::merged_records(&refs)
-            .map(|r| r.expect("in-memory merge is infallible"))
-            .collect();
+        let records = source::merged_records(&refs).collect();
         Trace { records }
     }
 

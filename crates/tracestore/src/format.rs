@@ -187,18 +187,32 @@ pub fn encode_footer(meta: &ArchiveMeta, chunks: &[ChunkInfo]) -> Vec<u8> {
     let mut prev_offset = 0u64;
     for c in chunks {
         // Offsets are increasing; delta-encode them for compactness.
-        put_varint(&mut out, c.offset - prev_offset);
+        let entry: IndexEntry = [
+            c.offset - prev_offset,
+            c.records as u64,
+            c.raw_len as u64,
+            c.stored_len as u64,
+            c.first_ticks,
+            c.last_ticks.saturating_sub(c.first_ticks),
+            c.compressed as u64,
+            c.crc as u64,
+        ];
         prev_offset = c.offset;
-        put_varint(&mut out, c.records as u64);
-        put_varint(&mut out, c.raw_len as u64);
-        put_varint(&mut out, c.stored_len as u64);
-        put_varint(&mut out, c.first_ticks);
-        put_varint(&mut out, c.last_ticks.saturating_sub(c.first_ticks));
-        put_varint(&mut out, c.compressed as u64);
-        put_varint(&mut out, c.crc as u64);
+        for v in entry {
+            put_varint(&mut out, v);
+        }
     }
     out
 }
+
+/// One footer index entry: the varints [`encode_footer`] writes per
+/// chunk, in order.
+type IndexEntry = [u64; 8];
+
+/// The fewest bytes an index entry can occupy: one per varint. A
+/// footer's chunk count is only trusted as far as the bytes left in the
+/// body could hold that many entries.
+const MIN_INDEX_ENTRY_BYTES: usize = std::mem::size_of::<IndexEntry>() / std::mem::size_of::<u64>();
 
 /// Parses a footer body produced by [`encode_footer`].
 pub fn decode_footer(body: &[u8]) -> Result<(ArchiveMeta, Vec<ChunkInfo>), DecodeError> {
@@ -215,31 +229,31 @@ pub fn decode_footer(body: &[u8]) -> Result<(ArchiveMeta, Vec<ChunkInfo>), Decod
     let max_file = get_varint(body, &mut pos)?;
     let max_user = u32::try_from(get_varint(body, &mut pos)?).map_err(|_| bad())?;
     let n = get_varint(body, &mut pos)? as usize;
-    let mut chunks = Vec::with_capacity(n.min(1 << 20));
+    let mut chunks = Vec::with_capacity(n.min((body.len() - pos) / MIN_INDEX_ENTRY_BYTES));
     let mut prev_offset = 0u64;
     for _ in 0..n {
-        let offset = prev_offset + get_varint(body, &mut pos)?;
+        let mut entry = IndexEntry::default();
+        for v in &mut entry {
+            *v = get_varint(body, &mut pos)?;
+        }
+        let [offset_delta, records, raw_len, stored_len, first_ticks, span, compressed, crc] =
+            entry;
+        let offset = prev_offset + offset_delta;
         prev_offset = offset;
-        let records = u32::try_from(get_varint(body, &mut pos)?).map_err(|_| bad())?;
-        let raw_len = u32::try_from(get_varint(body, &mut pos)?).map_err(|_| bad())?;
-        let stored_len = u32::try_from(get_varint(body, &mut pos)?).map_err(|_| bad())?;
-        let first_ticks = get_varint(body, &mut pos)?;
-        let last_ticks = first_ticks + get_varint(body, &mut pos)?;
-        let compressed = match get_varint(body, &mut pos)? {
-            0 => false,
-            1 => true,
-            _ => return Err(bad()),
-        };
-        let crc = u32::try_from(get_varint(body, &mut pos)?).map_err(|_| bad())?;
+        let field = |v: u64| u32::try_from(v).map_err(|_| bad());
         chunks.push(ChunkInfo {
             offset,
-            records,
-            raw_len,
-            stored_len,
+            records: field(records)?,
+            raw_len: field(raw_len)?,
+            stored_len: field(stored_len)?,
             first_ticks,
-            last_ticks,
-            compressed,
-            crc,
+            last_ticks: first_ticks + span,
+            compressed: match compressed {
+                0 => false,
+                1 => true,
+                _ => return Err(bad()),
+            },
+            crc: field(crc)?,
         });
     }
     if pos != body.len() {
