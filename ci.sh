@@ -66,6 +66,17 @@ rm -rf "$SMOKE" && mkdir -p "$SMOKE"
 ./target/release/tracefmt verify "$SMOKE/a5.tsa" >/dev/null
 ./target/release/tracefmt unpack "$SMOKE/a5.tsa" "$SMOKE/back.fstr" 2>/dev/null
 cmp "$SMOKE/a5.fstr" "$SMOKE/back.fstr"
+# The text codec at the CLI: the trace dumped to text, packed from the
+# text and unpacked comes back byte for byte; a user id past 32 bits is
+# rejected, not wrapped.
+./target/release/tracefmt dump "$SMOKE/a5.fstr" > "$SMOKE/a5.txt"
+./target/release/tracefmt pack "$SMOKE/a5.txt" "$SMOKE/text.tsa" --chunk-kib 8 2>/dev/null
+./target/release/tracefmt unpack "$SMOKE/text.tsa" "$SMOKE/text.fstr" 2>/dev/null
+cmp "$SMOKE/a5.fstr" "$SMOKE/text.fstr"
+echo "0 unlink 1 4294967296" > "$SMOKE/big_user.txt"
+if ./target/release/tracefmt pack "$SMOKE/big_user.txt" "$SMOKE/big_user.tsa" 2>/dev/null; then
+    echo "   archive: pack accepted user id 2^32"; exit 1
+fi
 # Flip one byte mid-file (safely inside some chunk's frame): xor with
 # 0x80 so the write is never a no-op.
 SIZE=$(wc -c < "$SMOKE/a5.tsa")
@@ -80,7 +91,7 @@ BAD=$(grep -c CORRUPT "$SMOKE/verify.out")
 if [ "$BAD" != 1 ]; then
     echo "   archive: verify reported $BAD bad chunks, want 1"; exit 1
 fi
-echo "   tracefmt: pack/unpack round-trips, verify isolates the bad chunk"
+echo "   tracefmt: binary and text pack/unpack round-trip, verify isolates the bad chunk"
 
 echo "== cross-fidelity experiment smoke"
 # The fidelity experiment replays the Table VI grid at block, syscall,

@@ -1,10 +1,12 @@
 //! Converting a logical trace into block accesses and replaying them.
 //!
 //! Each sequential run reconstructed from the trace is billed at the
-//! time of the `seek` or `close` that ended it (Section 3.1). One
-//! [`EventExpander`] turns records into [`ReplayEvent`]s, and the
-//! configured [`Fidelity`] (DESIGN.md §15) only decides what a billed
-//! extent becomes:
+//! time of the `seek` or `close` that ended it (Section 3.1). That
+//! deduction is not repeated here: one [`EventExpander`] steps the
+//! shared [`fstrace::OpenTable`], the same open-id table the Section-5
+//! analyses read through `fstrace::SessionBuilder`, and turns what each
+//! record billed into [`ReplayEvent`]s. The configured [`Fidelity`]
+//! (DESIGN.md §15) only decides what a billed extent becomes:
 //!
 //! * [`Fidelity::Block`] emits a [`ReplayEvent::Transfer`], split into
 //!   block accesses of the configured size with per-block byte
@@ -24,7 +26,9 @@
 
 use std::borrow::Borrow;
 
-use fstrace::{AccessMode, FastMap, FileId, OpenId, RecordBlock, Trace, TraceEvent, TraceRecord};
+use fstrace::{
+    AccessMode, FastMap, FileId, OpenTable, RecordBlock, Trace, TraceEvent, TraceRecord,
+};
 
 use crate::cache::{BlockCache, BlockId};
 use crate::config::{CacheConfig, Fidelity, RwHandling};
@@ -166,111 +170,12 @@ pub fn replay_events(trace: &Trace, config: &CacheConfig) -> Vec<ReplayEvent> {
     events
 }
 
-/// In-flight position tracking for one open file during expansion.
-#[derive(Clone, Copy)]
-struct PendingOpen {
-    file: FileId,
-    mode: AccessMode,
-    pos: u64,
-    /// Total bytes transferred over the session's runs — the
-    /// open-fidelity expander's session-reconstruction input.
-    total: u64,
-}
-
-/// A sequential run ended by a `seek` or `close` (Section 3.1).
-struct Run {
-    file: FileId,
-    mode: AccessMode,
-    offset: u64,
-    len: u64,
-}
-
-/// The expander's open table: tracks in-flight opens, reconstructs the
-/// sequential runs that `seek`/`close` events bill, and accumulates
-/// per-session transfer totals. Memory is O(simultaneously open files),
-/// never O(records).
-///
-/// Session state lives in an arena: `slots` holds the [`PendingOpen`]
-/// payloads, `free` recycles the indices of closed sessions, and the
-/// small `index` map only stores `OpenId -> u32` slot handles. An
-/// open/close pair therefore allocates nothing in steady state — the
-/// slot vector grows once to the high-water mark of simultaneously
-/// open files and is reused for the rest of the trace. Slot indices
-/// are stable for the lifetime of their session.
-#[derive(Default)]
-struct OpenTable {
-    slots: Vec<PendingOpen>,
-    free: Vec<u32>,
-    index: FastMap<OpenId, u32>,
-}
-
-impl OpenTable {
-    /// Starts tracking a session at position 0.
-    fn open(&mut self, open_id: OpenId, file: FileId, mode: AccessMode) {
-        let p = PendingOpen {
-            file,
-            mode,
-            pos: 0,
-            total: 0,
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = p;
-                slot
-            }
-            None => {
-                self.slots.push(p);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        if let Some(old) = self.index.insert(open_id, slot) {
-            // A re-used OpenId overwrote an unclosed session, matching
-            // the map-based table's insert semantics: free the orphan.
-            self.free.push(old);
-        }
-    }
-
-    /// Ends the run a `seek` bills (if any) and repositions.
-    fn seek(&mut self, open_id: OpenId, old_pos: u64, new_pos: u64) -> Option<Run> {
-        let slot = *self.index.get(&open_id)?;
-        let p = &mut self.slots[slot as usize];
-        let run = p.run_to(old_pos);
-        p.pos = new_pos;
-        run
-    }
-
-    /// Ends the session a `close` ends, returning it together with its
-    /// final run (if any), already folded into the session total.
-    fn close(&mut self, open_id: OpenId, final_pos: u64) -> Option<(PendingOpen, Option<Run>)> {
-        let slot = self.index.remove(&open_id)?;
-        self.free.push(slot);
-        let p = &mut self.slots[slot as usize];
-        let run = p.run_to(final_pos);
-        Some((*p, run))
-    }
-}
-
-impl PendingOpen {
-    /// The run from the current position to `end`, if it is not empty,
-    /// added to the session total. The total saturates: only a session
-    /// moving more than 2^64 bytes could reach the cap.
-    fn run_to(&mut self, end: u64) -> Option<Run> {
-        let len = end.checked_sub(self.pos).filter(|&len| len > 0)?;
-        self.total = self.total.saturating_add(len);
-        Some(Run {
-            file: self.file,
-            mode: self.mode,
-            offset: self.pos,
-            len,
-        })
-    }
-}
-
 /// Streaming trace expansion: feed records in time order, receive the
 /// replay events they imply, in a canonical per-record order. One
-/// record match serves every [`Fidelity`]: the fidelity only decides
-/// whether a billed extent becomes a [`ReplayEvent::Transfer`] (block)
-/// or a [`ReplayEvent::Op`] (syscall, open), and whether open fidelity
+/// record match serves every [`Fidelity`]: the runs come from the
+/// shared [`OpenTable`], and the fidelity only decides whether a billed
+/// extent becomes a [`ReplayEvent::Transfer`] (block) or a
+/// [`ReplayEvent::Op`] (syscall, open), and whether open fidelity
 /// defers it to the session total at `close`.
 ///
 /// Each record's events are emitted the moment the record arrives:
@@ -292,8 +197,9 @@ impl PendingOpen {
 ///
 /// Event times are therefore nondecreasing whenever the input records
 /// are, which is what [`Replayer`] and [`crate::MissSeries`] require.
-/// Memory is O(simultaneously open files), never O(records) — this is
-/// what lets a sweep cell consume a multi-day trace straight from disk.
+/// Memory is the table's, O(simultaneously tracked open ids), never
+/// O(records) — this is what lets a sweep cell consume a multi-day
+/// trace straight from disk.
 pub struct EventExpander {
     fidelity: Fidelity,
     rw_handling: RwHandling,
@@ -319,9 +225,7 @@ impl EventExpander {
         let time_ms = rec.time.as_ms();
         match rec.event {
             TraceEvent::Open {
-                open_id,
                 file_id,
-                mode,
                 size,
                 created,
                 ..
@@ -338,33 +242,33 @@ impl EventExpander {
                         new_len: 0,
                     });
                 }
-                self.table.open(open_id, file_id, mode);
+                self.table.step(rec);
             }
-            TraceEvent::Seek {
-                open_id,
-                old_pos,
-                new_pos,
-            } => {
-                let run = self.table.seek(open_id, old_pos, new_pos);
-                if let Some(run) = run.filter(|_| self.fidelity != Fidelity::Open) {
-                    self.bill(time_ms, &run, emit);
-                }
-            }
-            TraceEvent::Close { open_id, final_pos } => {
-                let Some((session, run)) = self.table.close(open_id, final_pos) else {
+            TraceEvent::Seek { .. } | TraceEvent::Close { .. } => {
+                let (step, _) = self.table.step(rec);
+                let (offset, len) = match (self.fidelity, rec.event) {
+                    (Fidelity::Block | Fidelity::Syscall, _) => (step.offset, step.billed),
+                    (Fidelity::Open, TraceEvent::Close { .. }) => (0, step.total),
+                    (Fidelity::Open, _) => return,
+                };
+                let Some((file, mode)) = step.file.filter(|_| len > 0) else {
                     return;
                 };
-                let run = match self.fidelity {
-                    Fidelity::Open => (session.total > 0).then_some(Run {
-                        file: session.file,
-                        mode: session.mode,
-                        offset: 0,
-                        len: session.total,
-                    }),
-                    Fidelity::Block | Fidelity::Syscall => run,
-                };
-                if let Some(run) = run {
-                    self.bill(time_ms, &run, emit);
+                // One extent per billed direction: reads, writes, or
+                // (read-write under `RwHandling::Both`) the read before
+                // the write.
+                let mut direction = |write| emit(self.extent(time_ms, file, offset, len, write));
+                match (mode, self.rw_handling) {
+                    (AccessMode::ReadOnly, _) | (AccessMode::ReadWrite, RwHandling::Read) => {
+                        direction(false);
+                    }
+                    (AccessMode::WriteOnly, _) | (AccessMode::ReadWrite, RwHandling::Write) => {
+                        direction(true);
+                    }
+                    (AccessMode::ReadWrite, RwHandling::Both) => {
+                        direction(false);
+                        direction(true);
+                    }
                 }
             }
             TraceEvent::Unlink { file_id, .. } => emit(ReplayEvent::Delete {
@@ -382,26 +286,6 @@ impl EventExpander {
                 emit(self.extent(time_ms, file_id, 0, size, false));
             }
             _ => {}
-        }
-    }
-
-    /// Emits one extent per billed direction of a run — reads, writes,
-    /// or (read-write under [`RwHandling::Both`]) the read before the
-    /// write.
-    fn bill(&self, time_ms: u64, run: &Run, emit: &mut impl FnMut(ReplayEvent)) {
-        let mut direction =
-            |write| emit(self.extent(time_ms, run.file, run.offset, run.len, write));
-        match (run.mode, self.rw_handling) {
-            (AccessMode::ReadOnly, _) | (AccessMode::ReadWrite, RwHandling::Read) => {
-                direction(false);
-            }
-            (AccessMode::WriteOnly, _) | (AccessMode::ReadWrite, RwHandling::Write) => {
-                direction(true);
-            }
-            (AccessMode::ReadWrite, RwHandling::Both) => {
-                direction(false);
-                direction(true);
-            }
         }
     }
 

@@ -10,14 +10,16 @@
 //!
 //! # One open-id table
 //!
-//! The pass keeps exactly one table keyed by open id: the shared
-//! [`SessionBuilder`]'s. Its [`SessionBuilder::step`] reports, for each
-//! record, the user of the open it belongs to, the run it billed, and
-//! the time of the previous event on the same id ([`Step`]). Activity
-//! points (Table IV) and event gaps (Section 3.1) come from that step,
-//! so no analyzer repeats the paper's run-billing rule or looks the id
-//! up again. About 90% of the records in a generated trace are opens,
-//! seeks and closes, and each costs the pass one hash lookup.
+//! The pass keeps exactly one table keyed by open id: the
+//! [`SessionBuilder`]'s, which is `fstrace::OpenTable`, the same table
+//! every replay fidelity steps in `cachesim`. Its
+//! [`SessionBuilder::step`] reports, for each record, the user of the
+//! open it belongs to, the run it billed, and the time of the previous
+//! event on the same id ([`Step`]). Activity points (Table IV) and event
+//! gaps (Section 3.1) come from that step, so no analyzer repeats the
+//! paper's run-billing rule or looks the id up again. About 90% of the
+//! records in a generated trace are opens, seeks and closes, and each
+//! costs the pass one hash lookup.
 //!
 //! Table IV's window sums go to [`simstat::WindowedSums`], which keeps
 //! only the newest window open and appends closed windows in order, so

@@ -141,12 +141,6 @@ impl From<io::Error> for DecodeError {
     }
 }
 
-/// Number of bytes [`put_varint`] emits for `v`.
-pub fn varint_len(v: u64) -> usize {
-    let bits = (64 - v.leading_zeros()).max(1) as usize;
-    bits.div_ceil(7)
-}
-
 /// Appends `v` to `out` as an LEB128 varint.
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -277,53 +271,6 @@ pub fn encode_into(out: &mut Vec<u8>, rec: &TraceRecord, prev_ticks: u64) -> u64
         }
     }
     ticks
-}
-
-/// Exact encoded size of `rec` given the previous record's tick count,
-/// plus the record's own tick count for chaining.
-///
-/// Mirrors [`encode_into`] field for field without materializing any
-/// bytes, so callers can pre-size buffers exactly (see
-/// `Trace::to_binary`) or report trace volume without re-encoding.
-pub fn encoded_len(rec: &TraceRecord, prev_ticks: u64) -> (usize, u64) {
-    let ticks = rec.time.as_ticks();
-    let dt = ticks.saturating_sub(prev_ticks);
-    let payload = match rec.event {
-        TraceEvent::Open {
-            open_id,
-            file_id,
-            user_id,
-            mode,
-            size,
-            created: _,
-        } => {
-            varint_len(open_id.0)
-                + varint_len(file_id.0)
-                + varint_len(user_id.0 as u64)
-                + varint_len(mode_code(mode))
-                + varint_len(size)
-        }
-        TraceEvent::Close { open_id, final_pos } => varint_len(open_id.0) + varint_len(final_pos),
-        TraceEvent::Seek {
-            open_id,
-            old_pos,
-            new_pos,
-        } => varint_len(open_id.0) + varint_len(old_pos) + varint_len(new_pos),
-        TraceEvent::Unlink { file_id, user_id } => {
-            varint_len(file_id.0) + varint_len(user_id.0 as u64)
-        }
-        TraceEvent::Truncate {
-            file_id,
-            new_len,
-            user_id,
-        } => varint_len(file_id.0) + varint_len(new_len) + varint_len(user_id.0 as u64),
-        TraceEvent::Execve {
-            file_id,
-            user_id,
-            size,
-        } => varint_len(file_id.0) + varint_len(user_id.0 as u64) + varint_len(size),
-    };
-    (1 + varint_len(dt) + payload, ticks)
 }
 
 /// Decodes one record from `buf` at `*pos`; `prev_ticks` is the previous
@@ -737,11 +684,14 @@ pub fn from_text(line: &str) -> Result<TraceRecord, DecodeError> {
     let num = |it: &mut std::str::SplitAsciiWhitespace<'_>| -> Result<u64, DecodeError> {
         it.next().ok_or_else(bad)?.parse().map_err(|_| bad())
     };
+    let user = |it: &mut std::str::SplitAsciiWhitespace<'_>| -> Result<UserId, DecodeError> {
+        Ok(UserId(u32::try_from(num(it)?).map_err(|_| bad())?))
+    };
     let event = match name {
         "open" | "create" => {
             let open_id = OpenId(num(&mut it)?);
             let file_id = FileId(num(&mut it)?);
-            let user_id = UserId(num(&mut it)? as u32);
+            let user_id = user(&mut it)?;
             let mode = match it.next().ok_or_else(bad)? {
                 "r" => AccessMode::ReadOnly,
                 "w" => AccessMode::WriteOnly,
@@ -769,16 +719,16 @@ pub fn from_text(line: &str) -> Result<TraceRecord, DecodeError> {
         },
         "unlink" => TraceEvent::Unlink {
             file_id: FileId(num(&mut it)?),
-            user_id: UserId(num(&mut it)? as u32),
+            user_id: user(&mut it)?,
         },
         "truncate" => TraceEvent::Truncate {
             file_id: FileId(num(&mut it)?),
             new_len: num(&mut it)?,
-            user_id: UserId(num(&mut it)? as u32),
+            user_id: user(&mut it)?,
         },
         "execve" => TraceEvent::Execve {
             file_id: FileId(num(&mut it)?),
-            user_id: UserId(num(&mut it)? as u32),
+            user_id: user(&mut it)?,
             size: num(&mut it)?,
         },
         _ => return Err(bad()),
@@ -946,29 +896,6 @@ mod tests {
         assert!(it.next().is_none());
     }
 
-    #[test]
-    fn encoded_len_matches_encode_into() {
-        let mut prev_enc = 0u64;
-        let mut prev_len = 0u64;
-        for r in sample_records() {
-            let mut buf = Vec::new();
-            prev_enc = encode_into(&mut buf, &r, prev_enc);
-            let (len, ticks) = encoded_len(&r, prev_len);
-            prev_len = ticks;
-            assert_eq!(len, buf.len(), "record {r:?}");
-            assert_eq!(ticks, prev_enc);
-        }
-    }
-
-    #[test]
-    fn varint_len_matches_put_varint() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            assert_eq!(varint_len(v), buf.len(), "value {v}");
-        }
-    }
-
     /// A reader that hands out one byte per `read` call, exercising the
     /// incremental refill paths.
     struct OneByte<'a>(&'a [u8]);
@@ -1077,6 +1004,11 @@ mod tests {
         assert!(from_text("123 open 1 2 3 x 100").is_err());
         assert!(from_text("123 close 1 2 3").is_err()); // Trailing field.
         assert!(from_text("abc close 1 2").is_err());
+        // User ids are 32-bit: 2^32 is rejected, not wrapped to user 0.
+        assert!(from_text("123 open 1 2 4294967296 r 100").is_err());
+        assert!(from_text("123 unlink 1 4294967296").is_err());
+        assert!(from_text("123 truncate 1 0 4294967296").is_err());
+        assert!(from_text("123 execve 1 4294967296 5").is_err());
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //!   memory of almost-sorted producers.
 //! * [`session`] — reconstruction of per-open access patterns
 //!   ([`OpenSession`], [`Run`]): the sequential runs, transfer billing at
-//!   the next close/seek, and derived file size at close.
+//!   the next close/seek, and derived file size at close. Its
+//!   [`OpenTable`] is the one open-id table, shared by
+//!   [`SessionBuilder`] and the cache simulator's replay.
 //! * [`summary`] — whole-trace statistics in the shape of Table III.
 //!
 //! # Examples
@@ -67,7 +69,7 @@ pub use codec::{TraceReader, TraceWriter};
 pub use event::{AccessMode, EventKind, TraceEvent, TraceRecord};
 pub use hash::{FastMap, FastSet};
 pub use ids::{FileId, OpenId, Timestamp, UserId, TICK_MS};
-pub use session::{OpenSession, Run, SessionBuilder, SessionSet, Step};
+pub use session::{OpenSession, OpenTable, Run, SessionBuilder, SessionSet, Step};
 pub use source::{
     merged_records, FleetMerge, IdOffsets, RecordSink, RecordSource, ReorderBuffer, TextSink,
 };

@@ -5,10 +5,16 @@
 //! repositioning operations is sequential, the positions recorded at
 //! `open`, each `seek`, and `close` determine exactly which byte ranges
 //! were transferred. Each maximal stretch of sequential transfer is a
-//! [`Run`]; all analyses and the cache simulator consume these runs.
+//! [`Run`].
 //!
 //! Following the paper, every transfer is *billed at the time of the next
 //! `close` or `seek` event* for the file.
+//!
+//! The deduction lives in one place, [`OpenTable`]: outside test code,
+//! the only table keyed by open id. [`SessionBuilder`] is that table with an
+//! [`OpenSession`] per slot, and feeds the Section-5 analyses;
+//! `cachesim::EventExpander` steps the same table, with no payload, to
+//! replay the runs at every fidelity.
 
 use crate::hash::FastMap;
 
@@ -129,13 +135,13 @@ pub struct SessionSet {
 }
 
 /// What one record did to the open it names, as reported by
-/// [`SessionBuilder::step`]: enough for per-record analyses (activity
-/// billing, event gaps) to share the builder's open-id table instead of
-/// keeping tables of their own.
+/// [`OpenTable::step`]: the run it billed, and enough for per-record
+/// analyses (activity billing, event gaps) and the replay expanders to
+/// share one open-id table instead of keeping tables of their own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Step {
     /// The user of the session the record belongs to: set for an
-    /// `open`, and for a `seek` or `close` of a session the builder
+    /// `open`, and for a `seek` or `close` of a session the table
     /// holds; `None` for orphans and for records that name no open.
     pub user: Option<UserId>,
     /// Length of the run this `seek` or `close` ended, billed at this
@@ -146,26 +152,188 @@ pub struct Step {
     /// tracked. These gaps bound when the run's transfers happened
     /// (Section 3.1).
     pub prev: Option<Timestamp>,
+    /// The file and access mode of the session the record belongs to;
+    /// set exactly when `user` is.
+    pub file: Option<(FileId, AccessMode)>,
+    /// Byte offset where the billed run starts: the session's position
+    /// before this record.
+    pub offset: u64,
+    /// Bytes billed over the session so far, this record's run
+    /// included: at a `close`, the whole session's transfer
+    /// (saturating, which only a session moving 2^64 bytes can reach).
+    pub total: u64,
 }
 
-/// In-flight state for an open id that has not closed yet.
-struct Pending {
+/// What an `open` fixes for the rest of its session.
+#[derive(Clone, Copy)]
+struct Opened {
+    file_id: FileId,
+    user_id: UserId,
+    mode: AccessMode,
+}
+
+/// The table's state for one tracked open id.
+#[derive(Default)]
+struct Slot<S> {
     /// `None` when the id is known only from an orphan `seek` (its open
-    /// preceded the trace): tracked for [`Step::prev`], but no session.
-    session: Option<OpenSession>,
+    /// preceded the trace), tracked for [`Step::prev`] but with no
+    /// session, and while the slot is free.
+    open: Option<Opened>,
+    /// Position after the id's latest event.
     pos: u64,
+    /// Bytes billed over the session so far.
+    total: u64,
     /// Time of the id's latest event.
     last: Timestamp,
+    /// The consumer's per-session payload.
+    session: S,
+}
+
+/// The paper's run deduction (Section 3.1), once: the one table keyed
+/// by open id, shared by session reconstruction ([`SessionBuilder`])
+/// and by trace replay at every fidelity (`cachesim::EventExpander`).
+/// For every record it reports the run that record billed ([`Step`]).
+///
+/// Anomalies are counted, never fatal: a `seek` or `close` of an id
+/// never opened (the trace began mid-session), a position that moves
+/// backwards, and an `open` of an id still open (the earlier session is
+/// dropped). An orphan `seek` starts tracking its id without a session,
+/// so later events on it still report [`Step::prev`].
+///
+/// State lives in an arena: `slots` holds each tracked id's state and
+/// the consumer's payload `S`, `free` recycles closed ids' slots, and
+/// `index` maps open ids to slots. Open/close churn allocates nothing
+/// in steady state; memory is O(simultaneously tracked ids).
+#[derive(Default)]
+pub struct OpenTable<S = ()> {
+    slots: Vec<Slot<S>>,
+    free: Vec<u32>,
+    index: FastMap<OpenId, u32>,
+    /// Slots holding a session.
+    live: usize,
+    live_peak: usize,
+    anomalies: u64,
+}
+
+impl<S: Default> OpenTable<S> {
+    /// Applies one record, returning what it did to its open id and,
+    /// when the record belongs to a session, that session's payload.
+    /// At an `open` the payload still holds whatever its slot held
+    /// last, for the caller to replace; at the `close` the slot is
+    /// already free, and the caller takes what it needs.
+    pub fn step(&mut self, rec: &TraceRecord) -> (Step, Option<&mut S>) {
+        let mut step = Step::default();
+        let (slot, end, next_pos) = match rec.event {
+            TraceEvent::Open {
+                open_id,
+                file_id,
+                user_id,
+                mode,
+                ..
+            } => {
+                let slot = self.track(open_id, rec.time);
+                let s = &mut self.slots[slot as usize];
+                if s.open.is_some() {
+                    // Duplicate open id: drop the earlier, unfinished one.
+                    self.anomalies += 1;
+                } else {
+                    self.live += 1;
+                    self.live_peak = self.live_peak.max(self.live);
+                }
+                s.open = Some(Opened {
+                    file_id,
+                    user_id,
+                    mode,
+                });
+                step.user = Some(user_id);
+                step.file = Some((file_id, mode));
+                return (step, Some(&mut s.session));
+            }
+            TraceEvent::Seek {
+                open_id,
+                old_pos,
+                new_pos,
+            } => match self.index.get(&open_id) {
+                Some(&slot) => (slot, old_pos, Some(new_pos)),
+                None => {
+                    self.anomalies += 1;
+                    self.track(open_id, rec.time);
+                    return (step, None);
+                }
+            },
+            TraceEvent::Close { open_id, final_pos } => match self.index.remove(&open_id) {
+                Some(slot) => {
+                    self.free.push(slot);
+                    (slot, final_pos, None)
+                }
+                None => {
+                    self.anomalies += 1;
+                    return (step, None);
+                }
+            },
+            _ => return (step, None),
+        };
+        let s = &mut self.slots[slot as usize];
+        step.prev = Some(s.last);
+        s.last = rec.time;
+        let Some(open) = s.open else {
+            self.anomalies += 1;
+            return (step, None);
+        };
+        step.user = Some(open.user_id);
+        step.file = Some((open.file_id, open.mode));
+        step.offset = s.pos;
+        // The billing rule: a seek's `old_pos`, or a close's
+        // `final_pos`, minus the tracked position.
+        if end > s.pos {
+            step.billed = end - s.pos;
+            s.total = s.total.saturating_add(step.billed);
+        } else if end < s.pos {
+            // Positions only move forward between seeks; a regression
+            // is a malformed trace.
+            self.anomalies += 1;
+        }
+        step.total = s.total;
+        match next_pos {
+            Some(pos) => s.pos = pos,
+            None => {
+                s.open = None;
+                self.live -= 1;
+            }
+        }
+        (step, Some(&mut s.session))
+    }
+
+    /// The slot tracking `open_id` (a free one if the id is new), reset
+    /// to position 0 with `time` as its latest event.
+    fn track(&mut self, open_id: OpenId, time: Timestamp) -> u32 {
+        let slot = *self
+            .index
+            .entry(open_id)
+            .or_insert_with(|| match self.free.pop() {
+                Some(slot) => slot,
+                None => {
+                    self.slots.push(Slot::default());
+                    u32::try_from(self.slots.len() - 1).expect("under 2^32 ids tracked at once")
+                }
+            });
+        let s = &mut self.slots[slot as usize];
+        s.pos = 0;
+        s.total = 0;
+        s.last = time;
+        slot
+    }
 }
 
 /// Online session reconstruction: feed records one at a time, collect
 /// each closed session the moment its `close` arrives.
 ///
-/// This is the single implementation of the paper's run deduction; the
-/// batch [`SessionSet::build`] is a thin wrapper over it. Memory is
-/// O(live sessions): a session is buffered only between its `open` and
-/// its `close`, so a week-long trace streams through without
-/// materializing anything proportional to its length.
+/// The builder is the shared [`OpenTable`] with an [`OpenSession`] as
+/// each slot's payload; the batch [`SessionSet::build`] is a thin
+/// wrapper over it. Memory is O(live sessions): a session is buffered
+/// only between its `open` and its `close`, so a week-long trace
+/// streams through without materializing anything proportional to its
+/// length.
 ///
 /// Its open-id table is the only one an analysis pass needs:
 /// [`SessionBuilder::step`] also reports each record's billed run and
@@ -196,11 +364,7 @@ struct Pending {
 /// ```
 #[derive(Default)]
 pub struct SessionBuilder {
-    pending: FastMap<OpenId, Pending>,
-    /// Entries of `pending` holding a session.
-    live: usize,
-    anomalies: u64,
-    live_peak: usize,
+    table: OpenTable<Option<OpenSession>>,
 }
 
 impl SessionBuilder {
@@ -226,142 +390,65 @@ impl SessionBuilder {
     /// anomaly with no session, but from then on the id is tracked, so
     /// its later `seek`s and `close` report [`Step::prev`].
     pub fn step(&mut self, rec: &TraceRecord) -> (Step, Option<OpenSession>) {
-        let mut step = Step::default();
-        let closed = match rec.event {
-            TraceEvent::Open {
+        let (step, session) = self.table.step(rec);
+        let Some(session) = session else {
+            return (step, None);
+        };
+        if let TraceEvent::Open {
+            open_id,
+            file_id,
+            user_id,
+            mode,
+            size,
+            created,
+        } = rec.event
+        {
+            *session = Some(OpenSession {
                 open_id,
                 file_id,
                 user_id,
                 mode,
-                size,
                 created,
-            } => {
-                let session = OpenSession {
-                    open_id,
-                    file_id,
-                    user_id,
-                    mode,
-                    created,
-                    open_time: rec.time,
-                    close_time: None,
-                    open_size: size,
-                    runs: Vec::new(),
-                    seek_count: 0,
-                };
-                step.user = Some(user_id);
-                let pending = Pending {
-                    session: Some(session),
-                    pos: 0,
-                    last: rec.time,
-                };
-                match self.pending.insert(open_id, pending) {
-                    // Duplicate open id: drop the earlier, unfinished one.
-                    Some(Pending {
-                        session: Some(_), ..
-                    }) => self.anomalies += 1,
-                    _ => {
-                        self.live += 1;
-                        self.live_peak = self.live_peak.max(self.live);
-                    }
-                }
-                None
-            }
-            TraceEvent::Seek {
-                open_id,
-                old_pos,
-                new_pos,
-            } => {
-                match self.pending.get_mut(&open_id) {
-                    Some(p) => {
-                        step.prev = Some(p.last);
-                        p.last = rec.time;
-                        match p.session.as_mut() {
-                            Some(s) => {
-                                step.user = Some(s.user_id);
-                                s.seek_count += 1;
-                                if old_pos > p.pos {
-                                    step.billed = old_pos - p.pos;
-                                    s.runs.push(Run {
-                                        offset: p.pos,
-                                        len: step.billed,
-                                        billed_at: rec.time,
-                                    });
-                                } else if old_pos < p.pos {
-                                    // Positions only move forward between
-                                    // seeks; a regression is a malformed
-                                    // trace.
-                                    self.anomalies += 1;
-                                }
-                                p.pos = new_pos;
-                            }
-                            None => self.anomalies += 1,
-                        }
-                    }
-                    None => {
-                        self.anomalies += 1;
-                        self.pending.insert(
-                            open_id,
-                            Pending {
-                                session: None,
-                                pos: 0,
-                                last: rec.time,
-                            },
-                        );
-                    }
-                }
-                None
-            }
-            TraceEvent::Close { open_id, final_pos } => {
-                let pending = self.pending.remove(&open_id);
-                step.prev = pending.as_ref().map(|p| p.last);
-                match pending {
-                    Some(Pending {
-                        session: Some(mut s),
-                        pos,
-                        ..
-                    }) => {
-                        self.live -= 1;
-                        step.user = Some(s.user_id);
-                        if final_pos > pos {
-                            step.billed = final_pos - pos;
-                            s.runs.push(Run {
-                                offset: pos,
-                                len: step.billed,
-                                billed_at: rec.time,
-                            });
-                        } else if final_pos < pos {
-                            self.anomalies += 1;
-                        }
-                        s.close_time = Some(rec.time);
-                        Some(s)
-                    }
-                    _ => {
-                        self.anomalies += 1;
-                        None
-                    }
-                }
-            }
-            TraceEvent::Execve { .. } | TraceEvent::Unlink { .. } | TraceEvent::Truncate { .. } => {
-                None
-            }
-        };
-        (step, closed)
+                open_time: rec.time,
+                close_time: None,
+                open_size: size,
+                runs: Vec::new(),
+                seek_count: 0,
+            });
+            return (step, None);
+        }
+        let s = session
+            .as_mut()
+            .expect("a session's slot holds it from its open on");
+        if step.billed > 0 {
+            s.runs.push(Run {
+                offset: step.offset,
+                len: step.billed,
+                billed_at: rec.time,
+            });
+        }
+        if let TraceEvent::Seek { .. } = rec.event {
+            s.seek_count += 1;
+            return (step, None);
+        }
+        s.close_time = Some(rec.time);
+        (step, session.take())
     }
 
     /// Number of sessions currently open (the builder's live memory).
     pub fn live_sessions(&self) -> usize {
-        self.live
+        self.table.live
     }
 
     /// Greatest number of simultaneously open sessions seen so far.
     pub fn live_sessions_peak(&self) -> usize {
-        self.live_peak
+        self.table.live_peak
     }
 
     /// Anomalies counted so far (unknown open ids, position
     /// regressions, duplicate open ids).
     pub fn anomalies(&self) -> u64 {
-        self.anomalies
+        self.table.anomalies
     }
 
     /// Consumes the builder, returning the still-open sessions (sorted
@@ -369,12 +456,14 @@ impl SessionBuilder {
     /// final anomaly count.
     pub fn finish(self) -> (Vec<OpenSession>, u64) {
         let mut rest: Vec<OpenSession> = self
-            .pending
-            .into_values()
-            .filter_map(|p| p.session)
+            .table
+            .slots
+            .into_iter()
+            .filter(|s| s.open.is_some())
+            .filter_map(|s| s.session)
             .collect();
         rest.sort_by_key(|s| (s.open_time, s.open_id));
-        (rest, self.anomalies)
+        (rest, self.table.anomalies)
     }
 }
 
@@ -613,17 +702,26 @@ mod tests {
                 Step {
                     user: Some(u),
                     billed: 0,
-                    prev: None
+                    prev: None,
+                    file: Some((f, AccessMode::ReadWrite)),
+                    offset: 0,
+                    total: 0,
                 },
                 Step {
                     user: Some(u),
                     billed: 200,
-                    prev: at(0)
+                    prev: at(0),
+                    file: Some((f, AccessMode::ReadWrite)),
+                    offset: 0,
+                    total: 200,
                 },
                 Step {
                     user: Some(u),
                     billed: 400,
-                    prev: at(30)
+                    prev: at(30),
+                    file: Some((f, AccessMode::ReadWrite)),
+                    offset: 500,
+                    total: 600,
                 },
             ]
         );

@@ -6,7 +6,7 @@ use crate::codec::{self, DecodeError, TraceReader, TraceWriter};
 use crate::event::{AccessMode, TraceEvent, TraceRecord};
 use crate::ids::{FileId, OpenId, Timestamp, UserId};
 use crate::session::SessionSet;
-use crate::source::{self, IdOffsets};
+use crate::source;
 use crate::summary::TraceSummary;
 
 /// A complete trace: time-ordered records plus derived views.
@@ -80,29 +80,29 @@ impl Trace {
         TraceSummary::compute(self)
     }
 
-    /// Exact size of [`Trace::to_binary`]'s output, without encoding.
+    /// Exact size of [`Trace::to_binary`]'s output: the bytes
+    /// [`codec::encode_into`] writes, each record encoded into one
+    /// reused scratch buffer rather than kept.
     pub fn binary_len(&self) -> usize {
         let mut len = codec::MAGIC.len() + 1;
+        let mut scratch = Vec::new();
         let mut prev_ticks = 0u64;
         for r in &self.records {
-            let (n, ticks) = codec::encoded_len(r, prev_ticks);
-            len += n;
-            prev_ticks = ticks;
+            scratch.clear();
+            prev_ticks = codec::encode_into(&mut scratch, r, prev_ticks);
+            len += scratch.len();
         }
         len
     }
 
     /// Serializes to the compact binary format.
     pub fn to_binary(&self) -> Vec<u8> {
-        // Pre-size exactly (via the codec's sizing mirror) so the
-        // buffer never reallocates mid-encode.
-        let mut out = Vec::with_capacity(self.binary_len());
+        let mut out = Vec::new();
         let mut w = TraceWriter::new(&mut out).expect("vec write cannot fail");
         for r in &self.records {
             w.write(r).expect("vec write cannot fail");
         }
         drop(w);
-        debug_assert_eq!(out.len(), self.binary_len());
         out
     }
 
@@ -119,95 +119,6 @@ impl Trace {
             writeln!(w, "{}", codec::to_text(r))?;
         }
         Ok(())
-    }
-
-    /// Returns the records within `[start_ms, end_ms)`, keeping only
-    /// complete sessions: opens whose close falls outside the window are
-    /// dropped (with their seeks), as are closes/seeks of earlier opens.
-    ///
-    /// This is how sub-traces are carved for windowed experiments (e.g.
-    /// peak-hour analysis) without introducing session anomalies.
-    pub fn slice_time(&self, start_ms: u64, end_ms: u64) -> Trace {
-        use std::collections::HashSet;
-        // First pass: find opens inside the window whose close is too.
-        let mut open_at: std::collections::HashMap<crate::OpenId, u64> =
-            std::collections::HashMap::new();
-        let mut keep: HashSet<crate::OpenId> = HashSet::new();
-        for r in &self.records {
-            match r.event {
-                TraceEvent::Open { open_id, .. } => {
-                    open_at.insert(open_id, r.time.as_ms());
-                }
-                TraceEvent::Close { open_id, .. } => {
-                    if let Some(&t0) = open_at.get(&open_id) {
-                        if t0 >= start_ms && r.time.as_ms() < end_ms {
-                            keep.insert(open_id);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        let records = self
-            .records
-            .iter()
-            .filter(|r| {
-                let t = r.time.as_ms();
-                match r.event.open_id() {
-                    Some(id) => keep.contains(&id),
-                    None => t >= start_ms && t < end_ms,
-                }
-            })
-            .copied()
-            .collect();
-        Trace { records }
-    }
-
-    /// Returns only the records attributable to `user`: their opens (and
-    /// the matching seeks/closes) plus their unlink/truncate/execve
-    /// events.
-    pub fn filter_user(&self, user: UserId) -> Trace {
-        use std::collections::HashSet;
-        let mut keep: HashSet<OpenId> = HashSet::new();
-        let records = self
-            .records
-            .iter()
-            .filter(|r| match r.event {
-                TraceEvent::Open {
-                    open_id, user_id, ..
-                } => {
-                    if user_id == user {
-                        keep.insert(open_id);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                TraceEvent::Close { open_id, .. } | TraceEvent::Seek { open_id, .. } => {
-                    keep.contains(&open_id)
-                }
-                _ => r.event.user_id() == Some(user),
-            })
-            .copied()
-            .collect();
-        Trace { records }
-    }
-
-    /// Returns a copy with every open, file, and user id shifted by the
-    /// given offsets — the ingredient for collision-free merging.
-    pub fn remap_ids(&self, open_off: u64, file_off: u64, user_off: u32) -> Trace {
-        let off = IdOffsets {
-            open: open_off,
-            file: file_off,
-            user: user_off,
-        };
-        Trace {
-            records: self
-                .records
-                .iter()
-                .map(|r| source::remap_record(r, off))
-                .collect(),
-        }
     }
 
     /// Largest (open id, file id, user id) appearing, for merge offsets.
@@ -474,51 +385,6 @@ mod tests {
     fn text_skips_comments_and_blanks() {
         let t = Trace::from_text("# comment\n\n0 unlink 1 2\n").unwrap();
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn slice_time_keeps_whole_sessions_only() {
-        let mut b = TraceBuilder::new();
-        let u = b.new_user_id();
-        let f = b.new_file_id();
-        // Session fully inside [1000, 3000).
-        let o1 = b.open(1_000, f, u, AccessMode::ReadOnly, 10, false);
-        b.close(1_500, o1, 10);
-        // Session straddling the window end.
-        let o2 = b.open(2_500, f, u, AccessMode::ReadOnly, 10, false);
-        b.seek(2_600, o2, 5, 0);
-        b.close(3_500, o2, 5);
-        // Unlink inside, execve outside.
-        b.unlink(2_000, f, u);
-        b.execve(5_000, f, u, 10);
-        let t = b.finish();
-        let s = t.slice_time(1_000, 3_000);
-        let sessions = s.sessions();
-        assert_eq!(sessions.len(), 1);
-        assert_eq!(sessions.anomalies(), 0);
-        assert_eq!(sessions.unclosed(), 0);
-        assert_eq!(s.len(), 3); // open + close + unlink.
-    }
-
-    #[test]
-    fn filter_user_keeps_matching_sessions() {
-        let mut b = TraceBuilder::new();
-        let alice = b.new_user_id();
-        let bob = b.new_user_id();
-        let f = b.new_file_id();
-        let oa = b.open(0, f, alice, AccessMode::ReadOnly, 10, false);
-        b.close(10, oa, 10);
-        let ob = b.open(20, f, bob, AccessMode::ReadOnly, 10, false);
-        b.seek(25, ob, 5, 0);
-        b.close(30, ob, 5);
-        b.unlink(40, f, alice);
-        let t = b.finish();
-        let ta = t.filter_user(alice);
-        assert_eq!(ta.len(), 3); // Her open/close + her unlink.
-        assert_eq!(ta.sessions().anomalies(), 0);
-        let tb = t.filter_user(bob);
-        assert_eq!(tb.len(), 3); // His open/seek/close.
-        assert_eq!(tb.sessions().total_bytes_transferred(), 10); // 5 read, seek back, 5 more.
     }
 
     #[test]
