@@ -106,7 +106,9 @@ echo "   fidelity: divergence table rendered (target/artifacts/fidelity_smoke.tx
 echo "== trace-serving daemon CLI smoke"
 # The same drill at the CLI surface: start a daemon, stream a fleet
 # into it with mktrace --serve, query it, inspect its shard directory,
-# and shut it down cleanly.
+# and shut it down cleanly. The fleet it serves must equal the same
+# fleet generated locally, record for record: the daemon's merge and
+# the fleet runner's merge agree.
 SERVE=target/artifacts/serve_smoke
 rm -rf "$SERVE" && mkdir -p "$SERVE"
 ./target/release/tracestored serve --addr 127.0.0.1:0 --dir "$SERVE/shards" \
@@ -116,6 +118,8 @@ for _ in $(seq 50); do [ -s "$SERVE/port" ] && break; sleep 0.1; done
 [ -s "$SERVE/port" ] || { echo "   serve: daemon never wrote its port"; exit 1; }
 ADDR="127.0.0.1:$(cat "$SERVE/port")"
 ./target/release/mktrace a5 --hours 0.05 --machines 2 --serve "$ADDR" 2>/dev/null
+./target/release/tracestored client --addr "$ADDR" range 0 18446744073709551615 \
+    > "$SERVE/served.txt" 2>/dev/null
 ./target/release/tracestored client --addr "$ADDR" summary > "$SERVE/summary.txt"
 grep -qi "trace" "$SERVE/summary.txt" || {
     echo "   serve: summary reply looks empty"; exit 1; }
@@ -127,7 +131,11 @@ wait "$DAEMON" || { echo "   serve: daemon exited nonzero"; exit 1; }
 ./target/release/tracefmt inspect "$SERVE/shards" > "$SERVE/inspect.txt"
 grep -q "shard dir:" "$SERVE/inspect.txt" || {
     echo "   serve: tracefmt inspect did not recognize the shard dir"; exit 1; }
-echo "   serve: daemon round-trip, query, inspect, clean shutdown"
+./target/release/mktrace a5 --hours 0.05 --machines 2 -o "$SERVE/local.fstr" 2>/dev/null
+./target/release/tracefmt dump "$SERVE/local.fstr" > "$SERVE/local.txt"
+cmp "$SERVE/served.txt" "$SERVE/local.txt" || {
+    echo "   serve: served fleet differs from the locally generated fleet"; exit 1; }
+echo "   serve: daemon round-trip, query, inspect, clean shutdown, served = local"
 
 echo "== metrics artifact"
 # Stamp the metrics JSON with the commit it came from and leave it in

@@ -66,7 +66,6 @@ mod cache;
 mod config;
 mod metrics;
 mod replay;
-mod series;
 pub mod stack;
 pub mod sweep;
 
@@ -74,6 +73,5 @@ pub use cache::{BlockCache, BlockId};
 pub use config::{CacheConfig, Fidelity, Replacement, RwHandling, WritePolicy};
 pub use metrics::CacheMetrics;
 pub use replay::{expansion_count, replay_events, EventExpander, ReplayEvent, Replayer, Simulator};
-pub use series::{MissSeries, SeriesPoint};
 pub use stack::StackEngine;
 pub use sweep::ExpansionKey;

@@ -196,7 +196,7 @@ pub fn replay_events(trace: &Trace, config: &CacheConfig) -> Vec<ReplayEvent> {
 ///   `simulate_paging` is on.
 ///
 /// Event times are therefore nondecreasing whenever the input records
-/// are, which is what [`Replayer`] and [`crate::MissSeries`] require.
+/// are, which is what [`Replayer`] requires.
 /// Memory is the table's, O(simultaneously tracked open ids), never
 /// O(records) — this is what lets a sweep cell consume a multi-day
 /// trace straight from disk.
@@ -442,8 +442,8 @@ impl BlockSplit {
 
 /// Incremental replay state: a cache fed by the block decomposition.
 ///
-/// [`Simulator::run_events`] drives this to completion; time-series
-/// measurements ([`crate::MissSeries`]) step it event by event.
+/// [`Simulator::run_events`] drives this to completion; the sweep
+/// steps it event by event.
 pub struct Replayer {
     cache: BlockCache,
     split: BlockSplit,
@@ -876,8 +876,8 @@ mod tests {
         assert!(expansion_count() >= global_before + 2);
     }
 
-    /// Replay events come out in nondecreasing time order (what
-    /// `MissSeries` requires), with a record's events contiguous.
+    /// Replay events come out in nondecreasing time order, with a
+    /// record's events contiguous.
     #[test]
     fn replay_events_are_time_ordered() {
         let config = CacheConfig {

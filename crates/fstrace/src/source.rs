@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 
 use crate::codec::{self, DecodeError, TraceWriter};
 use crate::event::{TraceEvent, TraceRecord};
-use crate::ids::{FileId, OpenId, Timestamp, UserId};
+use crate::ids::Timestamp;
 use crate::trace::Trace;
 
 /// A stream of trace records in nondecreasing time order.
@@ -97,64 +97,48 @@ pub struct IdOffsets {
     pub user: u32,
 }
 
-/// Returns `rec` with all ids shifted by `off`.
-pub fn remap_record(rec: &TraceRecord, off: IdOffsets) -> TraceRecord {
-    let event = match rec.event {
-        TraceEvent::Open {
-            open_id,
-            file_id,
-            user_id,
-            mode,
-            size,
-            created,
-        } => TraceEvent::Open {
-            open_id: OpenId(open_id.0 + off.open),
-            file_id: FileId(file_id.0 + off.file),
-            user_id: UserId(user_id.0 + off.user),
-            mode,
-            size,
-            created,
-        },
-        TraceEvent::Close { open_id, final_pos } => TraceEvent::Close {
-            open_id: OpenId(open_id.0 + off.open),
-            final_pos,
-        },
-        TraceEvent::Seek {
-            open_id,
-            old_pos,
-            new_pos,
-        } => TraceEvent::Seek {
-            open_id: OpenId(open_id.0 + off.open),
-            old_pos,
-            new_pos,
-        },
-        TraceEvent::Unlink { file_id, user_id } => TraceEvent::Unlink {
-            file_id: FileId(file_id.0 + off.file),
-            user_id: UserId(user_id.0 + off.user),
-        },
-        TraceEvent::Truncate {
-            file_id,
-            new_len,
-            user_id,
-        } => TraceEvent::Truncate {
-            file_id: FileId(file_id.0 + off.file),
-            new_len,
-            user_id: UserId(user_id.0 + off.user),
-        },
-        TraceEvent::Execve {
-            file_id,
-            user_id,
-            size,
-        } => TraceEvent::Execve {
-            file_id: FileId(file_id.0 + off.file),
-            user_id: UserId(user_id.0 + off.user),
-            size,
-        },
-    };
-    TraceRecord {
-        time: rec.time,
-        event,
+impl IdOffsets {
+    /// Returns `rec` with all ids shifted by these offsets, or `None`
+    /// if a shifted id overflows its type.
+    pub fn checked_remap(self, rec: &TraceRecord) -> Option<TraceRecord> {
+        let mut out = *rec;
+        match &mut out.event {
+            TraceEvent::Open {
+                open_id,
+                file_id,
+                user_id,
+                ..
+            } => {
+                open_id.0 = open_id.0.checked_add(self.open)?;
+                file_id.0 = file_id.0.checked_add(self.file)?;
+                user_id.0 = user_id.0.checked_add(self.user)?;
+            }
+            TraceEvent::Close { open_id, .. } | TraceEvent::Seek { open_id, .. } => {
+                open_id.0 = open_id.0.checked_add(self.open)?;
+            }
+            TraceEvent::Unlink { file_id, user_id }
+            | TraceEvent::Truncate {
+                file_id, user_id, ..
+            }
+            | TraceEvent::Execve {
+                file_id, user_id, ..
+            } => {
+                file_id.0 = file_id.0.checked_add(self.file)?;
+                user_id.0 = user_id.0.checked_add(self.user)?;
+            }
+        }
+        Some(out)
     }
+}
+
+/// Returns `rec` with all ids shifted by `off`.
+///
+/// # Panics
+///
+/// Panics if a shifted id overflows; input from outside the process
+/// goes through [`IdOffsets::checked_remap`] instead.
+pub fn remap_record(rec: &TraceRecord, off: IdOffsets) -> TraceRecord {
+    off.checked_remap(rec).expect("id offset overflows")
 }
 
 /// Streams the k-way merge of in-memory traces with automatic
@@ -514,14 +498,18 @@ impl FleetMerge {
         self.inputs[i].finished = true;
     }
 
+    /// Input `i`'s progress watermark, or `None` once it has finished.
+    pub fn progress(&self, i: usize) -> Option<Timestamp> {
+        let input = &self.inputs[i];
+        (!input.finished).then_some(input.progress)
+    }
+
     /// The fleet watermark: the minimum progress over unfinished
     /// inputs, or `None` when every input has finished (nothing gates
     /// the merge any more).
     pub fn watermark(&self) -> Option<Timestamp> {
-        self.inputs
-            .iter()
-            .filter(|input| !input.finished)
-            .map(|input| input.progress)
+        (0..self.inputs.len())
+            .filter_map(|i| self.progress(i))
             .min()
     }
 
@@ -591,6 +579,7 @@ impl FleetMerge {
 mod tests {
     use super::*;
     use crate::event::AccessMode;
+    use crate::ids::{FileId, OpenId, UserId};
     use crate::trace::TraceBuilder;
 
     fn client(seed: u64, events: u64) -> Trace {
@@ -833,13 +822,19 @@ mod tests {
         }
         m.set_progress(0, u64::MAX);
         m.finish_input(0);
+        assert_eq!(m.progress(0), None);
         // Input 1 is alive with progress 0: nothing may be released.
+        assert_eq!(m.progress(1), Some(Timestamp::ZERO));
         let mut out: Vec<TraceRecord> = Vec::new();
         assert_eq!(m.release(&mut out).unwrap(), 0);
         assert!(out.is_empty());
         assert_eq!(m.buffered(), a.len());
-        // Progress to 70 ms releases exactly the records below tick 7.
+        // Progress to 70 ms releases exactly the records below tick 7;
+        // a lower promise later does not move it back.
         m.set_progress(1, 70);
+        m.set_progress(1, 30);
+        assert_eq!(m.progress(1), Some(Timestamp::from_ms(70)));
+        assert_eq!(m.watermark(), m.progress(1));
         m.release(&mut out).unwrap();
         assert!(out.iter().all(|r| r.time < Timestamp::from_ms(70)));
         assert_eq!(
@@ -852,6 +847,60 @@ mod tests {
         m.finish_input(1);
         m.finish(&mut out).unwrap();
         assert_eq!(out, a.records());
+    }
+
+    #[test]
+    fn checked_remap_rejects_every_overflowing_id() {
+        let off = IdOffsets {
+            open: 5,
+            file: 6,
+            user: 7,
+        };
+        let open = TraceRecord::new(
+            10,
+            TraceEvent::Open {
+                open_id: OpenId(1),
+                file_id: FileId(2),
+                user_id: UserId(3),
+                mode: AccessMode::ReadOnly,
+                size: 0,
+                created: false,
+            },
+        );
+        let shifted = off.checked_remap(&open).unwrap();
+        assert_eq!(shifted, remap_record(&open, off));
+        assert_eq!(shifted.event.open_id(), Some(OpenId(6)));
+        assert_eq!(shifted.event.file_id(), Some(FileId(8)));
+        assert_eq!(shifted.event.user_id(), Some(UserId(10)));
+        for over in [
+            IdOffsets {
+                open: u64::MAX,
+                ..off
+            },
+            IdOffsets {
+                file: u64::MAX,
+                ..off
+            },
+            IdOffsets {
+                user: u32::MAX,
+                ..off
+            },
+        ] {
+            assert_eq!(over.checked_remap(&open), None, "{over:?}");
+        }
+        let unlink = TraceRecord::new(
+            10,
+            TraceEvent::Unlink {
+                file_id: FileId(1),
+                user_id: UserId(1),
+            },
+        );
+        // An unlink carries no open id, so no open offset overflows it.
+        let open_only = IdOffsets {
+            open: u64::MAX,
+            ..IdOffsets::default()
+        };
+        assert_eq!(open_only.checked_remap(&unlink), Some(unlink));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The `tracestored` binary: `serve` runs the daemon, `client` drives
 //! one against it (queries, ingest from a trace file, shutdown).
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -26,6 +25,15 @@ fn die(msg: &str) -> ! {
     std::process::exit(1);
 }
 
+/// Parses a flag's numeric value, or dies naming the flag.
+fn number<T: std::str::FromStr>(flag: &str, text: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse()
+        .unwrap_or_else(|e| die(&format!("{flag}: {e}")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -38,35 +46,23 @@ fn main() {
 fn cmd_serve(args: &[String]) {
     let mut config = ServerConfig::default();
     let mut port_file: Option<PathBuf> = None;
-    let mut overrides = HashMap::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
+        let mut value = || {
             it.next()
-                .unwrap_or_else(|| die(&format!("{flag} needs a value")))
+                .unwrap_or_else(|| die(&format!("{arg} needs a value")))
                 .clone()
         };
         match arg.as_str() {
-            "--addr" => config.addr = value("--addr"),
-            "--dir" => config.dir = PathBuf::from(value("--dir")),
-            "--shard-kib" => {
-                overrides.insert("shard_kib".into(), value("--shard-kib"));
-            }
-            "--bucket-ms" => {
-                overrides.insert("bucket_ms".into(), value("--bucket-ms"));
-            }
-            "--chunk-kib" => {
-                overrides.insert("chunk_kib".into(), value("--chunk-kib"));
-            }
-            "--no-compress" => {
-                overrides.insert("compress".into(), "false".into());
-            }
-            "--port-file" => port_file = Some(PathBuf::from(value("--port-file"))),
+            "--addr" => config.addr = value(),
+            "--dir" => config.dir = PathBuf::from(value()),
+            "--shard-kib" => config.shard_target_bytes = number::<u64>(arg, &value()) << 10,
+            "--bucket-ms" => config.bucket_ms = number(arg, &value()),
+            "--chunk-kib" => config.chunk_target_bytes = number::<usize>(arg, &value()) << 10,
+            "--no-compress" => config.compress = false,
+            "--port-file" => port_file = Some(PathBuf::from(value())),
             other => die(&format!("unknown serve flag {other:?}")),
         }
-    }
-    if let Err(e) = tracestored::server::apply_config_overrides(&mut config, &overrides) {
-        die(&e);
     }
     let server = match Server::bind(config) {
         Ok(s) => s,

@@ -4,13 +4,14 @@
 //! # Architecture
 //!
 //! One listener thread accepts; each connection gets a handler thread.
-//! All ingest state — the [`FleetMerge`], per-input bookkeeping, the
-//! [`ShardSet`] — lives behind a single mutex with a condvar. That is
-//! deliberate: the merge is a *serializing* data structure (its whole
-//! point is one deterministic output order), so a finer lock would buy
-//! nothing on the append path. Queries copy a [`DataSnapshot`] out
-//! under the lock and run on the handler thread without it, so an
-//! expensive analyzer pass never stalls ingest.
+//! All ingest state lives behind a single mutex with a condvar: the
+//! [`FleetMerge`], which alone keeps each input's progress and whether
+//! it has finished; each input's attach flag and record count; and the
+//! [`ShardSet`]. That is deliberate: the merge is a *serializing* data
+//! structure (its whole point is one deterministic output order), so a
+//! finer lock would buy nothing on the append path. Queries copy a
+//! [`DataSnapshot`] out under the lock and run on the handler thread
+//! without it, so an expensive analyzer pass never stalls ingest.
 //!
 //! # Determinism
 //!
@@ -29,21 +30,23 @@
 //! daemon into an unbounded buffer. After pushing a batch, a handler
 //! waits on the condvar while the merge holds more than
 //! `backpressure_records` *and* its own progress is strictly above the
-//! fleet watermark. The strict comparison is the no-deadlock argument:
-//! the gating input (progress equal to the watermark) never waits, so
-//! it keeps advancing the watermark, which releases records and wakes
-//! the others.
+//! fleet watermark, both as the merge reports them. The strict
+//! comparison is the no-deadlock argument: the gating input (progress
+//! equal to the watermark) never waits, so it keeps advancing the
+//! watermark, which releases records and wakes the others.
 //!
 //! # Failure modes
 //!
 //! A connection that dies mid-frame loses at most that frame: frames
 //! are decoded only when complete, so a partial `records` batch is
 //! discarded wholesale and the input is force-finished — prior batches
-//! stay merged, shards stay verifiable. A `shutdown` op closes ingest,
-//! force-finishes stragglers, drains the merge, seals every shard
-//! (fsync), waits out in-flight queries, then stops the listener.
+//! stay merged, shards stay verifiable. A batch that goes back in time,
+//! or whose ids the `hello` offsets would overflow, gets an error reply
+//! and closes its connection before any of it reaches the merge. A
+//! `shutdown` op closes ingest, force-finishes stragglers, drains the
+//! merge, seals every shard (fsync), waits out in-flight queries, then
+//! stops the listener.
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -52,8 +55,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use fstrace::codec::{get_varint, put_varint};
-use fstrace::source::remap_record;
-use fstrace::{FleetMerge, IdOffsets, Timestamp};
+use fstrace::{FleetMerge, IdOffsets};
 
 use crate::protocol::{self, Hello};
 use crate::query::{render_suite, DataSnapshot};
@@ -112,12 +114,10 @@ pub struct ServerStats {
     pub records_merged: u64,
 }
 
-/// Per-input ingest bookkeeping the merge does not expose.
+/// Per-input ingest bookkeeping the merge does not keep; whether the
+/// input has finished, and its progress, are the merge's.
 struct InputState {
     attached: bool,
-    finished: bool,
-    /// Progress promise, in ticks (quantized like the merge's own).
-    progress_ticks: u64,
     /// Records accepted from this input.
     accepted: u64,
 }
@@ -132,26 +132,20 @@ struct Ingest {
     records_in: u64,
 }
 
+impl Ingest {
+    /// The merge. The first accepted `hello` creates it, so every
+    /// handler that holds an input finds it.
+    fn merge(&mut self) -> &mut FleetMerge {
+        self.merge.as_mut().expect("merge exists after hello")
+    }
+}
+
 struct Shared {
     state: Mutex<Ingest>,
     cond: Condvar,
     shutdown: AtomicBool,
     conn_seq: AtomicU64,
     config: ServerConfig,
-}
-
-impl Shared {
-    /// Mirrors `FleetMerge::watermark()` from our own bookkeeping (the
-    /// merge keeps its per-input progress private): minimum progress
-    /// over every unfinished input, attached or not — an input that has
-    /// not connected yet gates at zero, exactly as the merge sees it.
-    fn fleet_watermark_ticks(inputs: &[InputState]) -> Option<u64> {
-        inputs
-            .iter()
-            .filter(|s| !s.finished)
-            .map(|s| s.progress_ticks)
-            .min()
-    }
 }
 
 /// The daemon. [`Server::bind`] then [`Server::run`]; `run` blocks
@@ -384,8 +378,6 @@ impl Connection {
                     state.inputs = (0..total)
                         .map(|_| InputState {
                             attached: false,
-                            finished: false,
-                            progress_ticks: 0,
                             accepted: 0,
                         })
                         .collect();
@@ -418,16 +410,17 @@ impl Connection {
         let Some((index, offsets)) = self.input else {
             return protocol::write_err(stream, "records before hello");
         };
-        let records = match protocol::decode_records(payload) {
+        let mut records = match protocol::decode_records(payload) {
             Ok(r) => r,
             Err(e) => {
                 protocol::write_err(stream, &format!("bad record batch: {e}"))?;
                 return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
             }
         };
-        // Validate order before touching the merge: one bad client must
-        // not poison the shared state (FleetMerge asserts on regress).
-        for rec in &records {
+        // Validate order and shift ids before touching the merge: one
+        // bad client must not poison the shared state (FleetMerge
+        // asserts on regress, and `hello` offsets may overflow an id).
+        for rec in &mut records {
             let ticks = rec.time.as_ticks();
             if ticks < self.last_ticks {
                 protocol::write_err(stream, "records out of order within input")?;
@@ -437,17 +430,26 @@ impl Connection {
                 ));
             }
             self.last_ticks = ticks;
+            let Some(shifted) = offsets.checked_remap(rec) else {
+                protocol::write_err(
+                    stream,
+                    "bad record batch: an id overflows its input's offset",
+                )?;
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "id offset overflow",
+                ));
+            };
+            *rec = shifted;
         }
         let n = records.len() as u64;
         let mut state = self.shared.state.lock().expect("server lock");
-        if state.closed || state.inputs[index].finished {
+        if state.closed || state.merge().progress(index).is_none() {
             return protocol::write_err(stream, "input is closed");
         }
-        {
-            let merge = state.merge.as_mut().expect("merge exists after hello");
-            for rec in &records {
-                merge.push(index, &remap_record(rec, offsets));
-            }
+        let merge = state.merge();
+        for rec in &records {
+            merge.push(index, rec);
         }
         state.inputs[index].accepted += n;
         state.records_in += n;
@@ -459,10 +461,10 @@ impl Connection {
         // Backpressure: wait while the merge is over budget and some
         // *other* input is strictly behind us (we are not the gate).
         loop {
-            let merge = state.merge.as_ref().expect("merge exists");
+            let merge = state.merge();
             let over = merge.buffered() > self.shared.config.backpressure_records;
-            let behind_gate = Shared::fleet_watermark_ticks(&state.inputs)
-                .is_some_and(|w| state.inputs[index].progress_ticks > w);
+            let behind_gate = (merge.progress(index).zip(merge.watermark()))
+                .is_some_and(|(ours, gate)| ours > gate);
             if state.closed || !over || !behind_gate {
                 break;
             }
@@ -488,18 +490,10 @@ impl Connection {
             return Ok(());
         };
         let mut state = self.shared.state.lock().expect("server lock");
-        if state.closed || state.inputs[index].finished {
+        if state.closed || state.merge().progress(index).is_none() {
             return Ok(());
         }
-        let ticks = Timestamp::from_ms(up_to_ms).as_ticks();
-        if ticks > state.inputs[index].progress_ticks {
-            state.inputs[index].progress_ticks = ticks;
-        }
-        state
-            .merge
-            .as_mut()
-            .expect("merge exists after hello")
-            .set_progress(index, up_to_ms);
+        state.merge().set_progress(index, up_to_ms);
         self.release_locked(&mut state)?;
         self.shared.cond.notify_all();
         Ok(())
@@ -511,13 +505,8 @@ impl Connection {
         };
         let accepted = {
             let mut state = self.shared.state.lock().expect("server lock");
-            if !state.inputs[index].finished {
-                state.inputs[index].finished = true;
-                state
-                    .merge
-                    .as_mut()
-                    .expect("merge exists after hello")
-                    .finish_input(index);
+            if state.merge().progress(index).is_some() {
+                state.merge().finish_input(index);
                 self.release_locked(&mut state)?;
                 self.shared.cond.notify_all();
             }
@@ -615,9 +604,8 @@ impl Connection {
             // Force-finish stragglers so the merge can drain fully.
             let Ingest { merge, inputs, .. } = &mut *state;
             if let Some(merge) = merge.as_mut() {
-                for (i, input) in inputs.iter_mut().enumerate() {
-                    if input.attached && !input.finished {
-                        input.finished = true;
+                for (i, input) in inputs.iter().enumerate() {
+                    if input.attached {
                         merge.finish_input(i);
                     }
                 }
@@ -682,11 +670,8 @@ impl Connection {
             return;
         };
         let mut state = self.shared.state.lock().expect("server lock");
-        if !state.inputs[index].finished {
-            state.inputs[index].finished = true;
-            if let Some(merge) = state.merge.as_mut() {
-                merge.finish_input(index);
-            }
+        if state.merge().progress(index).is_some() {
+            state.merge().finish_input(index);
             let _ = self.release_locked(&mut state);
             obs::global().counter("tracestored.conn.killed").inc();
             self.shared.cond.notify_all();
@@ -703,33 +688,4 @@ pub fn spawn(
     let addr = server.local_addr()?;
     let handle = std::thread::spawn(move || server.run());
     Ok((addr, handle))
-}
-
-/// Parses `k=v` overrides for ad-hoc tools; unknown keys error.
-pub fn apply_config_overrides(
-    config: &mut ServerConfig,
-    overrides: &HashMap<String, String>,
-) -> Result<(), String> {
-    for (key, value) in overrides {
-        match key.as_str() {
-            "shard_kib" => {
-                config.shard_target_bytes = value
-                    .parse::<u64>()
-                    .map_err(|e| format!("shard_kib: {e}"))?
-                    << 10
-            }
-            "bucket_ms" => {
-                config.bucket_ms = value.parse().map_err(|e| format!("bucket_ms: {e}"))?
-            }
-            "chunk_kib" => {
-                config.chunk_target_bytes = value
-                    .parse::<usize>()
-                    .map_err(|e| format!("chunk_kib: {e}"))?
-                    << 10
-            }
-            "compress" => config.compress = value == "true",
-            other => return Err(format!("unknown config key {other:?}")),
-        }
-    }
-    Ok(())
 }

@@ -327,6 +327,80 @@ fn sweep_past_the_size_cap_gets_an_error_and_the_daemon_keeps_serving() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `hello` may declare id offsets that overflow the ids its records
+/// carry. Each such batch gets an error reply naming it and costs its
+/// connection; nothing of it reaches the merge, and the daemon keeps
+/// serving the other inputs and fresh clients.
+#[test]
+fn overflowing_id_offsets_get_an_error_and_the_daemon_keeps_serving() {
+    let dir = tmpdir("offset-overflow");
+    let config = ServerConfig {
+        dir: dir.clone(),
+        query_jobs: 2,
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = tracestored::spawn(config).expect("spawn server");
+    let addr = addr.to_string();
+    let open = TraceRecord::new(
+        0,
+        TraceEvent::Open {
+            open_id: OpenId(1),
+            file_id: FileId(1),
+            user_id: UserId(1),
+            mode: AccessMode::ReadOnly,
+            size: 512,
+            created: false,
+        },
+    );
+    let overflows = [
+        IdOffsets {
+            open: u64::MAX,
+            ..IdOffsets::default()
+        },
+        IdOffsets {
+            file: u64::MAX,
+            ..IdOffsets::default()
+        },
+        IdOffsets {
+            user: u32::MAX,
+            ..IdOffsets::default()
+        },
+    ];
+    for (i, offsets) in overflows.into_iter().enumerate() {
+        let mut raw = TcpStream::connect(&addr).expect("connect");
+        let hello = protocol::Hello {
+            total_inputs: 4,
+            input_index: i as u16,
+            offsets,
+            name: format!("overflow-{i}"),
+        };
+        protocol::write_frame(&mut raw, protocol::OP_HELLO, &hello.encode()).expect("hello");
+        protocol::read_reply(&mut raw).expect("hello ack");
+        let mut payload = Vec::new();
+        protocol::encode_records(&mut payload, &[open]);
+        protocol::write_frame(&mut raw, protocol::OP_RECORDS, &payload).expect("batch");
+        let err = protocol::read_reply(&mut raw).expect_err("an overflowing batch");
+        assert!(
+            err.to_string().contains("bad record batch"),
+            "{offsets:?}: {err}"
+        );
+    }
+    let survivor = machine_stream(0, 50);
+    let accepted = stream_as_client(&addr, 4, 3, &survivor, 16);
+    assert_eq!(accepted, survivor.len() as u64);
+
+    let mut q = Client::connect(&addr).expect("query client");
+    assert!(q
+        .summary()
+        .expect("summary after the errors")
+        .contains("trace"));
+    q.shutdown().expect("shutdown");
+    let stats = handle.join().expect("server thread").expect("server run");
+    assert_eq!(stats.records_in, survivor.len() as u64);
+    assert_eq!(stats.records_merged, survivor.len() as u64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn killed_mid_frame_connection_corrupts_nothing() {
     let server_dir = tmpdir("kill-server");

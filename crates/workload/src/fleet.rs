@@ -11,14 +11,15 @@
 //!
 //! 1. **Provider**: each machine's tracer accumulates records during an
 //!    actor step and drains into the machine's private reorder buffer.
-//! 2. **Ring**: a worker thread slices its machines forward one *epoch*
-//!    of simulated time at a time and ships each slice's final records
-//!    through a bounded channel — the per-machine ring. A full ring
-//!    blocks the producer (backpressure), never drops records.
-//! 3. **Merge**: the caller's thread receives the rings' slices into a
-//!    [`FleetMerge`], which releases records up to the fleet-wide
-//!    watermark (the slowest machine's progress) in `(time, machine,
-//!    arrival)` order.
+//! 2. **Channel**: a worker thread slices its machines forward one
+//!    *epoch* of simulated time at a time and sends each slice — the
+//!    machine's final records and the progress they back — into one
+//!    bounded FIFO channel shared by the fleet. A full channel blocks
+//!    the producer (backpressure), never drops records.
+//! 3. **Merge**: the caller's thread feeds the slices, in arrival
+//!    order, to a [`FleetMerge`], which keeps every machine's progress
+//!    and releases records up to the fleet-wide watermark (the slowest
+//!    machine's progress) in `(time, machine, arrival)` order.
 //!
 //! The load-bearing property is *schedule independence*: the merged
 //! trace is byte-identical for any worker count, because each machine's
@@ -28,22 +29,23 @@
 //! not of thread timing. `--jobs 8` must equal `--jobs 1` exactly;
 //! tests in this crate and `tests/fleet.rs` enforce it.
 //!
-//! Workers rendezvous at a barrier after every epoch, so no machine
-//! runs more than one epoch ahead of the slowest. The merge bounds its
-//! own memory under any thread schedule: each slice carries its
-//! machine's progress, and the merge takes slices only from the
-//! machines at the watermark, one at a time. Every machine is then at
-//! most one epoch ahead of the watermark inside the merge, so it holds
-//! about one epoch of fleet-wide output plus reorder tails. When the
-//! merge thread falls behind, the backlog waits in the bounded rings
-//! and blocks the producers; it never piles into the merge.
+//! Workers rendezvous at a barrier after every epoch, and each sends
+//! its epoch-k slices before it reaches the barrier into epoch k+1, so
+//! the channel delivers the fleet's slices epoch by epoch. The merge
+//! therefore has every machine's epoch-k slice before any of epoch
+//! k+1: the watermark trails the newest slice by one epoch at most, and
+//! the merge holds about one epoch of fleet-wide output plus reorder
+//! tails. When the merge thread falls behind, the backlog waits in the
+//! bounded channel and blocks the producers; it never piles into the
+//! merge.
 
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, SyncSender, TryRecvError};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Barrier, OnceLock};
 
 use bsdfs::FsParams;
-use fstrace::{EventKind, FleetMerge, IdOffsets, RecordSink, TraceRecord};
+use fstrace::{EventKind, FleetMerge, IdOffsets, RecordSink, Timestamp, TraceRecord};
 
 use crate::engine::{GenerateError, MachineSim, WorkloadConfig};
 use crate::profile::MachineProfile;
@@ -55,6 +57,10 @@ use crate::rng::stream_seed;
 const OPEN_STRIDE: u64 = 1 << 40;
 const FILE_STRIDE: u64 = 1 << 40;
 const USER_STRIDE: u32 = 1 << 16;
+
+/// Depth of the slice channel, in epochs of the whole fleet: it holds
+/// this many slices per machine before a send blocks.
+const CHANNEL_EPOCHS: usize = 8;
 
 /// Parameters for one fleet run.
 #[derive(Debug, Clone)]
@@ -80,9 +86,6 @@ pub struct FleetConfig {
     pub epoch_ms: u64,
     /// File system geometry for every machine.
     pub fs_params: FsParams,
-    /// Ring capacity in batches (one batch per epoch per machine);
-    /// a full ring blocks the producing worker.
-    pub ring_batches: usize,
 }
 
 impl Default for FleetConfig {
@@ -97,7 +100,6 @@ impl Default for FleetConfig {
             jobs: 1,
             epoch_ms: 60_000,
             fs_params: base.fs_params,
-            ring_batches: 8,
         }
     }
 }
@@ -168,8 +170,8 @@ pub struct FleetStats {
     pub records: u64,
     /// Most records the fleet merge buffered at once.
     pub merge_buffered_peak: u64,
-    /// Most records received from one ring in a single merge visit
-    /// (one slice: a machine's epoch, or its sealed tail).
+    /// Most records in one slice (a machine's epoch, or its sealed
+    /// tail).
     pub ring_occupancy_peak: u64,
     /// Largest observed progress spread between the fastest and the
     /// slowest machine, in simulated milliseconds.
@@ -225,8 +227,8 @@ fn fleet_machines_gauge() -> &'static obs::Gauge {
     CELL.get_or_init(|| obs::global().gauge("workload.fleet.machines"))
 }
 
-/// The `workload.fleet.ring_occupancy_peak` gauge: most records
-/// received from one machine's ring in a single merge visit.
+/// The `workload.fleet.ring_occupancy_peak` gauge: most records in one
+/// slice.
 fn ring_occupancy_gauge() -> &'static obs::Gauge {
     static CELL: OnceLock<obs::Gauge> = OnceLock::new();
     CELL.get_or_init(|| obs::global().gauge("workload.fleet.ring_occupancy_peak"))
@@ -239,18 +241,21 @@ fn merge_lag_gauge() -> &'static obs::Gauge {
     CELL.get_or_init(|| obs::global().gauge("workload.fleet.merge_lag_ms_peak"))
 }
 
-/// What a machine ships through its ring once per epoch: the records
-/// that became final before `up_to_ms`, or its sealed tail when
-/// `up_to_ms` is `u64::MAX`. Progress travels with the records that back
-/// it, so the merge can never apply a watermark ahead of them.
+/// What a worker sends for one machine once per epoch: the records
+/// that became final before `horizon_ms`. A machine's last slice has no
+/// `horizon_ms` and ends its merge input: it carries the sealed tail, or
+/// nothing when the machine failed. Progress travels with the records
+/// that back it, so the merge can never apply a watermark ahead of
+/// them.
 struct Slice {
+    machine: usize,
     records: Vec<TraceRecord>,
-    up_to_ms: u64,
+    horizon_ms: Option<u64>,
 }
 
 /// One worker's slice of the fleet: drives machines `w, w+workers,
-/// w+2*workers, ...` forward one epoch per barrier round, shipping each
-/// machine's finalized records through its ring.
+/// w+2*workers, ...` forward one epoch per barrier round, sending each
+/// machine's finalized records into the slice channel.
 struct Worker<'cfg> {
     config: &'cfg FleetConfig,
     owned: Vec<usize>,
@@ -279,88 +284,34 @@ pub fn generate_fleet_into(
     let workers = config.jobs.clamp(1, n);
     let barrier = Barrier::new(workers);
     let unfinished = AtomicU64::new(n as u64);
-    // Each machine's latest horizon, published by its worker for the
-    // lag statistic only: the merge takes progress from the slices.
-    let progress: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let mut txs: Vec<Option<SyncSender<Slice>>> = Vec::with_capacity(n);
-    let mut rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = mpsc::sync_channel::<Slice>(config.ring_batches.max(1));
-        txs.push(Some(tx));
-        rxs.push(rx);
-    }
-
+    let (tx, rx) = mpsc::sync_channel::<Slice>(CHANNEL_EPOCHS * n);
     let mut merge = FleetMerge::new((0..n).map(|i| config.machine_offsets(i)).collect());
-    let mut ring_peak = 0u64;
-    let mut lag_peak = 0u64;
-    let mut sink_result: Result<(), GenerateError> = Ok(());
 
-    let worker_outs = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let owned: Vec<usize> = (w..n).step_by(workers).collect();
-            let worker = Worker { config, owned };
-            let mut slots: Vec<SyncSender<Slice>> = Vec::new();
-            for &m in &worker.owned {
-                slots.push(txs[m].take().expect("machine owned twice"));
-            }
-            let barrier = &barrier;
-            let unfinished = &unfinished;
-            let progress = &progress;
-            handles.push(scope.spawn(move || worker.run(slots, barrier, unfinished, progress)));
-        }
-        drop(txs);
-
-        // The merge loop. `up_to[i]` is machine i's progress as the
-        // merge knows it (`None` once finished); the watermark is their
-        // minimum. Taking slices only from machines at the watermark
-        // keeps every machine within one epoch of it inside the merge.
-        let mut up_to: Vec<Option<u64>> = vec![Some(0); n];
-        while let Some(watermark) = up_to.iter().flatten().min().copied() {
-            let laggards: Vec<usize> = (0..n).filter(|&i| up_to[i] == Some(watermark)).collect();
-            let mut received = false;
-            for &i in &laggards {
-                let slice = match rxs[i].try_recv() {
-                    Ok(slice) => Some(slice),
-                    Err(TryRecvError::Empty) => continue,
-                    Err(TryRecvError::Disconnected) => None,
+    let (merged, worker_outs) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let worker = Worker {
+                    config,
+                    owned: (w..n).step_by(workers).collect(),
                 };
-                up_to[i] = take_slice(&mut merge, i, slice, sink_result.is_ok(), &mut ring_peak);
-                received = true;
-            }
-            if !received {
-                // Every laggard's ring is empty: the watermark cannot
-                // move until the first of them ships, so block on it.
-                let g = laggards[0];
-                let slice = rxs[g].recv().ok();
-                up_to[g] = take_slice(&mut merge, g, slice, sink_result.is_ok(), &mut ring_peak);
-            }
-            // The producers' spread, over machines still running.
-            let running = progress
-                .iter()
-                .map(|p| p.load(Ordering::Acquire))
-                .filter(|&p| p != u64::MAX);
-            let (lo, hi) = running.fold((u64::MAX, 0), |(lo, hi), p| (lo.min(p), hi.max(p)));
-            if lo <= hi {
-                lag_peak = lag_peak.max(hi - lo);
-            }
-            if sink_result.is_ok() {
-                if let Err(e) = merge.release(sink) {
-                    sink_result = Err(GenerateError::Io(e));
-                }
-            }
-        }
-        handles
+                let tx = tx.clone();
+                let (barrier, unfinished) = (&barrier, &unfinished);
+                scope.spawn(move || worker.run(tx, barrier, unfinished))
+            })
+            .collect();
+        drop(tx);
+        let merged = merge_slices(rx, &mut merge, sink);
+        let outs: Vec<_> = handles
             .into_iter()
             .map(|h| h.join().expect("fleet worker panicked"))
-            .collect::<Vec<_>>()
+            .collect();
+        (merged, outs)
     });
 
-    sink_result?;
+    let (ring_peak, lag_peak) = merged?;
     let mut machines: Vec<MachineStats> = Vec::with_capacity(n);
     for out in worker_outs {
-        let stats = out?;
-        machines.extend(stats);
+        machines.extend(out?);
     }
     machines.sort_by_key(|m| m.machine);
     let merge_buffered_peak = merge.peak() as u64;
@@ -376,59 +327,80 @@ pub fn generate_fleet_into(
     })
 }
 
-/// Feeds one received slice of machine `i` to the merge and returns
-/// the machine's new progress: `None` once it has finished (its sealed
-/// tail arrived, or its sender hung up because the machine failed).
-/// After a sink error the records are dropped instead of buffered.
-fn take_slice(
+/// The merge loop. Feeds each slice to `merge` in arrival order: its
+/// records, then its machine's progress, or the end of that machine's
+/// input on its last slice; then releases what the watermark allows to
+/// `sink`. Returns the most records in one slice and the widest
+/// progress spread between machines, in simulated milliseconds. After
+/// a sink error the loop still drains the slices, so no producer stays
+/// blocked on a full channel, but drops their records; it then returns
+/// that error.
+fn merge_slices(
+    slices: impl IntoIterator<Item = Slice>,
     merge: &mut FleetMerge,
-    i: usize,
-    slice: Option<Slice>,
-    keep: bool,
-    ring_peak: &mut u64,
-) -> Option<u64> {
-    let Some(slice) = slice else {
-        merge.finish_input(i);
-        return None;
-    };
-    *ring_peak = (*ring_peak).max(slice.records.len() as u64);
-    if keep {
-        for rec in &slice.records {
-            merge.push(i, rec);
+    sink: &mut dyn RecordSink,
+) -> io::Result<(u64, u64)> {
+    let (mut slice_peak, mut lag_peak) = (0u64, 0u64);
+    let mut result = Ok(());
+    for slice in slices {
+        slice_peak = slice_peak.max(slice.records.len() as u64);
+        if result.is_ok() {
+            for rec in &slice.records {
+                merge.push(slice.machine, rec);
+            }
+        }
+        match slice.horizon_ms {
+            Some(horizon_ms) => {
+                merge.set_progress(slice.machine, horizon_ms);
+                // Slices arrive epoch by epoch, so this machine leads
+                // the fleet and the watermark is the slowest machine.
+                if let Some(w) = merge.watermark() {
+                    lag_peak = lag_peak.max(Timestamp::from_ms(horizon_ms).since(w));
+                }
+            }
+            None => merge.finish_input(slice.machine),
+        }
+        if result.is_ok() {
+            result = merge.release(sink).map(drop);
         }
     }
-    if slice.up_to_ms == u64::MAX {
-        merge.finish_input(i);
-        None
-    } else {
-        merge.set_progress(i, slice.up_to_ms);
-        Some(slice.up_to_ms)
-    }
+    result.map(|()| (slice_peak, lag_peak))
 }
 
 impl Worker<'_> {
     /// Epoch loop: advance every owned machine to the next horizon,
-    /// ship its finalized records, publish progress, and rendezvous.
+    /// send its finalized records with its progress, and rendezvous.
     fn run(
         &self,
-        txs: Vec<SyncSender<Slice>>,
+        tx: SyncSender<Slice>,
         barrier: &Barrier,
         unfinished: &AtomicU64,
-        progress: &[AtomicU64],
     ) -> Result<Vec<MachineStats>, GenerateError> {
-        let mut sims: Vec<Option<MachineSim>> = Vec::with_capacity(self.owned.len());
-        let mut txs: Vec<Option<SyncSender<Slice>>> = txs.into_iter().map(Some).collect();
+        // A send fails only if the merge has gone, and then nothing is
+        // left to keep the records for. A full channel blocks here:
+        // backpressure, not loss.
+        let send = |machine, records, horizon_ms| {
+            let _ = tx.send(Slice {
+                machine,
+                records,
+                horizon_ms,
+            });
+        };
+        // A machine's last slice ends its merge input.
+        let finish = |machine, records| {
+            send(machine, records, None);
+            unfinished.fetch_sub(1, Ordering::AcqRel);
+        };
         let mut stats = Vec::with_capacity(self.owned.len());
         let mut first_err: Option<GenerateError> = None;
+        let mut sims: Vec<Option<MachineSim>> = Vec::with_capacity(self.owned.len());
         for &m in &self.owned {
             match MachineSim::new(&self.config.machine_config(m)) {
                 Ok(sim) => sims.push(Some(sim)),
                 Err(e) => {
                     sims.push(None);
-                    self.retire(m, &mut txs, progress, unfinished);
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    finish(m, Vec::new());
+                    first_err.get_or_insert(e);
                 }
             }
         }
@@ -445,51 +417,36 @@ impl Worker<'_> {
                     .and_then(|()| sim.flush_to(t, &mut batch).map_err(GenerateError::Io));
                 if let Err(e) = step {
                     sims[slot] = None;
-                    self.retire(m, &mut txs, progress, unfinished);
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    finish(m, Vec::new());
+                    first_err.get_or_insert(e);
                     continue;
                 }
-                let done = sim.idle();
-                if done {
-                    let sim = sims[slot].take().expect("sim present");
-                    match sim.seal(&mut batch) {
-                        Ok(out) => {
-                            let cfg = self.config.machine_config(m);
-                            stats.push(MachineStats {
-                                machine: m,
-                                trace_name: cfg.profile.trace_name.to_string(),
-                                seed: cfg.seed,
-                                users: cfg.profile.users,
-                                records: out.records,
-                                errors: out.errors,
-                                live_sessions_peak: out.live_sessions_peak,
-                                event_counts: out.event_counts,
-                            });
-                        }
-                        Err(e) => {
-                            if first_err.is_none() {
-                                first_err = Some(e);
-                            }
-                        }
+                if !sim.idle() {
+                    // Every epoch sends a slice, empty or not: it
+                    // carries the machine's progress.
+                    send(m, batch, Some(t));
+                    continue;
+                }
+                let sim = sims[slot].take().expect("sim present");
+                match sim.seal(&mut batch) {
+                    Ok(out) => {
+                        let cfg = self.config.machine_config(m);
+                        stats.push(MachineStats {
+                            machine: m,
+                            trace_name: cfg.profile.trace_name.to_string(),
+                            seed: cfg.seed,
+                            users: cfg.profile.users,
+                            records: out.records,
+                            errors: out.errors,
+                            live_sessions_peak: out.live_sessions_peak,
+                            event_counts: out.event_counts,
+                        });
+                    }
+                    Err(e) => {
+                        first_err.get_or_insert(e);
                     }
                 }
-                // Every epoch ships a slice, empty or not: it carries
-                // the machine's progress. A full ring blocks here:
-                // backpressure, not loss.
-                if let Some(tx) = txs[slot].as_ref() {
-                    let up_to_ms = if done { u64::MAX } else { t };
-                    let _ = tx.send(Slice {
-                        records: batch,
-                        up_to_ms,
-                    });
-                }
-                if done {
-                    self.retire_slot(m, slot, &mut txs, progress, unfinished);
-                } else {
-                    progress[m].store(t, Ordering::Release);
-                }
+                finish(m, batch);
             }
             // Double barrier: the count is stable in between, so every
             // worker reads the same value and exits on the same round.
@@ -505,38 +462,6 @@ impl Worker<'_> {
             Some(e) => Err(e),
             None => Ok(stats),
         }
-    }
-
-    /// Marks machine `m` (at owned-slot `slot`) finished: drop its
-    /// sender, publish terminal progress, decrement the fleet count.
-    fn retire_slot(
-        &self,
-        m: usize,
-        slot: usize,
-        txs: &mut [Option<SyncSender<Slice>>],
-        progress: &[AtomicU64],
-        unfinished: &AtomicU64,
-    ) {
-        txs[slot] = None;
-        progress[m].store(u64::MAX, Ordering::Release);
-        unfinished.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// [`retire_slot`](Worker::retire_slot) when the slot index must be
-    /// looked up from the machine index.
-    fn retire(
-        &self,
-        m: usize,
-        txs: &mut [Option<SyncSender<Slice>>],
-        progress: &[AtomicU64],
-        unfinished: &AtomicU64,
-    ) {
-        let slot = self
-            .owned
-            .iter()
-            .position(|&x| x == m)
-            .expect("machine not owned");
-        self.retire_slot(m, slot, txs, progress, unfinished);
     }
 }
 
@@ -558,6 +483,10 @@ pub fn generate_fleet(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc::TryRecvError;
+
+    use fstrace::{OpenId, TraceEvent};
+
     use super::*;
 
     fn tiny(machines: usize, jobs: usize) -> FleetConfig {
@@ -631,5 +560,114 @@ mod tests {
         let table = stats.render_table();
         assert_eq!(table.lines().count(), 1 + 2 + 1);
         assert!(table.contains("fleet"));
+    }
+
+    /// A stalled producer gates the merge (the watermark waits on the
+    /// slowest machine) without unbounded buffering, under the schedule
+    /// that stresses the bound most. The merge loop starts only after
+    /// both producers have filled the slice channel, so it begins far
+    /// behind; from then on producer 1 sends an epoch only when the
+    /// merge is about to block on an empty channel, so it is the
+    /// stalled machine. Each producer sends its epoch before the
+    /// barrier into the next — the fleet runner's discipline — so the
+    /// merge receives the epochs in order and its peak stays near one
+    /// epoch of output per machine, far below the total, however the
+    /// threads are scheduled.
+    #[test]
+    fn stalled_producer_gates_merge_without_unbounded_buffering() {
+        const EPOCHS: u64 = 30;
+        const PER_EPOCH: u64 = 50;
+        const EPOCH_MS: u64 = 1_000;
+        const RING: u64 = 4;
+        let offsets = vec![
+            IdOffsets::default(),
+            IdOffsets {
+                open: 1 << 40,
+                file: 1 << 40,
+                user: 1 << 16,
+            },
+        ];
+        let mut merge = FleetMerge::new(offsets);
+        let barrier = Barrier::new(2);
+        // Both producers and the merge pass this once the channel is
+        // full.
+        let start = Barrier::new(3);
+        // After the start, producer 1 sends one epoch per token.
+        let (token_tx, token_rx) = mpsc::sync_channel::<()>(1);
+        let mut token_rx = Some(token_rx);
+        let (tx, rx) = mpsc::sync_channel::<Slice>(2 * RING as usize);
+        let mut sink: Vec<TraceRecord> = Vec::new();
+
+        std::thread::scope(|scope| {
+            for machine in 0..2 {
+                let tx = tx.clone();
+                let tokens = if machine == 1 { token_rx.take() } else { None };
+                let (barrier, start) = (&barrier, &start);
+                scope.spawn(move || {
+                    for e in 0..EPOCHS {
+                        if e >= RING {
+                            if let Some(tokens) = &tokens {
+                                tokens.recv().unwrap();
+                            }
+                        }
+                        let base = e * EPOCH_MS;
+                        let records: Vec<TraceRecord> = (0..PER_EPOCH)
+                            .map(|k| {
+                                TraceRecord::new(
+                                    base + k * (EPOCH_MS / PER_EPOCH),
+                                    TraceEvent::Close {
+                                        open_id: OpenId(e * PER_EPOCH + k),
+                                        final_pos: 0,
+                                    },
+                                )
+                            })
+                            .collect();
+                        let horizon_ms = (e + 1 < EPOCHS).then_some((e + 1) * EPOCH_MS);
+                        tx.send(Slice {
+                            machine,
+                            records,
+                            horizon_ms,
+                        })
+                        .unwrap();
+                        if e + 1 == RING {
+                            start.wait();
+                        }
+                        barrier.wait();
+                    }
+                });
+            }
+            drop(tx);
+            start.wait();
+            // The channel as the merge loop sees it, except that when it
+            // is about to block it lets the stalled producer send.
+            let slices = std::iter::from_fn(|| match rx.try_recv() {
+                Ok(slice) => Some(slice),
+                Err(TryRecvError::Empty) => {
+                    let _ = token_tx.try_send(());
+                    rx.recv().ok()
+                }
+                Err(TryRecvError::Disconnected) => None,
+            });
+            merge_slices(slices, &mut merge, &mut sink).unwrap();
+        });
+        let peak = merge.peak();
+        merge.finish(&mut sink).unwrap();
+
+        let total = (2 * EPOCHS * PER_EPOCH) as usize;
+        assert_eq!(sink.len(), total);
+        assert!(sink.windows(2).all(|w| w[0].time <= w[1].time));
+        // Bounded: the merge never holds more than a few epochs of
+        // records — nowhere near the whole trace.
+        let bound = (6 * PER_EPOCH) as usize;
+        assert!(
+            peak <= bound,
+            "merge buffered {peak} records (bound {bound}, total {total})"
+        );
+        assert!(peak > 0);
+        // The high-water mark is exported for operators.
+        let snap = obs::global().snapshot();
+        assert!(snap
+            .gauge("fstrace.fleet.buffered_records_peak")
+            .is_some_and(|v| v >= peak as u64));
     }
 }

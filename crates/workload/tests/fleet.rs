@@ -1,20 +1,18 @@
-//! Fleet generation: determinism, stream independence, backpressure.
+//! Fleet generation: determinism, stream independence, bounded memory.
 //!
 //! The load-bearing property of the fleet runner is *schedule
 //! independence*: for a fixed config, the merged trace is byte-for-byte
 //! identical whatever `jobs` is and however the OS schedules the worker
 //! threads. These tests pin that property, the count-independence of
 //! the per-machine RNG streams (adding machine N+1 never perturbs
-//! machines 0..N), and the bounded-memory behavior of the watermark
-//! merge when one producer is deliberately slow.
-
-use std::sync::mpsc::{self, TryRecvError};
-use std::sync::{Arc, Barrier};
+//! machines 0..N), and the bounded-memory gauges of a fleet run. The
+//! stalled-producer test of the merge loop lives with that loop, in
+//! the crate's unit tests.
 
 use proptest::prelude::*;
 
 use bsdfs::FsParams;
-use fstrace::{FleetMerge, IdOffsets, OpenId, RecordSink, TraceEvent, TraceRecord, TraceWriter};
+use fstrace::{RecordSink, TraceEvent, TraceRecord, TraceWriter};
 use workload::{generate_fleet, generate_into, FleetConfig, MachineProfile};
 
 /// A fleet small enough to simulate many times in one test run.
@@ -190,142 +188,6 @@ fn machine_ids_are_machine_scoped() {
             assert_eq!((user_id.0 >> 16) as u64, m);
         }
     }
-}
-
-/// A stalled producer gates the merge (the watermark waits on the
-/// slowest machine) without unbounded buffering, under the schedule
-/// that stresses the bound most. The merge thread starts only after
-/// both producers have filled their rings, so it begins far behind;
-/// from then on producer 1 ships an epoch only when the merge thread is
-/// about to block on an empty ring, so it is the stalled machine. The
-/// merge takes slices, each carrying its machine's progress, only from
-/// machines at the watermark — the fleet runner's discipline — so each
-/// machine stays within one epoch of the watermark inside the merge and
-/// the peak stays near one epoch of output per machine, far below the
-/// total, however the threads are scheduled.
-#[test]
-fn stalled_producer_gates_merge_without_unbounded_buffering() {
-    const EPOCHS: u64 = 30;
-    const PER_EPOCH: u64 = 50;
-    const EPOCH_MS: u64 = 1_000;
-    const RING: u64 = 4;
-    let offsets = vec![
-        IdOffsets::default(),
-        IdOffsets {
-            open: 1 << 40,
-            file: 1 << 40,
-            user: 1 << 16,
-        },
-    ];
-    let mut merge = FleetMerge::new(offsets);
-    let barrier = Arc::new(Barrier::new(2));
-    // Both producers and the merge thread pass this once the rings are
-    // full.
-    let start = Arc::new(Barrier::new(3));
-    // After the start, producer 1 ships one epoch per token.
-    let (token_tx, token_rx) = mpsc::sync_channel::<()>(1);
-    let mut token_rx = Some(token_rx);
-    let mut txs = Vec::new();
-    let mut rxs = Vec::new();
-    for _ in 0..2 {
-        // A slice: one epoch's records and the progress they back.
-        let (tx, rx) = mpsc::sync_channel::<(Vec<TraceRecord>, u64)>(RING as usize);
-        txs.push(tx);
-        rxs.push(rx);
-    }
-
-    let mut handles = Vec::new();
-    for (i, tx) in txs.into_iter().enumerate() {
-        let barrier = Arc::clone(&barrier);
-        let start = Arc::clone(&start);
-        let tokens = if i == 1 { token_rx.take() } else { None };
-        handles.push(std::thread::spawn(move || {
-            for e in 0..EPOCHS {
-                if e >= RING {
-                    if let Some(tokens) = &tokens {
-                        tokens.recv().unwrap();
-                    }
-                }
-                let base = e * EPOCH_MS;
-                let batch: Vec<TraceRecord> = (0..PER_EPOCH)
-                    .map(|k| {
-                        TraceRecord::new(
-                            base + k * (EPOCH_MS / PER_EPOCH),
-                            TraceEvent::Close {
-                                open_id: OpenId(e * PER_EPOCH + k),
-                                final_pos: 0,
-                            },
-                        )
-                    })
-                    .collect();
-                tx.send((batch, (e + 1) * EPOCH_MS)).unwrap();
-                if e + 1 == RING {
-                    start.wait();
-                }
-                barrier.wait();
-            }
-        }));
-    }
-
-    start.wait();
-    let mut sink: Vec<TraceRecord> = Vec::new();
-    // Each machine's progress as the merge knows it; `None` once done.
-    let mut up_to = [Some(0u64); 2];
-    while let Some(watermark) = up_to.iter().flatten().min().copied() {
-        let laggards: Vec<usize> = (0..2).filter(|&i| up_to[i] == Some(watermark)).collect();
-        let mut slices = Vec::new();
-        for &i in &laggards {
-            match rxs[i].try_recv() {
-                Ok(slice) => slices.push((i, Some(slice))),
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => slices.push((i, None)),
-            }
-        }
-        if slices.is_empty() {
-            // About to block: let the stalled producer ship one epoch.
-            let _ = token_tx.try_send(());
-            let g = laggards[0];
-            slices.push((g, rxs[g].recv().ok()));
-        }
-        for (i, slice) in slices {
-            match slice {
-                Some((batch, progress)) => {
-                    for rec in &batch {
-                        merge.push(i, rec);
-                    }
-                    merge.set_progress(i, progress);
-                    up_to[i] = Some(progress);
-                }
-                None => {
-                    merge.finish_input(i);
-                    up_to[i] = None;
-                }
-            }
-        }
-        merge.release(&mut sink).unwrap();
-    }
-    let peak = merge.peak();
-    merge.finish(&mut sink).unwrap();
-    for h in handles {
-        h.join().unwrap();
-    }
-
-    let total = (2 * EPOCHS * PER_EPOCH) as usize;
-    assert_eq!(sink.len(), total);
-    assert!(sink.windows(2).all(|w| w[0].time <= w[1].time));
-    // Bounded: the merge never holds more than a few epochs of records
-    // — nowhere near the whole trace.
-    let bound = (6 * PER_EPOCH) as usize;
-    assert!(
-        peak <= bound,
-        "merge buffered {peak} records (bound {bound}, total {total})"
-    );
-    assert!(peak > 0);
-    // The high-water mark is exported for operators.
-    let snap = obs::global().snapshot();
-    assert!(snap
-        .gauge("fstrace.fleet.buffered_records_peak")
-        .is_some_and(|v| v >= peak as u64));
 }
 
 /// The real fleet runner also reports a bounded merge peak, and exports
