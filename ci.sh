@@ -36,26 +36,6 @@ echo "== metrics invariants and goldens"
 cargo test -q -p bsdtrace --test metrics --test goldens
 cargo test -q -p cachesim --test sharing
 
-echo "== bench gates"
-# Each row of the gate table (crates/core/src/bin/bench/gates.rs) runs
-# one bench scenario with that row's parameters in its own process,
-# writes its artifact to target/artifacts/ROW.json, prints a one-line
-# verdict, and exits 1 naming the first failed check. The streaming
-# smoke runs under a hard 512 MB address-space cap: the streaming
-# pipeline must generate, analyze, and replay a 2-hour trace inside it
-# (the simulated disk's block map alone reserves ~264 MB of address
-# space, touched sparsely).
-mkdir -p target/artifacts
-(
-    ulimit -v 524288
-    ./target/release/bench check BENCH_streaming_smoke \
-        > target/artifacts/BENCH_streaming_smoke.json
-)
-for gate in BENCH_4 BENCH_4_table7 BENCH_archive_smoke BENCH_5 BENCH_6 \
-    BENCH_7 BENCH_8 BENCH_9 BENCH_10; do
-    ./target/release/bench check "$gate" > "target/artifacts/$gate.json"
-done
-
 echo "== archive corruption drill at the CLI surface"
 # Same drill at the CLI surface: tracefmt verify must exit 0 on a
 # fresh archive and 1 on a vandalized one, naming exactly one chunk.
@@ -135,7 +115,26 @@ grep -q "shard dir:" "$SERVE/inspect.txt" || {
 ./target/release/tracefmt dump "$SERVE/local.fstr" > "$SERVE/local.txt"
 cmp "$SERVE/served.txt" "$SERVE/local.txt" || {
     echo "   serve: served fleet differs from the locally generated fleet"; exit 1; }
-echo "   serve: daemon round-trip, query, inspect, clean shutdown, served = local"
+# Fewer workers than machines: the fleet runner sends every machine's
+# epoch k before any machine's epoch k+1, so a machine that holds the
+# daemon's watermark always has its next frames on the wire. A fresh
+# daemon, because the first hello fixes a session's input count.
+./target/release/tracestored serve --addr 127.0.0.1:0 --dir "$SERVE/shards3" \
+    --shard-kib 256 --port-file "$SERVE/port3" 2>"$SERVE/daemon3.log" &
+DAEMON=$!
+for _ in $(seq 50); do [ -s "$SERVE/port3" ] && break; sleep 0.1; done
+[ -s "$SERVE/port3" ] || { echo "   serve: daemon never wrote its port"; exit 1; }
+ADDR="127.0.0.1:$(cat "$SERVE/port3")"
+./target/release/mktrace a5 --hours 0.05 --machines 3 --jobs 1 --serve "$ADDR" 2>/dev/null
+./target/release/tracestored client --addr "$ADDR" range 0 18446744073709551615 \
+    > "$SERVE/served3.txt" 2>/dev/null
+./target/release/tracestored client --addr "$ADDR" shutdown
+wait "$DAEMON" || { echo "   serve: daemon exited nonzero"; exit 1; }
+./target/release/mktrace a5 --hours 0.05 --machines 3 --jobs 1 -o "$SERVE/local3.fstr" 2>/dev/null
+./target/release/tracefmt dump "$SERVE/local3.fstr" > "$SERVE/local3.txt"
+cmp "$SERVE/served3.txt" "$SERVE/local3.txt" || {
+    echo "   serve: served fleet at --machines 3 --jobs 1 differs from the local fleet"; exit 1; }
+echo "   serve: daemon round-trip, query, inspect, clean shutdown, served = local at 2 and 3 machines"
 
 echo "== metrics artifact"
 # Stamp the metrics JSON with the commit it came from and leave it in
@@ -145,5 +144,27 @@ mkdir -p target/artifacts
 BSDTRACE_GIT_SHA="$SHA" ./target/release/repro table6 --hours 0.1 \
     --metrics "target/artifacts/metrics-$SHA.json" >/dev/null
 echo "   wrote target/artifacts/metrics-$SHA.json"
+
+echo "== bench gates"
+# Last, after every correctness section: a timing floor missed on a
+# small host must not hide a correctness failure. Each row of the gate
+# table (crates/core/src/bin/bench/gates.rs) runs one bench scenario
+# with that row's parameters in its own process, writes its artifact
+# to target/artifacts/ROW.json, prints a one-line verdict, and exits 1
+# naming the first failed check. The streaming
+# smoke runs under a hard 512 MB address-space cap: the streaming
+# pipeline must generate, analyze, and replay a 2-hour trace inside it
+# (the simulated disk's block map alone reserves ~264 MB of address
+# space, touched sparsely).
+mkdir -p target/artifacts
+(
+    ulimit -v 524288
+    ./target/release/bench check BENCH_streaming_smoke \
+        > target/artifacts/BENCH_streaming_smoke.json
+)
+for gate in BENCH_4 BENCH_4_table7 BENCH_archive_smoke BENCH_5 BENCH_6 \
+    BENCH_7 BENCH_8 BENCH_9 BENCH_10; do
+    ./target/release/bench check "$gate" > "target/artifacts/$gate.json"
+done
 
 echo "ci.sh: all green"

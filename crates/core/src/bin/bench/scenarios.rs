@@ -19,7 +19,7 @@ use fstrace::{
     TraceWriter,
 };
 use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption, RecoveryReport};
-use tracestored::{render_suite, Client, ServerConfig, ShardPolicy, ShardSet};
+use tracestored::{render_suite, Client, IngestSink, ServerConfig, ShardPolicy, ShardSet};
 use workload::{
     generate, generate_fleet_into, generate_into, FleetConfig, FleetStats, GeneratedTrace,
     MachineProfile, WorkloadConfig,
@@ -607,9 +607,6 @@ pub fn pipe(p: &Params) -> Report {
     r
 }
 
-/// Records per OP_RECORDS frame; matches the IngestSink batch size.
-const BATCH: usize = 8192;
-
 /// Generates one machine's full stream, un-remapped: the records the
 /// fleet's epoch loop would send for it (`generate_into` over the
 /// machine's config yields exactly those, `workload/tests/fleet.rs`).
@@ -662,21 +659,18 @@ fn shards_in(dir: &Path) -> Vec<(OsString, Vec<u8>)> {
 }
 
 /// Streams one machine into the daemon at `addr` over its own
-/// connection.
+/// connection, through an [`IngestSink`].
 fn ingest(addr: &str, machines: usize, m: usize, offsets: IdOffsets, stream: &[TraceRecord]) {
     let what = format!("machine {m}");
     let mut client = Client::connect(addr).or_die(&what);
     client
         .hello(machines as u16, m as u16, offsets, &format!("bench-{m}"))
         .or_die(&what);
-    for chunk in stream.chunks(BATCH) {
-        client.send_records(chunk).or_die(&what);
-        client
-            .progress(chunk.last().expect("non-empty").time.as_ms())
-            .or_die(&what);
+    let mut sink = IngestSink::new(&mut client);
+    for rec in stream {
+        sink.write_record(rec).or_die(&what);
     }
-    client.progress(u64::MAX).ok();
-    let accepted = client.fin().or_die(&what);
+    let accepted = sink.finish().or_die(&what);
     if accepted != stream.len() as u64 {
         die(&format!(
             "machine {m}: server accepted {accepted}, sent {}",

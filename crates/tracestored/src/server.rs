@@ -43,9 +43,9 @@
 //! stay merged, shards stay verifiable. A batch that goes back in time,
 //! or whose ids the `hello` offsets would overflow, gets an error reply
 //! and closes its connection before any of it reaches the merge. A
-//! `shutdown` op closes ingest, force-finishes stragglers, drains the
-//! merge, seals every shard (fsync), waits out in-flight queries, then
-//! stops the listener.
+//! `shutdown` op closes ingest, force-finishes every input (attached
+//! or not), drains the merge, seals every shard (fsync), waits out
+//! in-flight queries, then stops the listener.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -601,13 +601,12 @@ impl Connection {
         {
             let mut state = self.shared.state.lock().expect("server lock");
             state.closed = true;
-            // Force-finish stragglers so the merge can drain fully.
-            let Ingest { merge, inputs, .. } = &mut *state;
-            if let Some(merge) = merge.as_mut() {
-                for (i, input) in inputs.iter().enumerate() {
-                    if input.attached {
-                        merge.finish_input(i);
-                    }
+            // Force-finish every input, attached or not, so the merge
+            // drains fully: an input that `hello` declared but that
+            // never connected would otherwise hold the watermark.
+            if let Some(merge) = state.merge.as_mut() {
+                for i in 0..merge.input_count() {
+                    merge.finish_input(i);
                 }
             }
             self.release_locked(&mut state)?;

@@ -497,6 +497,47 @@ fn killed_mid_frame_connection_corrupts_nothing() {
     let _ = std::fs::remove_dir_all(&server_dir);
 }
 
+/// A `fin` ack means the records entered the merge, so a clean
+/// shutdown writes them even when an input the session's `hello`
+/// declared never attached: that input cannot hold the watermark past
+/// shutdown.
+#[test]
+fn shutdown_writes_acked_records_when_a_declared_input_never_attached() {
+    let dir = tmpdir("shutdown-unattached");
+    let config = ServerConfig {
+        dir: dir.clone(),
+        ..ServerConfig::default()
+    };
+    let stream: Vec<TraceRecord> = machine_stream(0, 100).into_iter().take(100).collect();
+    assert_eq!(stream.len(), 100);
+
+    let (addr, handle) = tracestored::spawn(config).expect("spawn server");
+    let addr = addr.to_string();
+    // Input 0 of 2 sends everything and finishes; input 1 never connects.
+    assert_eq!(stream_as_client(&addr, 2, 0, &stream, 100), 100);
+    Client::connect(&addr)
+        .expect("query client")
+        .shutdown()
+        .expect("shutdown");
+    let stats = handle.join().expect("server thread").expect("server run");
+    assert_eq!(stats.records_in, 100);
+    assert_eq!(
+        stats.records_merged, 100,
+        "acked records never left the merge"
+    );
+
+    let shards = shard_files(&dir);
+    assert_eq!(shards.len(), 1, "shutdown sealed no shard");
+    let archive = tracestore::Archive::open(&shards[0]).expect("shard opens");
+    let back: Vec<TraceRecord> = archive
+        .records(tracestore::Corruption::Fail)
+        .map(|rec| rec.expect("shard record decodes"))
+        .collect();
+    assert_eq!(back, stream, "input 0 has identity offsets");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn rotation_and_backpressure_under_small_limits() {
     let server_dir = tmpdir("rotate-server");

@@ -25,12 +25,14 @@
 //! so memory stays bounded no matter how many hours or machines are
 //! simulated.
 //!
-//! With `--serve ADDR` nothing is written locally: every machine
-//! streams over its own connection into a running `tracestored`, which
-//! performs the watermark merge server-side and shards the result. The
-//! daemon's merged archive is byte-identical to what `--out fleet.tsa`
-//! would produce through the same shard policy, because both paths run
-//! the same [`fstrace::FleetMerge`] over the same per-machine streams.
+//! With `--serve ADDR` nothing is written locally:
+//! [`workload::serve_fleet`] runs the same fleet runner and streams
+//! every machine over its own connection into a running `tracestored`,
+//! which performs the watermark merge server-side and shards the
+//! result. The daemon's merged archive is byte-identical to what
+//! `--out fleet.tsa` would produce through the same shard policy,
+//! because both paths run the same [`fstrace::FleetMerge`] over the
+//! same per-machine streams.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -38,9 +40,9 @@ use std::process::exit;
 
 use fstrace::{RecordSink, TextSink, TraceWriter};
 use tracestore::{ArchiveOptions, ArchiveWriter};
-use tracestored::Client;
 use workload::{
-    generate_fleet_into, generate_into, FleetConfig, MachineProfile, MachineSim, WorkloadConfig,
+    generate_fleet_into, generate_into, serve_fleet, FleetConfig, GenerateError, MachineProfile,
+    WorkloadConfig,
 };
 
 fn main() {
@@ -129,53 +131,6 @@ fn main() {
         die("missing profile (a5, e3 or c4, comma-separated to mix)");
     }
 
-    if let Some(addr) = serve {
-        if text {
-            die("--serve streams binary records; --text does not apply");
-        }
-        let config = FleetConfig {
-            mix,
-            machines,
-            seed,
-            duration_hours: hours,
-            user_scale,
-            jobs,
-            epoch_ms,
-            ..FleetConfig::default()
-        };
-        serve_fleet(&addr, config);
-        return;
-    }
-
-    let file = File::create(&out).unwrap_or_else(|e| die(&format!("create {out}: {e}")));
-    let archive = out.ends_with(".tsa");
-    if text && archive {
-        die("--text and a .tsa output are mutually exclusive");
-    }
-
-    if machines == 1 && mix.len() == 1 {
-        let profile = mix.remove(0);
-        eprintln!(
-            "generating {} ({}) for {hours} simulated hours, seed {seed} ...",
-            profile.trace_name, profile.name
-        );
-        let config = WorkloadConfig {
-            profile,
-            seed,
-            duration_hours: hours,
-            ..WorkloadConfig::default()
-        };
-        let (records, bytes) = run_single(&config, file, text, archive, &out);
-        report(&out, records, bytes);
-        return;
-    }
-
-    let names: Vec<&str> = mix.iter().map(|p| p.trace_name).collect();
-    eprintln!(
-        "generating a fleet of {machines} machines (mix {}) for {hours} simulated hours, \
-         seed {seed}, {jobs} jobs ...",
-        names.join(",")
-    );
     let mut config = FleetConfig {
         mix,
         machines,
@@ -194,171 +149,102 @@ fn main() {
         eprintln!("  (>= 64 machines: using the memory-frugal fleet() file-system geometry)");
         config.fs_params = bsdfs::FsParams::fleet();
     }
-    let (stats, bytes) = if text {
-        let mut sink = TextSink::new(BufWriter::new(file));
-        let stats = gen_fleet(&config, &mut sink);
-        sink.into_inner()
-            .flush()
-            .unwrap_or_else(|e| die(&format!("write: {e}")));
-        (stats, None)
-    } else if archive {
-        let opts = ArchiveOptions {
-            name: format!("fleet-{machines}x"),
-            ..ArchiveOptions::default()
+    let names: Vec<&str> = config.mix.iter().map(|p| p.trace_name).collect();
+    let names = names.join(",");
+
+    if let Some(addr) = serve {
+        if text {
+            die("--serve streams binary records; --text does not apply");
+        }
+        eprintln!(
+            "streaming a fleet of {machines} machines (mix {names}) for {hours} simulated hours \
+             to {addr}, {jobs} jobs ..."
+        );
+        let stats = serve_fleet(&config, &addr).unwrap_or_else(|e| die(&format!("serve: {e}")));
+        eprint!("{}", stats.render_table());
+        eprintln!(
+            "served {} records from {machines} machine(s) to {addr}",
+            stats.records
+        );
+        return;
+    }
+    if text && out.ends_with(".tsa") {
+        die("--text and a .tsa output are mutually exclusive");
+    }
+
+    if machines == 1 && config.mix.len() == 1 {
+        let profile = config.mix.remove(0);
+        eprintln!(
+            "generating {} ({}) for {hours} simulated hours, seed {seed} ...",
+            profile.trace_name, profile.name
+        );
+        let name = profile.trace_name.to_string();
+        let config = WorkloadConfig {
+            profile,
+            seed,
+            duration_hours: hours,
+            ..WorkloadConfig::default()
         };
-        let mut sink = ArchiveWriter::new(BufWriter::new(file), opts)
-            .unwrap_or_else(|e| die(&format!("write header: {e}")));
-        let stats = gen_fleet(&config, &mut sink);
-        let (mut w, summary) = sink
-            .finish()
-            .unwrap_or_else(|e| die(&format!("write: {e}")));
-        w.flush().unwrap_or_else(|e| die(&format!("write: {e}")));
-        (stats, Some(summary.bytes))
-    } else {
-        let mut sink = TraceWriter::new(BufWriter::new(file))
-            .unwrap_or_else(|e| die(&format!("write header: {e}")));
-        let stats = gen_fleet(&config, &mut sink);
-        let bytes = sink.bytes_written();
-        sink.into_inner()
-            .and_then(|mut w| w.flush())
-            .unwrap_or_else(|e| die(&format!("write: {e}")));
-        (stats, Some(bytes))
-    };
+        let (stream, bytes) = write_trace(&out, text, name, |sink| generate_into(&config, sink));
+        report(&out, stream.records, bytes);
+        return;
+    }
+
+    eprintln!(
+        "generating a fleet of {machines} machines (mix {names}) for {hours} simulated hours, \
+         seed {seed}, {jobs} jobs ..."
+    );
+    let (stats, bytes) = write_trace(&out, text, format!("fleet-{machines}x"), |sink| {
+        generate_fleet_into(&config, sink)
+    });
     eprint!("{}", stats.render_table());
     report(&out, stats.records, bytes);
 }
 
-fn gen_fleet(config: &FleetConfig, sink: &mut dyn RecordSink) -> workload::FleetStats {
-    generate_fleet_into(config, sink).unwrap_or_else(|e| die(&format!("generate: {e}")))
-}
-
-/// Streams every machine of the fleet into a running `tracestored`:
-/// one connection (= one merge input) per machine, `min(jobs,
-/// machines)` worker threads striped over them. Each machine runs the
-/// same epoch loop as the local fleet path — advance to the horizon,
-/// ship the finalized records, publish progress — except the watermark
-/// merge happens in the daemon instead of in this process.
-fn serve_fleet(addr: &str, mut config: FleetConfig) {
-    let machines = config.machines;
-    if machines >= 64 {
-        eprintln!("  (>= 64 machines: using the memory-frugal fleet() file-system geometry)");
-        config.fs_params = bsdfs::FsParams::fleet();
-    }
-    let names: Vec<&str> = config.mix.iter().map(|p| p.trace_name).collect();
-    eprintln!(
-        "streaming a fleet of {machines} machines (mix {}) for {} simulated hours to {addr} ...",
-        names.join(","),
-        config.duration_hours
-    );
-    let workers = config.jobs.min(machines).max(1);
-    let total: u64 = std::thread::scope(|scope| {
-        let config = &config;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut sent = 0u64;
-                    for m in (w..machines).step_by(workers) {
-                        sent += serve_machine(addr, config, m)
-                            .unwrap_or_else(|e| die(&format!("machine {m}: {e}")));
-                    }
-                    sent
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker")).sum()
-    });
-    eprintln!("served {total} records from {machines} machine(s) to {addr}");
-}
-
-/// Simulates one machine, streaming into the daemon epoch by epoch.
-fn serve_machine(addr: &str, config: &FleetConfig, m: usize) -> std::io::Result<u64> {
-    let machine_config = config.machine_config(m);
-    let mut client = Client::connect(addr)?;
-    client.hello(
-        config.machines as u16,
-        m as u16,
-        config.machine_offsets(m),
-        &format!("{}-{m}", machine_config.profile.trace_name),
-    )?;
-    let mut sim =
-        MachineSim::new(&machine_config).map_err(|e| std::io::Error::other(e.to_string()))?;
-    let mut t = config.epoch_ms;
-    let mut batch: Vec<fstrace::TraceRecord> = Vec::new();
-    loop {
-        sim.advance(t, &mut batch)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        sim.flush_to(t, &mut batch)?;
-        let done = sim.idle();
-        if done {
-            // Final sync and tail: consumes the simulator.
-            let out = sim
-                .seal(&mut batch)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            if !batch.is_empty() {
-                client.send_records(&batch)?;
-            }
-            client.progress(u64::MAX)?;
-            let accepted = client.fin()?;
-            if accepted != out.records {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("server accepted {accepted}, sent {}", out.records),
-                ));
-            }
-            return Ok(accepted);
-        }
-        if !batch.is_empty() {
-            client.send_records(&batch)?;
-            batch.clear();
-        }
-        // Progress AFTER sending: a watermark the daemon applies is
-        // always backed by already-shipped records.
-        client.progress(t)?;
-        t += config.epoch_ms;
-    }
-}
-
-fn run_single(
-    config: &WorkloadConfig,
-    file: File,
-    text: bool,
-    archive: bool,
+/// Creates `out` and generates into it, in the format the path and
+/// `--text` select: text lines, a `.tsa` archive named `name`, or the
+/// binary stream. Returns what `generate` returned and the bytes
+/// written (none counted for text).
+fn write_trace<T>(
     out: &str,
-) -> (u64, Option<u64>) {
-    if text {
-        let mut sink = TextSink::new(BufWriter::new(file));
-        let stream =
-            generate_into(config, &mut sink).unwrap_or_else(|e| die(&format!("generate: {e}")));
-        sink.into_inner()
-            .flush()
-            .unwrap_or_else(|e| die(&format!("write: {e}")));
-        (stream.records, None)
-    } else if archive {
+    text: bool,
+    name: String,
+    generate: impl FnOnce(&mut dyn RecordSink) -> Result<T, GenerateError>,
+) -> (T, Option<u64>) {
+    let file = File::create(out).unwrap_or_else(|e| die(&format!("create {out}: {e}")));
+    let file = BufWriter::new(file);
+    let generate = |sink: &mut dyn RecordSink| {
+        generate(sink).unwrap_or_else(|e| die(&format!("generate: {e}")))
+    };
+    let (made, bytes) = if text {
+        let mut sink = TextSink::new(file);
+        let made = generate(&mut sink);
+        (made, sink.into_inner().flush().map(|()| None))
+    } else if out.ends_with(".tsa") {
         let opts = ArchiveOptions {
-            name: config.profile.trace_name.to_string(),
+            name,
             ..ArchiveOptions::default()
         };
-        let mut sink = ArchiveWriter::new(BufWriter::new(file), opts)
-            .unwrap_or_else(|e| die(&format!("write header: {e}")));
-        let stream =
-            generate_into(config, &mut sink).unwrap_or_else(|e| die(&format!("generate: {e}")));
-        let (mut w, summary) = sink
-            .finish()
-            .unwrap_or_else(|e| die(&format!("write: {e}")));
-        w.flush()
-            .unwrap_or_else(|e| die(&format!("write {out}: {e}")));
-        (stream.records, Some(summary.bytes))
+        let mut sink =
+            ArchiveWriter::new(file, opts).unwrap_or_else(|e| die(&format!("write header: {e}")));
+        let made = generate(&mut sink);
+        let finished = sink.finish();
+        (
+            made,
+            finished.and_then(|(mut w, summary)| w.flush().map(|()| Some(summary.bytes))),
+        )
     } else {
-        let mut sink = TraceWriter::new(BufWriter::new(file))
-            .unwrap_or_else(|e| die(&format!("write header: {e}")));
-        let stream =
-            generate_into(config, &mut sink).unwrap_or_else(|e| die(&format!("generate: {e}")));
+        let mut sink =
+            TraceWriter::new(file).unwrap_or_else(|e| die(&format!("write header: {e}")));
+        let made = generate(&mut sink);
         let bytes = sink.bytes_written();
-        sink.into_inner()
-            .and_then(|mut w| w.flush())
-            .unwrap_or_else(|e| die(&format!("write: {e}")));
-        (stream.records, Some(bytes))
-    }
+        let flushed = sink.into_inner().and_then(|mut w| w.flush());
+        (made, flushed.map(|()| Some(bytes)))
+    };
+    (
+        made,
+        bytes.unwrap_or_else(|e| die(&format!("write {out}: {e}"))),
+    )
 }
 
 fn report(out: &str, records: u64, bytes: Option<u64>) {

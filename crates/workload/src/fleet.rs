@@ -16,10 +16,13 @@
 //!    machine's final records and the progress they back — into one
 //!    bounded FIFO channel shared by the fleet. A full channel blocks
 //!    the producer (backpressure), never drops records.
-//! 3. **Merge**: the caller's thread feeds the slices, in arrival
-//!    order, to a [`FleetMerge`], which keeps every machine's progress
-//!    and releases records up to the fleet-wide watermark (the slowest
-//!    machine's progress) in `(time, machine, arrival)` order.
+//! 3. **Consumer**: the caller's thread reads the slices in arrival
+//!    order. [`generate_fleet_into`] feeds them to a [`FleetMerge`],
+//!    which keeps every machine's progress and releases records up to
+//!    the fleet-wide watermark (the slowest machine's progress) in
+//!    `(time, machine, arrival)` order. [`serve_fleet`] forwards each
+//!    over its machine's connection to a `tracestored` daemon, which
+//!    runs the same merge.
 //!
 //! The load-bearing property is *schedule independence*: the merged
 //! trace is byte-identical for any worker count, because each machine's
@@ -35,9 +38,10 @@
 //! therefore has every machine's epoch-k slice before any of epoch
 //! k+1: the watermark trails the newest slice by one epoch at most, and
 //! the merge holds about one epoch of fleet-wide output plus reorder
-//! tails. When the merge thread falls behind, the backlog waits in the
+//! tails. When the consumer falls behind, the backlog waits in the
 //! bounded channel and blocks the producers; it never piles into the
-//! merge.
+//! merge. The daemon relies on the same order: the input that holds its
+//! watermark always has its next frames on the wire.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,6 +50,7 @@ use std::sync::{Barrier, OnceLock};
 
 use bsdfs::FsParams;
 use fstrace::{EventKind, FleetMerge, IdOffsets, RecordSink, Timestamp, TraceRecord};
+use tracestored::Client;
 
 use crate::engine::{GenerateError, MachineSim, WorkloadConfig};
 use crate::profile::MachineProfile;
@@ -162,19 +167,22 @@ pub struct MachineStats {
 }
 
 /// The product of a fleet run: per-machine and merged totals.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetStats {
     /// One entry per machine, in machine order.
     pub machines: Vec<MachineStats>,
-    /// Records written to the merged sink (sum of machine records).
+    /// Records written to the merged sink, or acknowledged by the
+    /// daemon for [`serve_fleet`] (the sum of machine records).
     pub records: u64,
-    /// Most records the fleet merge buffered at once.
+    /// Most records the fleet merge buffered at once (zero for
+    /// [`serve_fleet`], whose merge runs in the daemon).
     pub merge_buffered_peak: u64,
     /// Most records in one slice (a machine's epoch, or its sealed
     /// tail).
     pub ring_occupancy_peak: u64,
     /// Largest observed progress spread between the fastest and the
-    /// slowest machine, in simulated milliseconds.
+    /// slowest machine, in simulated milliseconds (zero for
+    /// [`serve_fleet`]).
     pub merge_lag_ms_peak: u64,
 }
 
@@ -276,6 +284,60 @@ pub fn generate_fleet_into(
     sink: &mut dyn RecordSink,
 ) -> Result<FleetStats, GenerateError> {
     let _timing = obs::global().span("workload.fleet.generate").start();
+    let offsets = (0..config.machines).map(|i| config.machine_offsets(i));
+    let mut merge = FleetMerge::new(offsets.collect());
+    let (lag_peak, mut stats) = run_fleet(config, |slices| merge_slices(slices, &mut merge, sink))?;
+    stats.merge_buffered_peak = merge.peak() as u64;
+    stats.records = merge.finish(sink)?;
+    stats.merge_lag_ms_peak = lag_peak;
+    merge_lag_gauge().record(lag_peak);
+    Ok(stats)
+}
+
+/// Streams the fleet into the `tracestored` daemon at `addr`, whose
+/// merged trace is then byte-identical to what [`generate_fleet_into`]
+/// writes for the same config.
+///
+/// Each machine holds one connection, one merge input of the daemon,
+/// for the whole run: a `hello` with the machine's id offsets, then its
+/// slices in the order the workers send them. Every machine's epoch-k
+/// slice goes out before any epoch-k+1 slice, so the input that holds
+/// the daemon's watermark always has its next frames on the wire: the
+/// daemon's backpressure can slow the run but never stall it, at any
+/// `jobs`. The returned stats count the records the daemon
+/// acknowledged; their merge fields stay zero (the daemon merged).
+///
+/// # Errors
+///
+/// Fails if a connection fails, the daemon acknowledges a machine's
+/// input with a record count other than what was sent on it, or a
+/// machine fails as in [`generate_fleet_into`].
+pub fn serve_fleet(config: &FleetConfig, addr: &str) -> Result<FleetStats, GenerateError> {
+    let mut clients = (0..config.machines)
+        .map(|m| {
+            let mut client = Client::connect(addr)?;
+            let name = format!("{}-{m}", config.machine_config(m).profile.trace_name);
+            let (total, index) = (config.machines as u16, m as u16);
+            client.hello(total, index, config.machine_offsets(m), &name)?;
+            Ok(client)
+        })
+        .collect::<io::Result<Vec<Client>>>()?;
+    let (acked, mut stats) = run_fleet(config, |slices| serve_slices(slices, &mut clients))?;
+    stats.records = acked;
+    Ok(stats)
+}
+
+/// The fleet runner behind both consumers. Spawns `min(jobs,
+/// machines)` workers that drive the machines epoch by epoch, and hands
+/// their slices, in channel order, to `consume` on the calling thread,
+/// which reads every slice, even after an error of its own, so no
+/// worker stays blocked on a full channel. Returns what `consume`
+/// returned and the stats of the machines and the slices; the consumer
+/// fills in the rest.
+fn run_fleet<T>(
+    config: &FleetConfig,
+    consume: impl FnOnce(&mut dyn Iterator<Item = Slice>) -> io::Result<T>,
+) -> Result<(T, FleetStats), GenerateError> {
     let n = config.machines;
     assert!(n > 0, "fleet needs at least one machine");
     assert!(config.epoch_ms > 0, "epoch must be positive");
@@ -285,9 +347,9 @@ pub fn generate_fleet_into(
     let barrier = Barrier::new(workers);
     let unfinished = AtomicU64::new(n as u64);
     let (tx, rx) = mpsc::sync_channel::<Slice>(CHANNEL_EPOCHS * n);
-    let mut merge = FleetMerge::new((0..n).map(|i| config.machine_offsets(i)).collect());
+    let mut slice_peak = 0u64;
 
-    let (merged, worker_outs) = std::thread::scope(|scope| {
+    let (consumed, worker_outs) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let worker = Worker {
@@ -300,50 +362,48 @@ pub fn generate_fleet_into(
             })
             .collect();
         drop(tx);
-        let merged = merge_slices(rx, &mut merge, sink);
+        let consumed = consume(
+            &mut rx
+                .into_iter()
+                .inspect(|slice| slice_peak = slice_peak.max(slice.records.len() as u64)),
+        );
         let outs: Vec<_> = handles
             .into_iter()
             .map(|h| h.join().expect("fleet worker panicked"))
             .collect();
-        (merged, outs)
+        (consumed, outs)
     });
 
-    let (ring_peak, lag_peak) = merged?;
+    let consumed = consumed?;
     let mut machines: Vec<MachineStats> = Vec::with_capacity(n);
     for out in worker_outs {
         machines.extend(out?);
     }
     machines.sort_by_key(|m| m.machine);
-    let merge_buffered_peak = merge.peak() as u64;
-    let total = merge.finish(sink)?;
-    ring_occupancy_gauge().record(ring_peak);
-    merge_lag_gauge().record(lag_peak);
-    Ok(FleetStats {
+    ring_occupancy_gauge().record(slice_peak);
+    let stats = FleetStats {
         machines,
-        records: total,
-        merge_buffered_peak,
-        ring_occupancy_peak: ring_peak,
-        merge_lag_ms_peak: lag_peak,
-    })
+        ring_occupancy_peak: slice_peak,
+        ..FleetStats::default()
+    };
+    Ok((consumed, stats))
 }
 
-/// The merge loop. Feeds each slice to `merge` in arrival order: its
-/// records, then its machine's progress, or the end of that machine's
-/// input on its last slice; then releases what the watermark allows to
-/// `sink`. Returns the most records in one slice and the widest
-/// progress spread between machines, in simulated milliseconds. After
-/// a sink error the loop still drains the slices, so no producer stays
-/// blocked on a full channel, but drops their records; it then returns
+/// The local consumer. Feeds each slice to `merge` in arrival order:
+/// its records, then its machine's progress, or the end of that
+/// machine's input on its last slice; then releases what the watermark
+/// allows to `sink`. Returns the widest progress spread between
+/// machines, in simulated milliseconds. After a sink error the loop
+/// still drains the slices but drops their records; it then returns
 /// that error.
 fn merge_slices(
     slices: impl IntoIterator<Item = Slice>,
     merge: &mut FleetMerge,
     sink: &mut dyn RecordSink,
-) -> io::Result<(u64, u64)> {
-    let (mut slice_peak, mut lag_peak) = (0u64, 0u64);
+) -> io::Result<u64> {
+    let mut lag_peak = 0u64;
     let mut result = Ok(());
     for slice in slices {
-        slice_peak = slice_peak.max(slice.records.len() as u64);
         if result.is_ok() {
             for rec in &slice.records {
                 merge.push(slice.machine, rec);
@@ -364,7 +424,43 @@ fn merge_slices(
             result = merge.release(sink).map(drop);
         }
     }
-    result.map(|()| (slice_peak, lag_peak))
+    result.map(|()| lag_peak)
+}
+
+/// The daemon consumer. Sends each slice on its machine's connection:
+/// one `records` frame when the slice holds records, then progress to
+/// its horizon, or on the machine's last slice `progress(MAX)` and
+/// `fin`, whose acknowledged count must equal the records sent there.
+/// Returns the records acknowledged. After an error the loop still
+/// drains the slices but sends nothing more; it then returns that
+/// error.
+fn serve_slices(
+    slices: &mut dyn Iterator<Item = Slice>,
+    clients: &mut [Client],
+) -> io::Result<u64> {
+    let mut sent = vec![0u64; clients.len()];
+    let mut result = Ok(0);
+    for slice in slices {
+        let (client, sent) = (&mut clients[slice.machine], &mut sent[slice.machine]);
+        result = result.and_then(|acked| {
+            if !slice.records.is_empty() {
+                client.send_records(&slice.records)?;
+                *sent += slice.records.len() as u64;
+            }
+            let Some(horizon_ms) = slice.horizon_ms else {
+                client.progress(u64::MAX)?;
+                return match client.fin()? {
+                    fin if fin == *sent => Ok(acked + fin),
+                    fin => Err(io::Error::other(format!(
+                        "machine {}: the daemon acknowledged {fin} records, {sent} were sent",
+                        slice.machine
+                    ))),
+                };
+            };
+            client.progress(horizon_ms).map(|()| acked)
+        });
+    }
+    result
 }
 
 impl Worker<'_> {

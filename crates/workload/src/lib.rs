@@ -53,6 +53,8 @@ pub use engine::{
     generate, generate_into, GenerateError, GeneratedStream, GeneratedTrace, MachineSim,
     WorkloadConfig,
 };
-pub use fleet::{generate_fleet, generate_fleet_into, FleetConfig, FleetStats, MachineStats};
+pub use fleet::{
+    generate_fleet, generate_fleet_into, serve_fleet, FleetConfig, FleetStats, MachineStats,
+};
 pub use profile::{CommandKind, MachineProfile};
 pub use rng::{stream_seed, Sampler};
