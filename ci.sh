@@ -91,18 +91,26 @@ echo "== trace-serving daemon CLI smoke"
 # the fleet runner's merge agree.
 SERVE=target/artifacts/serve_smoke
 rm -rf "$SERVE" && mkdir -p "$SERVE"
-./target/release/tracestored serve --addr 127.0.0.1:0 --dir "$SERVE/shards" \
-    --shard-kib 256 --port-file "$SERVE/port" 2>"$SERVE/daemon.log" &
-DAEMON=$!
-for _ in $(seq 50); do [ -s "$SERVE/port" ] && break; sleep 0.1; done
-[ -s "$SERVE/port" ] || { echo "   serve: daemon never wrote its port"; exit 1; }
-ADDR="127.0.0.1:$(cat "$SERVE/port")"
+# Starts a daemon on a free port over the shard dir "$SERVE/$1"; sets
+# DAEMON and ADDR.
+start_daemon() {
+    ./target/release/tracestored serve --addr 127.0.0.1:0 --dir "$SERVE/$1" \
+        --shard-kib 256 --port-file "$SERVE/$1.port" 2>"$SERVE/$1.log" &
+    DAEMON=$!
+    for _ in $(seq 50); do [ -s "$SERVE/$1.port" ] && break; sleep 0.1; done
+    [ -s "$SERVE/$1.port" ] || { echo "   serve: daemon never wrote its port"; exit 1; }
+    ADDR="127.0.0.1:$(cat "$SERVE/$1.port")"
+}
+start_daemon shards
 ./target/release/mktrace a5 --hours 0.05 --machines 2 --serve "$ADDR" 2>/dev/null
 ./target/release/tracestored client --addr "$ADDR" range 0 18446744073709551615 \
     > "$SERVE/served.txt" 2>/dev/null
 ./target/release/tracestored client --addr "$ADDR" summary > "$SERVE/summary.txt"
 grep -qi "trace" "$SERVE/summary.txt" || {
     echo "   serve: summary reply looks empty"; exit 1; }
+./target/release/tracestored client --addr "$ADDR" analyze > "$SERVE/analyze.txt"
+grep -q "== activity ==" "$SERVE/analyze.txt" || {
+    echo "   serve: analyze reply looks empty"; exit 1; }
 ./target/release/tracestored client --addr "$ADDR" metrics | \
     grep -q "tracestored_ingest_records" || {
     echo "   serve: /metrics missing ingest counter"; exit 1; }
@@ -115,16 +123,22 @@ grep -q "shard dir:" "$SERVE/inspect.txt" || {
 ./target/release/tracefmt dump "$SERVE/local.fstr" > "$SERVE/local.txt"
 cmp "$SERVE/served.txt" "$SERVE/local.txt" || {
     echo "   serve: served fleet differs from the locally generated fleet"; exit 1; }
+# The same records through the other ingest path: the local fleet,
+# packed and sent by `client ingest` to a fresh daemon, must get the
+# same served analysis as the fleet mktrace --serve streamed.
+./target/release/tracefmt pack "$SERVE/local.fstr" "$SERVE/local.tsa" 2>/dev/null
+start_daemon shards_ingest
+./target/release/tracestored client --addr "$ADDR" ingest "$SERVE/local.tsa" 2>/dev/null
+./target/release/tracestored client --addr "$ADDR" analyze > "$SERVE/analyze_ingest.txt"
+./target/release/tracestored client --addr "$ADDR" shutdown
+wait "$DAEMON" || { echo "   serve: daemon exited nonzero"; exit 1; }
+cmp "$SERVE/analyze.txt" "$SERVE/analyze_ingest.txt" || {
+    echo "   serve: analyze after client ingest differs from analyze after mktrace --serve"; exit 1; }
 # Fewer workers than machines: the fleet runner sends every machine's
 # epoch k before any machine's epoch k+1, so a machine that holds the
 # daemon's watermark always has its next frames on the wire. A fresh
 # daemon, because the first hello fixes a session's input count.
-./target/release/tracestored serve --addr 127.0.0.1:0 --dir "$SERVE/shards3" \
-    --shard-kib 256 --port-file "$SERVE/port3" 2>"$SERVE/daemon3.log" &
-DAEMON=$!
-for _ in $(seq 50); do [ -s "$SERVE/port3" ] && break; sleep 0.1; done
-[ -s "$SERVE/port3" ] || { echo "   serve: daemon never wrote its port"; exit 1; }
-ADDR="127.0.0.1:$(cat "$SERVE/port3")"
+start_daemon shards3
 ./target/release/mktrace a5 --hours 0.05 --machines 3 --jobs 1 --serve "$ADDR" 2>/dev/null
 ./target/release/tracestored client --addr "$ADDR" range 0 18446744073709551615 \
     > "$SERVE/served3.txt" 2>/dev/null
@@ -134,7 +148,7 @@ wait "$DAEMON" || { echo "   serve: daemon exited nonzero"; exit 1; }
 ./target/release/tracefmt dump "$SERVE/local3.fstr" > "$SERVE/local3.txt"
 cmp "$SERVE/served3.txt" "$SERVE/local3.txt" || {
     echo "   serve: served fleet at --machines 3 --jobs 1 differs from the local fleet"; exit 1; }
-echo "   serve: daemon round-trip, query, inspect, clean shutdown, served = local at 2 and 3 machines"
+echo "   serve: daemon round-trip, query, inspect, clean shutdown, served = local at 2 and 3 machines, analyze alike through both ingest paths"
 
 echo "== metrics artifact"
 # Stamp the metrics JSON with the commit it came from and leave it in

@@ -1,9 +1,7 @@
 //! System activity: users, active users, and per-user throughput
 //! (Table IV of the paper).
 
-use std::collections::BTreeSet;
-
-use fstrace::{Step, Trace, TraceEvent, TraceRecord, UserId};
+use fstrace::{FastSet, Step, Trace, TraceEvent, TraceRecord, UserId};
 use simstat::{OnlineStats, WindowedSums};
 
 use crate::stream::{drive, Analyzer};
@@ -75,7 +73,7 @@ impl ActivityAnalysis {
 pub struct ActivityBuilder {
     window_secs: Vec<u64>,
     windows: Vec<WindowedSums>,
-    users: BTreeSet<u32>,
+    users: FastSet<u32>,
     /// The previous point's user: a run of points by one user inserts
     /// into `users` once.
     last_user: Option<u32>,
@@ -93,7 +91,7 @@ impl ActivityBuilder {
                 .iter()
                 .map(|&secs| WindowedSums::new(secs * 1000))
                 .collect(),
-            users: BTreeSet::new(),
+            users: FastSet::default(),
             last_user: None,
             total_bytes: 0,
             first_ms: None,

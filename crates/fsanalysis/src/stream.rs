@@ -5,8 +5,19 @@
 //! is a thin wrapper over the [`Analyzer`] implementation in its module,
 //! and [`run_analyzers`] drives *all* of them over one pass of the
 //! record stream. Memory is bounded by the number of simultaneously
-//! open files plus the analyzers' own summaries — never by trace
-//! length — so a multi-day trace streams straight from disk.
+//! open files plus the analyzers' own summaries, so a multi-day trace
+//! streams straight from disk. The summaries' distributions hold one
+//! entry per distinct value ([`simstat::Distribution`]), not one per
+//! event, so they stop growing once the trace's values repeat. Two
+//! summaries do grow with the trace: Table IV's window sums keep one
+//! entry per active `(window, user)` pair, so they grow with the
+//! trace's span, and Figure 4's [`LifetimeAnalysis::events`] keeps one
+//! entry per file death.
+//!
+//! The pass allocates nothing per session in steady state: the
+//! session builder lends each closed session from its freed slot
+//! ([`SessionBuilder::step`]), and the next open there reuses its runs
+//! buffer.
 //!
 //! # One open-id table
 //!
@@ -153,12 +164,12 @@ impl AnalysisStream {
         self.lifetimes.observe(rec, step);
         self.gaps.observe(rec, step);
         if let Some(s) = closed {
-            self.sequentiality.on_session(&s);
-            self.run_lengths.on_session(&s);
-            self.sizes.on_session(&s);
-            self.open_times.on_session(&s);
-            self.lifetimes.on_session(&s);
-            self.users.on_session(&s);
+            self.sequentiality.on_session(s);
+            self.run_lengths.on_session(s);
+            self.sizes.on_session(s);
+            self.open_times.on_session(s);
+            self.lifetimes.on_session(s);
+            self.users.on_session(s);
         }
     }
 
@@ -224,7 +235,7 @@ pub(crate) fn drive<A: Analyzer>(mut analyzer: A, records: &[TraceRecord]) -> A:
         let (step, closed) = sessions.step(rec);
         analyzer.observe(rec, step);
         if let Some(s) = closed {
-            analyzer.on_session(&s);
+            analyzer.on_session(s);
         }
     }
     for s in &sessions.finish().0 {

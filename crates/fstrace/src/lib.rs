@@ -20,7 +20,9 @@
 //!   plus the [`FillBlock`] refill contract that lets consumers reuse
 //!   one block's buffers across a whole stream.
 //! * [`hash`] — the [`FastMap`]/[`FastSet`] FxHash-style maps used by
-//!   every hot id-keyed table in the replay and analysis loops.
+//!   every hot id-keyed table in the replay and analysis loops
+//!   (re-exported from `simstat`, which keeps the workspace's one
+//!   hasher).
 //! * [`source`] — streaming [`source::RecordSource`] /
 //!   [`source::RecordSink`] contracts, the k-way time-ordered
 //!   [`FleetMerge`] (and [`merged_records`], its pull driver over
@@ -57,7 +59,6 @@
 pub mod block;
 pub mod codec;
 mod event;
-pub mod hash;
 mod ids;
 pub mod session;
 pub mod source;
@@ -67,9 +68,10 @@ mod trace;
 pub use block::{FillBlock, FillRecords, RecordBlock};
 pub use codec::{TraceReader, TraceWriter};
 pub use event::{AccessMode, EventKind, TraceEvent, TraceRecord};
-pub use hash::{FastMap, FastSet};
 pub use ids::{FileId, OpenId, Timestamp, UserId, TICK_MS};
 pub use session::{OpenSession, OpenTable, Run, SessionBuilder, SessionSet, Step};
+pub use simstat::hash;
+pub use simstat::hash::{FastMap, FastSet};
 pub use source::{
     merged_records, FleetMerge, IdOffsets, RecordSink, RecordSource, ReorderBuffer, TextSink,
 };

@@ -12,7 +12,9 @@
 //!
 //! The deduction lives in one place, [`OpenTable`]: outside test code,
 //! the only table keyed by open id. [`SessionBuilder`] is that table with an
-//! [`OpenSession`] per slot, and feeds the Section-5 analyses;
+//! [`OpenSession`] per slot, and feeds the Section-5 analyses, lending
+//! each closed session from its freed slot rather than handing over an
+//! owned copy, so the next open there reuses its runs buffer;
 //! `cachesim::EventExpander` steps the same table, with no payload, to
 //! replay the runs at every fidelity.
 
@@ -325,7 +327,7 @@ impl<S: Default> OpenTable<S> {
     }
 }
 
-/// Online session reconstruction: feed records one at a time, collect
+/// Online session reconstruction: feed records one at a time, see
 /// each closed session the moment its `close` arrives.
 ///
 /// The builder is the shared [`OpenTable`] with an [`OpenSession`] as
@@ -334,6 +336,12 @@ impl<S: Default> OpenTable<S> {
 /// only between its `open` and its `close`, so a week-long trace
 /// streams through without materializing anything proportional to its
 /// length.
+///
+/// [`SessionBuilder::step`] lends the closed session out of its freed
+/// slot rather than moving it out, and the next `open` that takes the
+/// slot reuses the session's `runs` buffer, so open/close churn
+/// allocates nothing in steady state. [`SessionBuilder::observe`]
+/// returns an owned clone for callers that keep sessions.
 ///
 /// Its open-id table is the only one an analysis pass needs:
 /// [`SessionBuilder::step`] also reports each record's billed run and
@@ -380,16 +388,17 @@ impl SessionBuilder {
     /// when a trace starts mid-activity) are counted as anomalies and
     /// skipped.
     pub fn observe(&mut self, rec: &TraceRecord) -> Option<OpenSession> {
-        self.step(rec).1
+        self.step(rec).1.cloned()
     }
 
     /// [`SessionBuilder::observe`], also reporting what the record did
-    /// to its open id.
+    /// to its open id, and lending the completed session instead of
+    /// cloning it.
     ///
     /// An orphan `seek` — one whose open id was never seen — is an
     /// anomaly with no session, but from then on the id is tracked, so
     /// its later `seek`s and `close` report [`Step::prev`].
-    pub fn step(&mut self, rec: &TraceRecord) -> (Step, Option<OpenSession>) {
+    pub fn step(&mut self, rec: &TraceRecord) -> (Step, Option<&OpenSession>) {
         let (step, session) = self.table.step(rec);
         let Some(session) = session else {
             return (step, None);
@@ -403,6 +412,10 @@ impl SessionBuilder {
             created,
         } = rec.event
         {
+            // The slot's previous session, closed or dropped, gives up
+            // its runs buffer.
+            let mut runs = session.take().map(|s| s.runs).unwrap_or_default();
+            runs.clear();
             *session = Some(OpenSession {
                 open_id,
                 file_id,
@@ -412,7 +425,7 @@ impl SessionBuilder {
                 open_time: rec.time,
                 close_time: None,
                 open_size: size,
-                runs: Vec::new(),
+                runs,
                 seek_count: 0,
             });
             return (step, None);
@@ -432,7 +445,7 @@ impl SessionBuilder {
             return (step, None);
         }
         s.close_time = Some(rec.time);
-        (step, session.take())
+        (step, Some(s))
     }
 
     /// Number of sessions currently open (the builder's live memory).

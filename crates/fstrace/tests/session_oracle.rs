@@ -325,7 +325,7 @@ proptest! {
                 i,
                 rec
             );
-            prop_assert_eq!(got_closed, want_closed, "record {} {:?}", i, rec);
+            prop_assert_eq!(got_closed, want_closed.as_ref(), "record {} {:?}", i, rec);
             prop_assert_eq!(table.live_sessions(), legacy.live_sessions(), "record {}", i);
         }
         prop_assert_eq!(table.anomalies(), legacy.anomalies());

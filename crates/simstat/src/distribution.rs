@@ -1,5 +1,9 @@
 //! Exact empirical distributions with per-sample weights.
 
+use std::fmt;
+
+use crate::hash::FastMap;
+
 /// One point of a cumulative distribution curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CdfPoint {
@@ -11,10 +15,14 @@ pub struct CdfPoint {
 
 /// An exact empirical distribution over `u64` values with `u64` weights.
 ///
-/// Samples are buffered and sorted lazily on first query. This is the
-/// workhorse behind the paper's cumulative-distribution figures: each
-/// figure is a `Distribution` weighted either by count (Figures 1a, 2a,
-/// 3, 4a) or by bytes transferred / written (Figures 1b, 2b, 4b).
+/// Each `add` sums its weight into a value → weight map, so memory is
+/// one entry per *distinct* value however often values repeat — and the
+/// paper's quantities repeat heavily (10 ms ticks, a bounded file
+/// population). The value-sorted cumulative view that queries read is
+/// built once, at the first query after an add. This is the workhorse
+/// behind the paper's cumulative-distribution figures: each figure is a
+/// `Distribution` weighted either by count (Figures 1a, 2a, 3, 4a) or
+/// by bytes transferred / written (Figures 1b, 2b, 4b).
 ///
 /// # Examples
 ///
@@ -28,31 +36,40 @@ pub struct CdfPoint {
 /// assert_eq!(d.percentile(0.5), Some(20));
 /// assert_eq!(d.total_weight(), 4);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Distribution {
-    /// (value, weight) pairs; sorted by value iff `sorted`.
-    samples: Vec<(u64, u64)>,
+    /// Summed weight per distinct value.
+    weights: FastMap<u64, u64>,
+    /// `(value, cumulative weight)` per distinct value, sorted by value;
+    /// current iff `sorted`.
+    cumulative: Vec<(u64, u64)>,
     total_weight: u64,
     sorted: bool,
 }
 
-/// Equality compares the *multiset* of weighted observations: the order
-/// of `add` calls and the coalescing state are irrelevant, so two runs
-/// that record the same residencies through differently ordered code
-/// paths (hash-map iteration, per-capacity derivation) compare equal.
+/// Equality compares the *multiset* of weighted observations — the
+/// value → weight maps: the order of `add` calls and whether either
+/// side was queried are irrelevant, so two runs that record the same
+/// residencies through differently ordered code paths (hash-map
+/// iteration, per-capacity derivation) compare equal.
 impl PartialEq for Distribution {
     fn eq(&self, other: &Self) -> bool {
-        if self.total_weight != other.total_weight {
-            return false;
-        }
-        if self.sorted && other.sorted {
-            return self.samples == other.samples;
-        }
-        self.canonical_samples() == other.canonical_samples()
+        self.total_weight == other.total_weight && self.weights == other.weights
     }
 }
 
 impl Eq for Distribution {}
+
+/// Prints the `(value, weight)` pairs in value order, so equal
+/// distributions print alike.
+impl fmt::Debug for Distribution {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Distribution")
+            .field("samples", &self.pairs())
+            .field("total_weight", &self.total_weight)
+            .finish()
+    }
+}
 
 impl Distribution {
     /// Creates an empty distribution.
@@ -67,14 +84,14 @@ impl Distribution {
         if weight == 0 {
             return;
         }
-        self.samples.push((value, weight));
+        *self.weights.entry(value).or_insert(0) += weight;
         self.total_weight += weight;
         self.sorted = false;
     }
 
-    /// Number of distinct `add` calls retained.
+    /// Number of distinct values retained.
     pub fn sample_count(&self) -> usize {
-        self.samples.len()
+        self.weights.len()
     }
 
     /// Sum of all weights.
@@ -87,25 +104,31 @@ impl Distribution {
         self.total_weight == 0
     }
 
+    /// The `(value, weight)` pairs in value order.
+    fn pairs(&self) -> Vec<(u64, u64)> {
+        let mut pairs: Vec<(u64, u64)> = self.weights.iter().map(|(&v, &w)| (v, w)).collect();
+        pairs.sort_unstable_by_key(|&(v, _)| v);
+        pairs
+    }
+
+    /// Rebuilds the sorted cumulative view if an add came after it.
     fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples = coalesced(std::mem::take(&mut self.samples));
-            self.sorted = true;
+        if self.sorted {
+            return;
         }
+        self.cumulative = self.pairs();
+        let mut acc = 0u64;
+        for (_, w) in &mut self.cumulative {
+            acc += *w;
+            *w = acc;
+        }
+        self.sorted = true;
     }
 
-    /// The sorted, coalesced form of the samples without mutating the
-    /// buffer (the basis of order-insensitive equality).
-    fn canonical_samples(&self) -> Vec<(u64, u64)> {
-        coalesced(self.samples.clone())
-    }
-
-    /// Sorts and coalesces the buffered samples now rather than at the
-    /// first query.
+    /// Builds the sorted view now rather than at the first query.
     ///
     /// Useful before caching or cloning: a prepared distribution (and
-    /// any clone of it) answers queries without re-sorting, and holds
-    /// one entry per distinct value instead of one per `add` call.
+    /// any clone of it) answers queries without sorting.
     pub fn prepare(&mut self) {
         self.ensure_sorted();
     }
@@ -117,17 +140,23 @@ impl Distribution {
     /// (Figure 1b from Figure 1a). Prepares `self` first.
     pub fn weighted_by_value(&mut self) -> Distribution {
         self.ensure_sorted();
-        let samples: Vec<(u64, u64)> = self
-            .samples
-            .iter()
-            .filter(|&&(v, _)| v > 0)
-            .map(|&(v, w)| (v, v * w))
-            .collect();
-        Distribution {
-            total_weight: samples.iter().map(|&(_, w)| w).sum(),
-            samples,
+        let mut out = Distribution {
+            weights: FastMap::with_capacity_and_hasher(self.weights.len(), Default::default()),
+            cumulative: Vec::with_capacity(self.cumulative.len()),
+            total_weight: 0,
             sorted: true,
+        };
+        let mut below = 0u64;
+        for &(v, cum) in &self.cumulative {
+            let w = cum - below;
+            below = cum;
+            if v > 0 {
+                out.weights.insert(v, v * w);
+                out.total_weight += v * w;
+                out.cumulative.push((v, out.total_weight));
+            }
         }
+        out
     }
 
     /// Fraction of total weight at values `<= limit`, in `[0, 1]`.
@@ -139,8 +168,8 @@ impl Distribution {
         }
         self.ensure_sorted();
         // Binary search for the first value > limit.
-        let idx = self.samples.partition_point(|&(v, _)| v <= limit);
-        let acc: u64 = self.samples[..idx].iter().map(|&(_, w)| w).sum();
+        let idx = self.cumulative.partition_point(|&(v, _)| v <= limit);
+        let acc = idx.checked_sub(1).map_or(0, |i| self.cumulative[i].1);
         acc as f64 / self.total_weight as f64
     }
 
@@ -162,14 +191,11 @@ impl Distribution {
         self.ensure_sorted();
         let p = p.clamp(0.0, 1.0);
         let target = (p * self.total_weight as f64).ceil().max(1.0) as u64;
-        let mut acc = 0u64;
-        for &(v, w) in &self.samples {
-            acc += w;
-            if acc >= target {
-                return Some(v);
-            }
-        }
-        self.samples.last().map(|&(v, _)| v)
+        // The first value whose cumulative weight reaches the target;
+        // the largest value when rounding put the target past the total.
+        let idx = self.cumulative.partition_point(|&(_, c)| c < target);
+        let last = self.cumulative.len() - 1;
+        Some(self.cumulative[idx.min(last)].0)
     }
 
     /// Weighted arithmetic mean, or `0.0` when empty.
@@ -177,7 +203,7 @@ impl Distribution {
         if self.total_weight == 0 {
             return 0.0;
         }
-        let sum: f64 = self.samples.iter().map(|&(v, w)| v as f64 * w as f64).sum();
+        let sum: f64 = self.pairs().iter().map(|&(v, w)| v as f64 * w as f64).sum();
         sum / self.total_weight as f64
     }
 
@@ -187,15 +213,11 @@ impl Distribution {
     pub fn cdf(&mut self) -> Vec<CdfPoint> {
         self.ensure_sorted();
         let total = self.total_weight as f64;
-        let mut acc = 0u64;
-        self.samples
+        self.cumulative
             .iter()
-            .map(|&(v, w)| {
-                acc += w;
-                CdfPoint {
-                    value: v,
-                    cumulative: acc as f64 / total,
-                }
+            .map(|&(v, c)| CdfPoint {
+                value: v,
+                cumulative: c as f64 / total,
             })
             .collect()
     }
@@ -213,22 +235,6 @@ impl Distribution {
             })
             .collect()
     }
-}
-
-/// Sorts `(value, weight)` samples by value and merges equal values,
-/// summing their weights. Weights need no sort key: coalescing sums
-/// them. Keeps query scans short even for multi-million-event traces
-/// with few distinct values.
-fn coalesced(mut samples: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    samples.sort_unstable_by_key(|&(v, _)| v);
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(samples.len());
-    for (v, w) in samples {
-        match out.last_mut() {
-            Some((lv, lw)) if *lv == v => *lw += w,
-            _ => out.push((v, w)),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -313,8 +319,8 @@ mod tests {
         }
         d.add(6, 1);
         assert_eq!(d.fraction_le(5), 1000.0 / 1001.0);
-        d.ensure_sorted();
-        assert_eq!(d.samples.len(), 2);
+        assert_eq!(d.sample_count(), 2);
+        assert_eq!(d.cumulative, [(5, 1000), (6, 1001)]);
     }
 
     #[test]

@@ -12,9 +12,15 @@
 //!   Figures 1–4 of the paper.
 //! * [`WindowedSums`] — per-key activity accumulated over fixed time
 //!   windows, used for the active-user analysis of Table IV.
+//! * [`hash`] — the workspace's one fast hasher and its
+//!   [`FastMap`]/[`FastSet`] aliases, used here by [`Distribution`] and
+//!   re-exported by `fstrace` for every id-keyed table.
 //!
 //! All types are allocation-light, deterministic, and free of floating
-//! point except where a final ratio is reported.
+//! point except where a final ratio is reported. A [`Distribution`]
+//! holds one entry per distinct value, not one per observation, so the
+//! paper's distributions over heavily repeated values (10 ms ticks, a
+//! bounded file population) stay small however long the trace runs.
 //!
 //! # Examples
 //!
@@ -33,11 +39,13 @@
 #![warn(missing_docs)]
 
 mod distribution;
+pub mod hash;
 mod histogram;
 mod online;
 mod windows;
 
 pub use distribution::{CdfPoint, Distribution};
+pub use hash::{FastMap, FastSet};
 pub use histogram::{Bucket, LinearHistogram, LogHistogram};
 pub use online::OnlineStats;
 pub use windows::{WindowStats, WindowedSums};

@@ -188,7 +188,32 @@ pub fn write_frame(w: &mut impl Write, op: u8, payload: &[u8]) -> io::Result<()>
     Ok(())
 }
 
-/// Reads one frame, given its already-read 4-byte length prefix.
+/// Bytes a frame body reserves before any of it arrives. The length
+/// prefix is the peer's word, so a longer body grows as its bytes come
+/// in: a header declaring [`MAX_FRAME`] and then nothing costs this
+/// much, not 64 MiB. Ingest frames (an epoch of one machine's records)
+/// fit, and take one allocation.
+const FRAME_RESERVE: usize = 64 << 10;
+
+/// Reads a `len`-byte frame body through `fill`, which must fill the
+/// slice it is given or fail. The buffer grows only as bytes arrive:
+/// [`FRAME_RESERVE`] first, then never more than twice what has come.
+/// Both ends of the protocol read bodies through it.
+pub(crate) fn read_body(
+    len: usize,
+    mut fill: impl FnMut(&mut [u8]) -> io::Result<()>,
+) -> io::Result<Vec<u8>> {
+    let mut body = Vec::new();
+    while body.len() < len {
+        let start = body.len();
+        body.resize(len.min((2 * start).max(FRAME_RESERVE)), 0);
+        fill(&mut body[start..])?;
+    }
+    Ok(body)
+}
+
+/// Reads one frame, given its already-read 4-byte length prefix. A
+/// body cut short is an [`io::ErrorKind::UnexpectedEof`] error.
 pub fn read_frame_body(r: &mut impl Read, prefix: [u8; 4]) -> io::Result<(u8, Vec<u8>)> {
     let len = u32::from_le_bytes(prefix);
     if len == 0 || len > MAX_FRAME {
@@ -197,8 +222,7 @@ pub fn read_frame_body(r: &mut impl Read, prefix: [u8; 4]) -> io::Result<(u8, Ve
             format!("bad frame length {len}"),
         ));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
+    let mut body = read_body(len as usize, |buf| r.read_exact(buf))?;
     let op = body[0];
     body.drain(..1);
     Ok((op, body))

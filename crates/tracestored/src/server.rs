@@ -313,17 +313,16 @@ impl Connection {
                     "bad frame length",
                 ));
             }
-            let mut body = vec![0u8; len as usize];
-            match self.read_full(stream, &mut body)? {
-                ReadOutcome::Full => {}
-                // Torn frame: discard, kill path cleans up.
-                ReadOutcome::CleanEof | ReadOutcome::Shutdown => {
-                    return Err(io::Error::new(
+            let body = protocol::read_body(len as usize, |buf| {
+                match self.read_full(stream, buf)? {
+                    ReadOutcome::Full => Ok(()),
+                    // Torn frame: discard, kill path cleans up.
+                    ReadOutcome::CleanEof | ReadOutcome::Shutdown => Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
                         "connection dropped mid-frame",
-                    ))
+                    )),
                 }
-            }
+            })?;
             let op = body[0];
             let payload = &body[1..];
             match op {

@@ -329,11 +329,12 @@ pub fn serve_fleet(config: &FleetConfig, addr: &str) -> Result<FleetStats, Gener
 
 /// The fleet runner behind both consumers. Spawns `min(jobs,
 /// machines)` workers that drive the machines epoch by epoch, and hands
-/// their slices, in channel order, to `consume` on the calling thread,
-/// which reads every slice, even after an error of its own, so no
-/// worker stays blocked on a full channel. Returns what `consume`
-/// returned and the stats of the machines and the slices; the consumer
-/// fills in the rest.
+/// their slices, in channel order, to `consume` on the calling thread.
+/// The consumer returns at its first error: the channel's receiver goes
+/// with it, which wakes any worker blocked on a full channel, and every
+/// worker retires its machines at its next failed send, so the run ends
+/// within an epoch. Returns what `consume` returned and the stats of
+/// the machines and the slices; the consumer fills in the rest.
 fn run_fleet<T>(
     config: &FleetConfig,
     consume: impl FnOnce(&mut dyn Iterator<Item = Slice>) -> io::Result<T>,
@@ -393,21 +394,16 @@ fn run_fleet<T>(
 /// its records, then its machine's progress, or the end of that
 /// machine's input on its last slice; then releases what the watermark
 /// allows to `sink`. Returns the widest progress spread between
-/// machines, in simulated milliseconds. After a sink error the loop
-/// still drains the slices but drops their records; it then returns
-/// that error.
+/// machines, in simulated milliseconds, or the sink's first error.
 fn merge_slices(
     slices: impl IntoIterator<Item = Slice>,
     merge: &mut FleetMerge,
     sink: &mut dyn RecordSink,
 ) -> io::Result<u64> {
     let mut lag_peak = 0u64;
-    let mut result = Ok(());
     for slice in slices {
-        if result.is_ok() {
-            for rec in &slice.records {
-                merge.push(slice.machine, rec);
-            }
+        for rec in &slice.records {
+            merge.push(slice.machine, rec);
         }
         match slice.horizon_ms {
             Some(horizon_ms) => {
@@ -420,73 +416,76 @@ fn merge_slices(
             }
             None => merge.finish_input(slice.machine),
         }
-        if result.is_ok() {
-            result = merge.release(sink).map(drop);
-        }
+        merge.release(sink)?;
     }
-    result.map(|()| lag_peak)
+    Ok(lag_peak)
 }
 
 /// The daemon consumer. Sends each slice on its machine's connection:
 /// one `records` frame when the slice holds records, then progress to
 /// its horizon, or on the machine's last slice `progress(MAX)` and
 /// `fin`, whose acknowledged count must equal the records sent there.
-/// Returns the records acknowledged. After an error the loop still
-/// drains the slices but sends nothing more; it then returns that
-/// error.
+/// Returns the records acknowledged, or the first error.
 fn serve_slices(
     slices: &mut dyn Iterator<Item = Slice>,
     clients: &mut [Client],
 ) -> io::Result<u64> {
     let mut sent = vec![0u64; clients.len()];
-    let mut result = Ok(0);
+    let mut acked = 0;
     for slice in slices {
         let (client, sent) = (&mut clients[slice.machine], &mut sent[slice.machine]);
-        result = result.and_then(|acked| {
-            if !slice.records.is_empty() {
-                client.send_records(&slice.records)?;
-                *sent += slice.records.len() as u64;
-            }
-            let Some(horizon_ms) = slice.horizon_ms else {
-                client.progress(u64::MAX)?;
-                return match client.fin()? {
-                    fin if fin == *sent => Ok(acked + fin),
-                    fin => Err(io::Error::other(format!(
+        if !slice.records.is_empty() {
+            client.send_records(&slice.records)?;
+            *sent += slice.records.len() as u64;
+        }
+        let Some(horizon_ms) = slice.horizon_ms else {
+            client.progress(u64::MAX)?;
+            match client.fin()? {
+                fin if fin == *sent => acked += fin,
+                fin => {
+                    return Err(io::Error::other(format!(
                         "machine {}: the daemon acknowledged {fin} records, {sent} were sent",
                         slice.machine
-                    ))),
-                };
-            };
-            client.progress(horizon_ms).map(|()| acked)
-        });
+                    )))
+                }
+            }
+            continue;
+        };
+        client.progress(horizon_ms)?;
     }
-    result
+    Ok(acked)
 }
 
 impl Worker<'_> {
     /// Epoch loop: advance every owned machine to the next horizon,
     /// send its finalized records with its progress, and rendezvous.
+    /// Once a send fails, the consumer has returned: the worker retires
+    /// its machines and only keeps the barrier rounds until no machine
+    /// of the fleet is left.
     fn run(
         &self,
         tx: SyncSender<Slice>,
         barrier: &Barrier,
         unfinished: &AtomicU64,
     ) -> Result<Vec<MachineStats>, GenerateError> {
-        // A send fails only if the merge has gone, and then nothing is
-        // left to keep the records for. A full channel blocks here:
-        // backpressure, not loss.
+        // A send fails only once the consumer has returned, and then
+        // nothing is left to keep the records for. A full channel
+        // blocks here: backpressure, not loss.
         let send = |machine, records, horizon_ms| {
-            let _ = tx.send(Slice {
+            tx.send(Slice {
                 machine,
                 records,
                 horizon_ms,
-            });
+            })
+            .is_ok()
         };
         // A machine's last slice ends its merge input.
         let finish = |machine, records| {
-            send(machine, records, None);
+            let sent = send(machine, records, None);
             unfinished.fetch_sub(1, Ordering::AcqRel);
+            sent
         };
+        let mut consumer_gone = false;
         let mut stats = Vec::with_capacity(self.owned.len());
         let mut first_err: Option<GenerateError> = None;
         let mut sims: Vec<Option<MachineSim>> = Vec::with_capacity(self.owned.len());
@@ -495,7 +494,7 @@ impl Worker<'_> {
                 Ok(sim) => sims.push(Some(sim)),
                 Err(e) => {
                     sims.push(None);
-                    finish(m, Vec::new());
+                    consumer_gone |= !finish(m, Vec::new());
                     first_err.get_or_insert(e);
                 }
             }
@@ -504,6 +503,9 @@ impl Worker<'_> {
         let mut t = self.config.epoch_ms;
         loop {
             for (slot, &m) in self.owned.iter().enumerate() {
+                if consumer_gone {
+                    break;
+                }
                 let Some(sim) = sims[slot].as_mut() else {
                     continue;
                 };
@@ -513,14 +515,14 @@ impl Worker<'_> {
                     .and_then(|()| sim.flush_to(t, &mut batch).map_err(GenerateError::Io));
                 if let Err(e) = step {
                     sims[slot] = None;
-                    finish(m, Vec::new());
+                    consumer_gone |= !finish(m, Vec::new());
                     first_err.get_or_insert(e);
                     continue;
                 }
                 if !sim.idle() {
                     // Every epoch sends a slice, empty or not: it
                     // carries the machine's progress.
-                    send(m, batch, Some(t));
+                    consumer_gone |= !send(m, batch, Some(t));
                     continue;
                 }
                 let sim = sims[slot].take().expect("sim present");
@@ -542,7 +544,16 @@ impl Worker<'_> {
                         first_err.get_or_insert(e);
                     }
                 }
-                finish(m, batch);
+                consumer_gone |= !finish(m, batch);
+            }
+            if consumer_gone {
+                // Retire the machines still running: the fleet's count
+                // reaches zero once every worker has seen its send fail.
+                for sim in &mut sims {
+                    if sim.take().is_some() {
+                        unfinished.fetch_sub(1, Ordering::AcqRel);
+                    }
+                }
             }
             // Double barrier: the count is stable in between, so every
             // worker reads the same value and exits on the same round.
@@ -580,6 +591,7 @@ pub fn generate_fleet(
 #[cfg(test)]
 mod tests {
     use std::sync::mpsc::TryRecvError;
+    use std::time::Duration;
 
     use fstrace::{OpenId, TraceEvent};
 
@@ -648,6 +660,36 @@ mod tests {
         let (recs, stats) = generate_fleet(&config).unwrap();
         assert!(!recs.is_empty());
         assert_eq!(stats.total_errors(), 0, "fleet() geometry ran out of room");
+    }
+
+    /// A sink that refuses every record.
+    struct RefusingSink;
+
+    impl RecordSink for RefusingSink {
+        fn write_record(&mut self, _: &TraceRecord) -> io::Result<()> {
+            Err(io::Error::other("sink refuses records"))
+        }
+    }
+
+    /// A sink error ends the run within an epoch: the merge returns at
+    /// the error, and each worker retires its machines at its next
+    /// failed send. Simulated to its end, this fleet takes minutes.
+    #[test]
+    fn sink_error_stops_the_fleet_within_an_epoch() {
+        let config = FleetConfig {
+            duration_hours: 2_000.0,
+            ..tiny(2, 2)
+        };
+        let (tx, rx) = mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let _ = tx.send(generate_fleet_into(&config, &mut RefusingSink));
+        });
+        let result = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the fleet ran on for 10 s after its sink failed");
+        run.join().expect("the fleet thread panicked");
+        let err = result.expect_err("the sink refuses every record");
+        assert!(err.to_string().contains("sink refuses records"), "{err}");
     }
 
     #[test]
