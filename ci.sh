@@ -148,7 +148,19 @@ wait "$DAEMON" || { echo "   serve: daemon exited nonzero"; exit 1; }
 ./target/release/tracefmt dump "$SERVE/local3.fstr" > "$SERVE/local3.txt"
 cmp "$SERVE/served3.txt" "$SERVE/local3.txt" || {
     echo "   serve: served fleet at --machines 3 --jobs 1 differs from the local fleet"; exit 1; }
-echo "   serve: daemon round-trip, query, inspect, clean shutdown, served = local at 2 and 3 machines, analyze alike through both ingest paths"
+# One machine of one profile: mktrace serves the single-machine trace
+# that -o writes (input 0 of 1, zero id offsets), not a fleet of one.
+start_daemon shards1
+./target/release/mktrace a5 --hours 0.05 --machines 1 --serve "$ADDR" 2>/dev/null
+./target/release/tracestored client --addr "$ADDR" range 0 18446744073709551615 \
+    > "$SERVE/served1.txt" 2>/dev/null
+./target/release/tracestored client --addr "$ADDR" shutdown
+wait "$DAEMON" || { echo "   serve: daemon exited nonzero"; exit 1; }
+./target/release/mktrace a5 --hours 0.05 --machines 1 -o "$SERVE/local1.fstr" 2>/dev/null
+./target/release/tracefmt dump "$SERVE/local1.fstr" > "$SERVE/local1.txt"
+cmp "$SERVE/served1.txt" "$SERVE/local1.txt" || {
+    echo "   serve: served trace at --machines 1 differs from the local trace"; exit 1; }
+echo "   serve: daemon round-trip, query, inspect, clean shutdown, served = local at 1, 2 and 3 machines, analyze alike through both ingest paths"
 
 echo "== metrics artifact"
 # Stamp the metrics JSON with the commit it came from and leave it in

@@ -12,7 +12,7 @@
 //! FxHash-style multiplicative hasher (the build environment is
 //! offline, so no external crate): per 8-byte word the state is
 //! rotated, xored with the word, and multiplied by an odd constant —
-//! three ALU ops, no table, no key.
+//! three ALU ops, no table.
 //!
 //! Plain Fx leaves a trap for this workspace's key patterns: the
 //! product's low bits depend only on the input's low bits, and fleet
@@ -21,17 +21,32 @@
 //! therefore applies a xor-shift/multiply finalizer so high-order
 //! entropy reaches the low bits the table indexes with.
 //!
+//! The state starts at a per-process key rather than zero. Served
+//! analysis hashes values a client chose (open ids, sizes, gaps), and
+//! with a fixed start those could be crafted offline, by inverting
+//! [`finish`] and the one-word step, to share their low bits, turning
+//! every insert into a probe of every earlier one. The key comes from
+//! std's `RandomState` once per process; [`FastBuildHasher`] reads it
+//! once per map and seeds each hasher's state with it, so the per-hash
+//! work stays three ALU ops. It is not cryptographic: the key only
+//! denies an attacker who cannot observe the process's hashes the
+//! offline inversion.
+//!
 //! Use the [`FastMap`]/[`FastSet`] aliases; they are drop-in
-//! `HashMap`/`HashSet` replacements for trusted (non-adversarial) keys
-//! such as trace ids and block numbers. Iteration order differs from
-//! the SipHash maps — as with any `HashMap`, no consumer may depend on
-//! it, and the replay paths that switched are covered by bit-identity
-//! tests against their pre-switch behavior.
+//! `HashMap`/`HashSet` replacements. Iteration order differs from the
+//! SipHash maps and, with the key, from one process to the next — as
+//! with any `HashMap`, no consumer may depend on it (every iteration
+//! in the workspace either only counts or folds, or sorts by a total
+//! order before anything is printed), and the replay paths that
+//! switched are covered by bit-identity tests against their pre-switch
+//! behavior.
 //!
 //! [`finish`]: std::hash::Hasher::finish
 
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 /// The Fx multiplication constant: 2^64 / phi, forced odd, so the
 /// multiply is a bijection on `u64`.
@@ -39,11 +54,9 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// Finalizer constant (from splitmix64's second round).
 const FINAL: u64 = 0x94d0_49bb_1331_11eb;
 
-/// An FxHash-style streaming hasher with a mixing finalizer.
-///
-/// Not cryptographic, not keyed: use only for maps whose keys the
-/// process itself generates (ids, block numbers, offsets).
-#[derive(Default, Clone)]
+/// An FxHash-style streaming hasher with a mixing finalizer, its state
+/// seeded with the process key by [`FastBuildHasher`].
+#[derive(Clone)]
 pub struct FastHasher {
     hash: u64,
 }
@@ -117,8 +130,29 @@ impl Hasher for FastHasher {
     }
 }
 
-/// `BuildHasher` for [`FastHasher`].
-pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+/// `BuildHasher` for [`FastHasher`]: holds the process key, read once
+/// when the map is made, and starts every hasher's state at it.
+#[derive(Clone, Copy, Debug)]
+pub struct FastBuildHasher {
+    key: u64,
+}
+
+impl Default for FastBuildHasher {
+    fn default() -> Self {
+        static KEY: OnceLock<u64> = OnceLock::new();
+        let key = *KEY.get_or_init(|| RandomState::new().hash_one(0u64));
+        FastBuildHasher { key }
+    }
+}
+
+impl BuildHasher for FastBuildHasher {
+    type Hasher = FastHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> FastHasher {
+        FastHasher { hash: self.key }
+    }
+}
 
 /// A `HashMap` keyed with [`FastHasher`] — the replay hot-loop map.
 pub type FastMap<K, V> = HashMap<K, V, FastBuildHasher>;
@@ -129,7 +163,7 @@ pub type FastSet<T> = HashSet<T, FastBuildHasher>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::{BuildHasher, Hash};
+    use std::hash::Hash;
 
     fn hash_of<T: Hash + ?Sized>(v: &T) -> u64 {
         FastBuildHasher::default().hash_one(v)
@@ -162,6 +196,56 @@ mod tests {
             low12.len() > 200,
             "only {} distinct low-12 bits",
             low12.len()
+        );
+    }
+
+    /// The multiplicative inverse of odd `a` modulo 2^64 (Newton).
+    fn inverse(a: u64) -> u64 {
+        let mut x = a;
+        for _ in 0..6 {
+            x = x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)));
+        }
+        assert_eq!(a.wrapping_mul(x), 1);
+        x
+    }
+
+    /// The inverse of `x ^ (x >> k)`.
+    fn unshift(y: u64, k: u32) -> u64 {
+        let mut x = y;
+        for _ in 0..64 / k {
+            x = y ^ (x >> k);
+        }
+        x
+    }
+
+    /// The `u64` whose hash from a zero state is `h`: `finish` and the
+    /// one-word step undone.
+    fn zero_state_preimage(h: u64) -> u64 {
+        let state = unshift(unshift(h, 29).wrapping_mul(inverse(FINAL)), 32);
+        state.wrapping_mul(inverse(SEED))
+    }
+
+    /// Keys crafted to share their low 16 hash bits under a zero state
+    /// (every one in one probe chain) spread like random hashes once
+    /// the state starts at the process key: 50,000 random hashes fill
+    /// about 35,000 of the 65,536 low-16-bit values.
+    #[test]
+    fn keys_crafted_against_a_zero_state_spread_under_the_key() {
+        let crafted: Vec<u64> = (1..=50_000u64)
+            .map(|i| zero_state_preimage(i << 16))
+            .collect();
+        let zero_state = |k: u64| {
+            let mut h = FastHasher { hash: 0 };
+            h.write_u64(k);
+            h.finish()
+        };
+        assert!(crafted.iter().all(|&k| zero_state(k) & 0xFFFF == 0));
+        let build = FastBuildHasher::default();
+        let low16: FastSet<u64> = crafted.iter().map(|k| build.hash_one(k) & 0xFFFF).collect();
+        assert!(
+            low16.len() >= 30_000,
+            "crafted keys fill only {} low-16-bit values",
+            low16.len()
         );
     }
 

@@ -21,6 +21,23 @@
 //! Matches copy `length` bytes from `offset` bytes behind the current
 //! output position; overlapping copies are allowed (RLE falls out for
 //! free with `offset == 1`).
+//!
+//! # Encoder
+//!
+//! Greedy, one probe per position: a 32k-entry table maps the hash of
+//! the 4 bytes at a position to the last position with that hash. A
+//! candidate is taken when it lies within the window and its 4 bytes
+//! equal the current ones (one `u32` load each); the match then
+//! extends 8 bytes per step (`u64` xor, `trailing_zeros`) up to
+//! `MAX_MATCH`. Every position a match covers is entered in the table.
+//!
+//! [`Compressor`] keeps the table and the output buffer between calls
+//! and resets the table with `fill` at the start of each one, so an
+//! [`ArchiveWriter`](crate::ArchiveWriter) compressing chunk after
+//! chunk allocates neither per chunk, and each chunk's stream depends
+//! on that chunk alone. [`compress`] is the same encoder run once; the
+//! two are byte-identical by construction, and
+//! `tests/compress_oracle.rs` holds them to the original scalar encoder.
 
 use fstrace::codec::{get_varint, put_varint, DecodeError};
 
@@ -34,63 +51,125 @@ const MAX_LITERAL: usize = 128;
 const MAX_OFFSET: usize = 0xFFFF;
 /// Hash-table size (single probe per position).
 const HASH_BITS: u32 = 15;
+/// A table slot no position has filled since the last reset.
+const EMPTY: u32 = u32::MAX;
 
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+fn load32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte window"))
+}
+
+fn load64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte window"))
+}
+
+fn hash4(v: u32) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-/// Compresses `input`, appending the stream to a fresh buffer.
-pub fn compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    put_varint(&mut out, input.len() as u64);
-    let mut table = vec![u32::MAX; 1 << HASH_BITS];
-    let mut pos = 0usize;
-    let mut literal_start = 0usize;
+/// A reusable compressor: one hash table and one output buffer, kept
+/// across calls, so a writer that compresses chunk after chunk
+/// allocates neither per chunk. Each call resets the table (`fill`),
+/// so no position from one input can match into the next: the stream
+/// for an input depends on that input alone, and equals [`compress`]'s.
+pub struct Compressor {
+    /// Last position seen for each 4-byte hash, or [`EMPTY`].
+    table: Vec<u32>,
+    out: Vec<u8>,
+}
 
-    let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize| {
-        let mut at = from;
-        while at < to {
-            let n = (to - at).min(MAX_LITERAL);
-            out.push((n - 1) as u8);
-            out.extend_from_slice(&input[at..at + n]);
-            at += n;
-        }
-    };
-
-    while pos + MIN_MATCH <= input.len() {
-        let h = hash4(&input[pos..]);
-        let cand = table[h] as usize;
-        table[h] = pos as u32;
-        let found = cand != u32::MAX as usize
-            && pos - cand <= MAX_OFFSET
-            && input[cand..cand + MIN_MATCH] == input[pos..pos + MIN_MATCH];
-        if !found {
-            pos += 1;
-            continue;
-        }
-        // Extend the match as far as the token can express.
-        let limit = (input.len() - pos).min(MAX_MATCH);
-        let mut len = MIN_MATCH;
-        while len < limit && input[cand + len] == input[pos + len] {
-            len += 1;
-        }
-        flush_literals(&mut out, literal_start, pos);
-        out.push(0x80 | (len - MIN_MATCH) as u8);
-        out.extend_from_slice(&((pos - cand) as u16).to_le_bytes());
-        // Seed the table across the matched span so later data can
-        // reference any position inside it.
-        let end = pos + len;
-        pos += 1;
-        while pos < end && pos + MIN_MATCH <= input.len() {
-            table[hash4(&input[pos..])] = pos as u32;
-            pos += 1;
-        }
-        pos = end;
-        literal_start = end;
+impl Default for Compressor {
+    fn default() -> Self {
+        Compressor::new()
     }
-    flush_literals(&mut out, literal_start, input.len());
-    out
+}
+
+impl Compressor {
+    /// A compressor with its table allocated and an empty output.
+    pub fn new() -> Compressor {
+        Compressor {
+            table: vec![EMPTY; 1 << HASH_BITS],
+            out: Vec::new(),
+        }
+    }
+
+    /// Compresses `input`; the returned stream lives until the next
+    /// call.
+    pub fn compress(&mut self, input: &[u8]) -> &[u8] {
+        let Compressor { table, out } = self;
+        table.fill(EMPTY);
+        out.clear();
+        out.reserve(input.len() / 2 + 16);
+        put_varint(out, input.len() as u64);
+        let mut pos = 0usize;
+        let mut literal_start = 0usize;
+        while pos + MIN_MATCH <= input.len() {
+            let v = load32(input, pos);
+            let h = hash4(v);
+            let cand = table[h] as usize;
+            table[h] = pos as u32;
+            // One 4-byte load decides a candidate: `cand < pos` always
+            // (the table only holds earlier positions), so its window
+            // is in bounds.
+            let found =
+                cand != EMPTY as usize && pos - cand <= MAX_OFFSET && load32(input, cand) == v;
+            if !found {
+                pos += 1;
+                continue;
+            }
+            let len = match_len(input, cand, pos);
+            flush_literals(out, &input[literal_start..pos]);
+            out.push(0x80 | (len - MIN_MATCH) as u8);
+            out.extend_from_slice(&((pos - cand) as u16).to_le_bytes());
+            // Seed the table across the matched span so later data can
+            // reference any position inside it.
+            let end = pos + len;
+            pos += 1;
+            while pos < end && pos + MIN_MATCH <= input.len() {
+                table[hash4(load32(input, pos))] = pos as u32;
+                pos += 1;
+            }
+            pos = end;
+            literal_start = end;
+        }
+        flush_literals(out, &input[literal_start..]);
+        out
+    }
+}
+
+/// Length of the match at `pos` against `cand < pos`, whose first
+/// `MIN_MATCH` bytes are known equal: as far as the bytes agree, capped
+/// at `MAX_MATCH` and the input's end. Compares 8 bytes per step (the
+/// first differing byte is the xor's lowest set byte), then bytewise.
+fn match_len(input: &[u8], cand: usize, pos: usize) -> usize {
+    let limit = (input.len() - pos).min(MAX_MATCH);
+    let mut len = MIN_MATCH;
+    while len + 8 <= limit {
+        let diff = load64(input, cand + len) ^ load64(input, pos + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < limit && input[cand + len] == input[pos + len] {
+        len += 1;
+    }
+    len
+}
+
+/// Emits `literals` as runs of at most `MAX_LITERAL` bytes.
+fn flush_literals(out: &mut Vec<u8>, literals: &[u8]) {
+    for run in literals.chunks(MAX_LITERAL) {
+        out.push((run.len() - 1) as u8);
+        out.extend_from_slice(run);
+    }
+}
+
+/// Compresses `input` into a fresh buffer: [`Compressor::compress`]
+/// with a one-use compressor.
+pub fn compress(input: &[u8]) -> Vec<u8> {
+    let mut compressor = Compressor::new();
+    compressor.compress(input);
+    compressor.out
 }
 
 /// Decompresses a [`compress`] stream into `out`, checking it declares

@@ -6,7 +6,7 @@ use fstrace::codec::encode_into;
 use fstrace::source::RecordSink;
 use fstrace::TraceRecord;
 
-use crate::compress::compress;
+use crate::compress::Compressor;
 use crate::format::{
     chunk_crc, encode_chunk_header, encode_footer, ArchiveMeta, ChunkInfo, ARCHIVE_FLAG_COMPRESS,
     ARCHIVE_MAGIC, ARCHIVE_VERSION, FOOTER_MAGIC, HEADER_LEN,
@@ -78,6 +78,9 @@ pub struct ArchiveWriter<W: Write> {
     /// Next write position in the file.
     offset: u64,
     meta: ArchiveMeta,
+    /// One table and output buffer for every chunk; `None` without
+    /// compression.
+    compressor: Option<Compressor>,
 }
 
 impl<W: Write> ArchiveWriter<W> {
@@ -99,6 +102,7 @@ impl<W: Write> ArchiveWriter<W> {
         Ok(ArchiveWriter {
             inner,
             buf: Vec::with_capacity(opts.chunk_target_bytes + 64),
+            compressor: opts.compress.then(Compressor::new),
             opts,
             prev_ticks: 0,
             chunk_records: 0,
@@ -151,14 +155,10 @@ impl<W: Write> ArchiveWriter<W> {
             return Ok(());
         }
         let raw_len = self.buf.len() as u32;
-        let packed = if self.opts.compress {
-            Some(compress(&self.buf))
-        } else {
-            None
-        };
+        let packed = self.compressor.as_mut().map(|c| c.compress(&self.buf));
         // Keep the smaller form; incompressible chunks stay raw so the
         // reader never pays decompression for nothing.
-        let (payload, compressed): (&[u8], bool) = match &packed {
+        let (payload, compressed): (&[u8], bool) = match packed {
             Some(p) if p.len() < self.buf.len() => (p, true),
             _ => (&self.buf, false),
         };

@@ -11,7 +11,8 @@
 //!   per-connection backpressure;
 //! * **stores** the merged stream as a directory of rotating `.tsa`
 //!   shards ([`shard::ShardSet`]), each a complete self-verifying
-//!   [`tracestore`] archive, fsynced when sealed;
+//!   [`tracestore`] archive, fsynced when sealed, written by one
+//!   shard-writer thread off the merge's lock;
 //! * **serves** Table-III summaries, time-range reads, the Section-5
 //!   analyzer suite, and cache-grid sweeps over sealed shards plus the
 //!   live tail, via chunk-parallel pipelined reads;

@@ -3,15 +3,30 @@
 //!
 //! # Architecture
 //!
-//! One listener thread accepts; each connection gets a handler thread.
-//! All ingest state lives behind a single mutex with a condvar: the
+//! One listener thread accepts; each connection gets a handler thread;
+//! one shard-writer thread owns the [`ShardSet`].
+//!
+//! The handlers share one mutex with a condvar. It covers the
 //! [`FleetMerge`], which alone keeps each input's progress and whether
 //! it has finished; each input's attach flag and record count; and the
-//! [`ShardSet`]. That is deliberate: the merge is a *serializing* data
-//! structure (its whole point is one deterministic output order), so a
-//! finer lock would buy nothing on the append path. Queries copy a
-//! [`DataSnapshot`] out under the lock and run on the handler thread
-//! without it, so an expensive analyzer pass never stalls ingest.
+//! sending end of the writer's queue. That is deliberate: the merge is
+//! a *serializing* data structure (its whole point is one deterministic
+//! output order), so a finer lock would buy nothing on the append path.
+//! A handler decodes its frame outside the lock, then pushes and
+//! releases under it; the release cuts the released records into
+//! batches of at most [`WRITER_BATCH`] and queues them for the writer,
+//! still under the lock, so the queue's order is the release order.
+//!
+//! The writer never takes the lock. It takes messages off its queue in
+//! order: a record batch it encodes, compresses and writes into the
+//! open shard (sealing and fsyncing shards as they fill); a snapshot
+//! request it answers with its sealed paths and a copy of its tail; a
+//! seal request it answers once the open shard is durable. A query
+//! queues its snapshot request under the lock, so the snapshot holds
+//! every record released before it, then waits for the reply and runs
+//! on the handler thread without the lock, so an expensive analyzer
+//! pass never stalls ingest. No handler thread encodes, compresses or
+//! fsyncs under the lock.
 //!
 //! # Determinism
 //!
@@ -20,12 +35,15 @@
 //! offsets are identity), then rely on [`FleetMerge`]'s
 //! schedule-independence: the released stream is byte-identical to an
 //! offline merge of the same per-input streams, no matter how the
-//! connection threads interleave. The e2e tests assert exactly that
-//! against [`fstrace::FleetMerge`] run offline.
+//! connection threads interleave. The one writer writes that stream in
+//! release order, so the shards are byte-identical too. The e2e tests
+//! assert exactly that against [`fstrace::FleetMerge`] run offline.
 //!
 //! # Backpressure
 //!
-//! The merge buffers only what the slowest input gates. A connection
+//! Two bounds, one per stage.
+//!
+//! *The merge* buffers only what the slowest input gates. A connection
 //! that runs far ahead must wait, or an unbalanced fleet turns the
 //! daemon into an unbounded buffer. After pushing a batch, a handler
 //! waits on the condvar while the merge holds more than
@@ -34,6 +52,15 @@
 //! comparison is the no-deadlock argument: the gating input (progress
 //! equal to the watermark) never waits, so it keeps advancing the
 //! watermark, which releases records and wakes the others.
+//!
+//! *The writer queue* holds [`WRITER_QUEUE`] messages. A release that
+//! finds it full blocks, holding the lock, until the writer takes the
+//! next message, so a slow disk slows ingest to the writer's pace
+//! instead of growing the queue: at most `WRITER_QUEUE` + 2 batches of
+//! released records are in memory (queued, being written, being cut).
+//! The wait cannot deadlock, because the writer never takes the lock.
+//! The gauge `tracestored.shard.writer_queue_peak` records how many
+//! released records were at most waiting for the writer.
 //!
 //! # Failure modes
 //!
@@ -44,18 +71,29 @@
 //! or whose ids the `hello` offsets would overflow, gets an error reply
 //! and closes its connection before any of it reaches the merge. A
 //! `shutdown` op closes ingest, force-finishes every input (attached
-//! or not), drains the merge, seals every shard (fsync), waits out
-//! in-flight queries, then stops the listener.
+//! or not), drains the merge into the writer, waits out in-flight
+//! queries, has the writer seal the open shard (fsync), then stops the
+//! listener.
+//!
+//! A shard write error (a full disk, a removed directory) stops the
+//! writer at that record and latches its message. From then on every
+//! ingest op, query and `shutdown` gets an error reply naming it; a
+//! `records` or `progress` frame, whose client reads no reply until
+//! its next acknowledged op, also closes its connection. A handler
+//! never waits on a dead writer: the writer's queue closes with it, so
+//! a blocked send or a pending reply fails at once. `shutdown` still
+//! stops the daemon, and [`Server::run`] returns the error.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use fstrace::codec::{get_varint, put_varint};
-use fstrace::{FleetMerge, IdOffsets};
+use fstrace::{FleetMerge, IdOffsets, RecordSink, TraceRecord};
 
 use crate::protocol::{self, Hello};
 use crate::query::{render_suite, DataSnapshot};
@@ -63,6 +101,10 @@ use crate::shard::{SealedShard, ShardPolicy, ShardSet};
 
 /// How often an idle handler checks the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
+/// Most records one message to the shard writer carries.
+pub const WRITER_BATCH: usize = 8192;
+/// Messages the shard writer's queue holds before a send blocks.
+pub const WRITER_QUEUE: usize = 2;
 
 /// Everything the daemon needs to start.
 #[derive(Debug, Clone)]
@@ -110,7 +152,8 @@ pub struct ServerStats {
     pub shards: Vec<SealedShard>,
     /// Records accepted across all inputs (pre-merge count).
     pub records_in: u64,
-    /// Records released through the merge into shards.
+    /// Records the merge released to the shard writer; all of them are
+    /// in `shards` when `run` returns them.
     pub records_merged: u64,
 }
 
@@ -125,7 +168,8 @@ struct InputState {
 struct Ingest {
     merge: Option<FleetMerge>,
     inputs: Vec<InputState>,
-    shards: Option<ShardSet>,
+    /// The shard writer's queue; `run` drops it to stop the writer.
+    to_writer: Option<mpsc::SyncSender<ToWriter>>,
     queries_active: usize,
     /// Set by `shutdown`: refuse new ingest, wake waiters.
     closed: bool,
@@ -143,9 +187,159 @@ impl Ingest {
 struct Shared {
     state: Mutex<Ingest>,
     cond: Condvar,
+    writer: Arc<WriterStatus>,
     shutdown: AtomicBool,
     conn_seq: AtomicU64,
     config: ServerConfig,
+}
+
+impl Shared {
+    /// Queues `msg` on `to_writer`, the lock-held [`Ingest::to_writer`],
+    /// so the queue order is the order of the lock's critical sections.
+    fn to_writer(
+        &self,
+        to_writer: Option<&mpsc::SyncSender<ToWriter>>,
+        msg: ToWriter,
+    ) -> io::Result<()> {
+        let tx = to_writer.ok_or_else(|| self.writer.error())?;
+        tx.send(msg).map_err(|_| self.writer.error())
+    }
+
+    /// Queues a request built around a reply channel; the caller waits
+    /// for the reply (without the lock) through [`Shared::reply`].
+    fn ask<T>(
+        &self,
+        state: &Ingest,
+        request: impl FnOnce(mpsc::SyncSender<T>) -> ToWriter,
+    ) -> io::Result<mpsc::Receiver<T>> {
+        let (reply, answer) = mpsc::sync_channel(1);
+        self.to_writer(state.to_writer.as_ref(), request(reply))?;
+        Ok(answer)
+    }
+
+    /// The writer's answer; fails at once if the writer stopped first.
+    fn reply<T>(&self, answer: mpsc::Receiver<T>) -> io::Result<T> {
+        answer.recv().map_err(|_| self.writer.error())
+    }
+}
+
+/// What handlers queue for the shard writer, which applies them in
+/// queue order.
+enum ToWriter {
+    /// Released records, in stream order.
+    Records(Vec<TraceRecord>),
+    /// A query's view of everything released before this message.
+    Snapshot(mpsc::SyncSender<DataSnapshot>),
+    /// Seal the open shard; answered once it is durable.
+    Seal(mpsc::SyncSender<()>),
+}
+
+/// What the shard writer shares with handlers outside its queue.
+struct WriterStatus {
+    /// Released records queued and not yet written.
+    queued: AtomicU64,
+    /// High-water mark of `queued`.
+    queue_peak: obs::Gauge,
+    /// The writer's error, set once, just before it stops.
+    failure: OnceLock<String>,
+}
+
+impl WriterStatus {
+    fn new() -> WriterStatus {
+        WriterStatus {
+            queued: AtomicU64::new(0),
+            queue_peak: obs::global().gauge("tracestored.shard.writer_queue_peak"),
+            failure: OnceLock::new(),
+        }
+    }
+
+    /// The latched write error, if the writer has stopped on one.
+    fn failure(&self) -> Option<&str> {
+        self.failure.get().map(String::as_str)
+    }
+
+    /// The error a handler reports once the writer is gone.
+    fn error(&self) -> io::Error {
+        io::Error::other(match self.failure() {
+            Some(e) => format!("shard writer failed: {e}"),
+            None => "shard writer stopped".into(),
+        })
+    }
+}
+
+/// The merge's sink under the lock: cuts released records into
+/// batches of at most [`WRITER_BATCH`] and queues each for the writer.
+struct Batches<'a> {
+    shared: &'a Shared,
+    to_writer: Option<&'a mpsc::SyncSender<ToWriter>>,
+    batch: Vec<TraceRecord>,
+}
+
+impl Batches<'_> {
+    fn send(&mut self) -> io::Result<()> {
+        if self.batch.is_empty() {
+            return Ok(());
+        }
+        let batch = std::mem::take(&mut self.batch);
+        let n = batch.len() as u64;
+        let status = &self.shared.writer;
+        let queued = status.queued.fetch_add(n, Ordering::Relaxed) + n;
+        status.queue_peak.record(queued);
+        self.shared
+            .to_writer(self.to_writer, ToWriter::Records(batch))
+    }
+}
+
+impl RecordSink for Batches<'_> {
+    fn write_record(&mut self, rec: &TraceRecord) -> io::Result<()> {
+        self.batch.push(*rec);
+        if self.batch.len() == WRITER_BATCH {
+            self.send()?;
+        }
+        Ok(())
+    }
+}
+
+/// The shard writer's body: applies each message in queue order, so
+/// records land in release order and a snapshot or seal sees every
+/// record released before it. Returns the sealed set once the queue
+/// closes, or stops at the first error, which it latches in `status`
+/// before its queue closes.
+fn write_shards(
+    mut shards: ShardSet,
+    queue: mpsc::Receiver<ToWriter>,
+    status: &WriterStatus,
+) -> io::Result<Vec<SealedShard>> {
+    let mut apply = |msg: ToWriter| -> io::Result<()> {
+        match msg {
+            ToWriter::Records(batch) => {
+                for rec in &batch {
+                    shards.write_record(rec)?;
+                }
+                status
+                    .queued
+                    .fetch_sub(batch.len() as u64, Ordering::Relaxed);
+            }
+            // A requester that gave up is not the writer's problem.
+            ToWriter::Snapshot(reply) => {
+                let _ = reply.send(DataSnapshot {
+                    shards: shards.sealed().iter().map(|s| s.path.clone()).collect(),
+                    tail: shards.tail().to_vec(),
+                });
+            }
+            ToWriter::Seal(reply) => {
+                shards.seal_open()?;
+                let _ = reply.send(());
+            }
+        }
+        Ok(())
+    };
+    let written = queue.iter().try_for_each(&mut apply);
+    let written = written.and_then(|()| shards.finish());
+    if let Err(e) = &written {
+        let _ = status.failure.set(e.to_string());
+    }
+    written
 }
 
 /// The daemon. [`Server::bind`] then [`Server::run`]; `run` blocks
@@ -153,10 +347,12 @@ struct Shared {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
+    writer: JoinHandle<io::Result<Vec<SealedShard>>>,
 }
 
 impl Server {
-    /// Binds the listener and prepares the shard directory.
+    /// Binds the listener, prepares the shard directory, and starts the
+    /// shard writer.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let shards = ShardSet::create(ShardPolicy {
@@ -167,21 +363,34 @@ impl Server {
             chunk_target_bytes: config.chunk_target_bytes,
             compress: config.compress,
         })?;
+        let (to_writer, queue) = mpsc::sync_channel(WRITER_QUEUE);
+        let status = Arc::new(WriterStatus::new());
+        let writer = {
+            let status = Arc::clone(&status);
+            std::thread::Builder::new()
+                .name("tracestored-writer".into())
+                .spawn(move || write_shards(shards, queue, &status))?
+        };
         let shared = Arc::new(Shared {
             state: Mutex::new(Ingest {
                 merge: None,
                 inputs: Vec::new(),
-                shards: Some(shards),
+                to_writer: Some(to_writer),
                 queries_active: 0,
                 closed: false,
                 records_in: 0,
             }),
             cond: Condvar::new(),
+            writer: status,
             shutdown: AtomicBool::new(false),
             conn_seq: AtomicU64::new(0),
             config,
         });
-        Ok(Server { listener, shared })
+        Ok(Server {
+            listener,
+            shared,
+            writer,
+        })
     }
 
     /// The bound address (resolves `:0` to the real port).
@@ -189,8 +398,33 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Serves until shutdown; returns what was ingested.
+    /// Serves until shutdown; returns what was ingested, or the shard
+    /// writer's error.
     pub fn run(self) -> io::Result<ServerStats> {
+        let served = self.serve_connections();
+        // On every path, close the writer's queue and join it: it seals
+        // the open shard and returns the set, or its latched error.
+        let (records_in, records_merged) = {
+            let mut state = self.shared.state.lock().expect("server lock");
+            state.to_writer = None;
+            let merged = state.merge.as_ref().map_or(0, |m| m.released());
+            (state.records_in, merged)
+        };
+        let written = self
+            .writer
+            .join()
+            .unwrap_or_else(|_| Err(io::Error::other("shard writer panicked")));
+        served?;
+        Ok(ServerStats {
+            shards: written?,
+            records_in,
+            records_merged,
+        })
+    }
+
+    /// Accepts connections until a `shutdown` op, then joins their
+    /// handlers.
+    fn serve_connections(&self) -> io::Result<()> {
         let mut handlers = Vec::new();
         loop {
             let (stream, _) = self.listener.accept()?;
@@ -208,19 +442,7 @@ impl Server {
         for h in handlers {
             let _ = h.join();
         }
-        let mut state = self.shared.state.lock().expect("server lock");
-        let records_in = state.records_in;
-        let merged = state.merge.as_ref().map_or(0, |m| m.released());
-        let shards = state
-            .shards
-            .take()
-            .expect("shards present until run() ends")
-            .finish()?;
-        Ok(ServerStats {
-            shards,
-            records_in,
-            records_merged: merged,
-        })
+        Ok(())
     }
 }
 
@@ -325,10 +547,16 @@ impl Connection {
             })?;
             let op = body[0];
             let payload = &body[1..];
+            // A failed writer fails every later op; `shutdown` still
+            // stops the daemon, and reports the failure itself.
+            if op != protocol::OP_SHUTDOWN && self.shared.writer.failure().is_some() {
+                refuse(stream, op, &self.shared.writer.error())?;
+                continue;
+            }
             match op {
                 protocol::OP_HELLO => self.op_hello(stream, payload)?,
                 protocol::OP_RECORDS => self.op_records(stream, payload)?,
-                protocol::OP_PROGRESS => self.op_progress(payload)?,
+                protocol::OP_PROGRESS => self.op_progress(stream, payload)?,
                 protocol::OP_FIN => {
                     self.op_fin(stream)?;
                     // The input is done; keep serving (queries allowed).
@@ -452,7 +680,10 @@ impl Connection {
         }
         state.inputs[index].accepted += n;
         state.records_in += n;
-        self.release_locked(&mut state)?;
+        if let Err(e) = self.release_locked(&mut state) {
+            drop(state);
+            return refuse(stream, protocol::OP_RECORDS, &e);
+        }
         obs::global()
             .counter(&format!("tracestored.conn.{}.records_in", self.conn_id))
             .add(n);
@@ -480,7 +711,7 @@ impl Connection {
         Ok(())
     }
 
-    fn op_progress(&mut self, payload: &[u8]) -> io::Result<()> {
+    fn op_progress(&mut self, stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
         let Some((index, _)) = self.input else {
             return Ok(()); // Progress before hello: ignore, unacked op.
         };
@@ -493,9 +724,10 @@ impl Connection {
             return Ok(());
         }
         state.merge().set_progress(index, up_to_ms);
-        self.release_locked(&mut state)?;
+        let released = self.release_locked(&mut state);
         self.shared.cond.notify_all();
-        Ok(())
+        drop(state);
+        released.or_else(|e| refuse(stream, protocol::OP_PROGRESS, &e))
     }
 
     fn op_fin(&mut self, stream: &mut TcpStream) -> io::Result<()> {
@@ -504,84 +736,57 @@ impl Connection {
         };
         let accepted = {
             let mut state = self.shared.state.lock().expect("server lock");
+            let mut released = Ok(());
             if state.merge().progress(index).is_some() {
                 state.merge().finish_input(index);
-                self.release_locked(&mut state)?;
+                released = self.release_locked(&mut state);
                 self.shared.cond.notify_all();
             }
-            state.inputs[index].accepted
+            released.map(|()| state.inputs[index].accepted)
         };
-        let mut reply = Vec::new();
-        put_varint(&mut reply, accepted);
-        protocol::write_ok(stream, &reply)
+        match accepted {
+            Ok(accepted) => {
+                let mut reply = Vec::new();
+                put_varint(&mut reply, accepted);
+                protocol::write_ok(stream, &reply)
+            }
+            Err(e) => protocol::write_err(stream, &e.to_string()),
+        }
     }
 
-    /// Releases merge output into the shards. Call with the lock held.
+    /// Releases merge output to the shard writer. Call with the lock
+    /// held.
     fn release_locked(&self, state: &mut Ingest) -> io::Result<()> {
-        let Ingest { merge, shards, .. } = state;
-        let (Some(merge), Some(shards)) = (merge.as_mut(), shards.as_mut()) else {
+        let Ingest {
+            merge: Some(merge),
+            to_writer,
+            ..
+        } = state
+        else {
             return Ok(());
         };
-        let wrote = merge.release(shards)?;
-        if wrote > 0 {
+        let mut batches = Batches {
+            shared: &self.shared,
+            to_writer: to_writer.as_ref(),
+            batch: Vec::new(),
+        };
+        let released = merge.release(&mut batches)?;
+        batches.send()?;
+        if released > 0 {
             self.shared.cond.notify_all();
         }
         Ok(())
     }
 
     fn op_query(&mut self, stream: &mut TcpStream, op: u8, payload: &[u8]) -> io::Result<()> {
-        let snapshot = {
+        let answer = {
             let mut state = self.shared.state.lock().expect("server lock");
-            let shards = state.shards.as_ref().expect("shards live while serving");
-            let snapshot = DataSnapshot {
-                shards: shards.sealed().iter().map(|s| s.path.clone()).collect(),
-                tail: shards.tail().to_vec(),
-            };
             state.queries_active += 1;
-            snapshot
+            self.shared.ask(&state, ToWriter::Snapshot)
         };
-        let _query_span = obs::global().span("tracestored.query").start();
-        let jobs = self.shared.config.query_jobs;
-        let result: io::Result<Vec<u8>> =
-            match op {
-                protocol::OP_SUMMARY => snapshot.summary(jobs).map(|s| s.to_string().into_bytes()),
-                protocol::OP_ANALYZE => snapshot
-                    .analyze(&self.shared.config.analysis_windows, jobs)
-                    .map(|suite| render_suite(&suite).into_bytes()),
-                protocol::OP_RANGE => (|| {
-                    let mut pos = 0;
-                    let from_ms = get_varint(payload, &mut pos)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                    let to_ms = get_varint(payload, &mut pos)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                    let records = snapshot.range(from_ms, to_ms)?;
-                    let mut out = Vec::new();
-                    protocol::encode_records(&mut out, &records);
-                    Ok(out)
-                })(),
-                protocol::OP_SWEEP => (|| {
-                    let mut pos = 0;
-                    let count = get_varint(payload, &mut pos)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                    if count > protocol::MAX_SWEEP_SIZES {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            format!(
-                                "sweep: {count} sizes requested, over the cap of {}",
-                                protocol::MAX_SWEEP_SIZES
-                            ),
-                        ));
-                    }
-                    let mut sizes = Vec::new();
-                    for _ in 0..count {
-                        sizes.push(get_varint(payload, &mut pos).map_err(|e| {
-                            io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-                        })?);
-                    }
-                    snapshot.sweep(&sizes, jobs).map(String::into_bytes)
-                })(),
-                _ => unreachable!("dispatch only sends query ops"),
-            };
+        let result = answer
+            .and_then(|answer| self.shared.reply(answer))
+            .and_then(|snapshot| self.query(snapshot, op, payload));
         {
             let mut state = self.shared.state.lock().expect("server lock");
             state.queries_active -= 1;
@@ -596,8 +801,67 @@ impl Connection {
         }
     }
 
+    /// Runs query `op` over `snapshot`; returns the reply body.
+    fn query(&self, snapshot: DataSnapshot, op: u8, payload: &[u8]) -> io::Result<Vec<u8>> {
+        let _query_span = obs::global().span("tracestored.query").start();
+        let jobs = self.shared.config.query_jobs;
+        let varint = |pos: &mut usize| {
+            get_varint(payload, pos)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        };
+        match op {
+            protocol::OP_SUMMARY => snapshot.summary(jobs).map(|s| s.to_string().into_bytes()),
+            protocol::OP_ANALYZE => snapshot
+                .analyze(&self.shared.config.analysis_windows, jobs)
+                .map(|suite| render_suite(&suite).into_bytes()),
+            protocol::OP_RANGE => {
+                let mut pos = 0;
+                let from_ms = varint(&mut pos)?;
+                let to_ms = varint(&mut pos)?;
+                let records = snapshot.range(from_ms, to_ms)?;
+                let mut out = Vec::new();
+                protocol::encode_records(&mut out, &records);
+                Ok(out)
+            }
+            protocol::OP_SWEEP => {
+                let mut pos = 0;
+                let count = varint(&mut pos)?;
+                if count > protocol::MAX_SWEEP_SIZES {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!(
+                            "sweep: {count} sizes requested, over the cap of {}",
+                            protocol::MAX_SWEEP_SIZES
+                        ),
+                    ));
+                }
+                let sizes = (0..count)
+                    .map(|_| varint(&mut pos))
+                    .collect::<io::Result<Vec<u64>>>()?;
+                snapshot.sweep(&sizes, jobs).map(String::into_bytes)
+            }
+            _ => unreachable!("dispatch only sends query ops"),
+        }
+    }
+
     fn op_shutdown(&mut self, stream: &mut TcpStream) -> io::Result<()> {
-        {
+        let sealed = self.drain_and_seal();
+        // Stop even when the writer failed: `run` then returns its error.
+        self.shared.shutdown.store(true, Ordering::Release);
+        // Wake the accept loop so run() can join and return.
+        if let Ok(addr) = stream.local_addr() {
+            let _ = TcpStream::connect(addr);
+        }
+        match sealed {
+            Ok(()) => protocol::write_ok(stream, &[]),
+            Err(e) => protocol::write_err(stream, &e.to_string()),
+        }
+    }
+
+    /// Closes ingest, drains the merge into the writer, waits out
+    /// in-flight queries, and has the writer seal the open shard.
+    fn drain_and_seal(&self) -> io::Result<()> {
+        let sealed = {
             let mut state = self.shared.state.lock().expect("server lock");
             state.closed = true;
             // Force-finish every input, attached or not, so the merge
@@ -608,7 +872,7 @@ impl Connection {
                     merge.finish_input(i);
                 }
             }
-            self.release_locked(&mut state)?;
+            let released = self.release_locked(&mut state);
             self.shared.cond.notify_all();
             // Drain in-flight queries before sealing under them.
             while state.queries_active > 0 {
@@ -619,16 +883,9 @@ impl Connection {
                     .expect("server lock");
                 state = guard;
             }
-            if let Some(shards) = state.shards.as_mut() {
-                shards.seal_open()?;
-            }
-        }
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Wake the accept loop so run() can join and return.
-        if let Ok(addr) = stream.local_addr() {
-            let _ = TcpStream::connect(addr);
-        }
-        protocol::write_ok(stream, &[])
+            released.and_then(|()| self.shared.ask(&state, ToWriter::Seal))?
+        };
+        self.shared.reply(sealed)
     }
 
     /// Plain-text metrics for an HTTP GET on the same port.
@@ -674,6 +931,19 @@ impl Connection {
             obs::global().counter("tracestored.conn.killed").inc();
             self.shared.cond.notify_all();
         }
+    }
+}
+
+/// Answers `op` with `err`. A `records` or `progress` frame's client
+/// reads no reply until its next acknowledged op, so those frames also
+/// close the connection rather than queue replies nobody reads.
+fn refuse(stream: &mut TcpStream, op: u8, err: &io::Error) -> io::Result<()> {
+    protocol::write_err(stream, &err.to_string())?;
+    match op {
+        protocol::OP_RECORDS | protocol::OP_PROGRESS => {
+            Err(io::Error::new(err.kind(), err.to_string()))
+        }
+        _ => Ok(()),
     }
 }
 

@@ -30,6 +30,14 @@
 //! queries. Records in the open shard live in the in-memory `tail` and
 //! are served from there; on a crash, the open shard's file may be
 //! footer-less but every *sealed* shard is durable and verifies clean.
+//!
+//! **Cost per record**: encoding into the open chunk, a `tail` push,
+//! and one increment of `tracestored.shard.records_in`, whose handle
+//! the set takes once at [`ShardSet::create`] rather than looking it up
+//! in the registry per record. Compression runs once per chunk on the
+//! shard writer's one reused [`tracestore::compress::Compressor`]. In
+//! the daemon a `ShardSet` belongs to one shard-writer thread
+//! (`server.rs`), so none of this runs under the merge's lock.
 
 use std::fs::{self, File};
 use std::io::{self, BufWriter};
@@ -99,6 +107,8 @@ pub struct ShardSet {
     seq: u64,
     /// Records of the open (unsealed) shard, for live-tail queries.
     tail: Vec<TraceRecord>,
+    /// `tracestored.shard.records_in`, looked up once at `create`.
+    records_in: obs::Counter,
 }
 
 impl ShardSet {
@@ -111,6 +121,7 @@ impl ShardSet {
             sealed: Vec::new(),
             seq: 0,
             tail: Vec::new(),
+            records_in: obs::global().counter("tracestored.shard.records_in"),
         })
     }
 
@@ -210,7 +221,7 @@ impl RecordSink for ShardSet {
         open.writer.write(rec)?;
         open.last_ms = ms;
         self.tail.push(*rec);
-        obs::global().counter("tracestored.shard.records_in").inc();
+        self.records_in.inc();
         // Rule 3: size, on flushed (chunk-granular) bytes.
         if open.writer.bytes_flushed() >= self.policy.shard_target_bytes {
             self.seal_open()?;

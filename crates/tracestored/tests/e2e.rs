@@ -589,3 +589,114 @@ fn rotation_and_backpressure_under_small_limits() {
     let _ = std::fs::remove_dir_all(&server_dir);
     let _ = std::fs::remove_dir_all(&offline_dir);
 }
+
+/// The shard writer applies its queue in order, and a query's snapshot
+/// request joins that queue behind every record released before it: a
+/// `range` sent right after the last `fin` ack sees every record, in
+/// every one of many short sessions.
+#[test]
+fn a_query_after_the_last_fin_sees_every_released_record() {
+    for session in 0..50u64 {
+        let dir = tmpdir(&format!("read-your-release-{session}"));
+        let offline_dir = tmpdir(&format!("read-your-release-offline-{session}"));
+        let config = ServerConfig {
+            dir: dir.clone(),
+            shard_target_bytes: 2 << 10,
+            chunk_target_bytes: 512,
+            ..ServerConfig::default()
+        };
+        let streams: Vec<Vec<TraceRecord>> = (0..2)
+            .map(|i| machine_stream(session % 5 + i, 30 + session * 7))
+            .collect();
+        let (merged, _) = offline_shards(
+            &streams,
+            ShardPolicy {
+                dir: offline_dir.clone(),
+                ..ShardPolicy::default()
+            },
+        );
+        let (addr, handle) = tracestored::spawn(config).expect("spawn server");
+        let addr = addr.to_string();
+        // Input 1 finishes first; input 0's `fin` releases the rest.
+        stream_as_client(&addr, 2, 1, &streams[1], 64);
+        let mut last = Client::connect(&addr).expect("connect");
+        last.hello(2, 0, offsets_for(0), "m0").expect("hello");
+        for chunk in streams[0].chunks(25) {
+            last.send_records(chunk).expect("send");
+        }
+        last.progress(u64::MAX).expect("final progress");
+        assert_eq!(last.fin().expect("fin"), streams[0].len() as u64);
+        let got = last.range(0, u64::MAX).expect("range");
+        assert_eq!(got.len(), merged.len(), "session {session}");
+        assert_eq!(got, merged, "session {session}");
+        last.shutdown().expect("shutdown");
+        handle.join().expect("server thread").expect("server run");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&offline_dir);
+    }
+}
+
+/// Runs `f` on a thread of its own and returns its result, failing the
+/// test if that takes more than 10 s.
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("{what} did not return within 10 s"))
+}
+
+/// A shard write error stops the writer and latches: every later op
+/// gets an error reply naming it, `shutdown` still stops the daemon
+/// promptly, and `run` returns the error. Here the shard directory
+/// disappears after the first seals, so the next shard cannot be
+/// created.
+#[test]
+fn a_shard_write_error_fails_later_ops_and_run_without_hanging() {
+    let dir = tmpdir("write-failure");
+    let config = ServerConfig {
+        dir: dir.clone(),
+        shard_target_bytes: 1 << 10,
+        chunk_target_bytes: 256,
+        compress: false,
+        ..ServerConfig::default()
+    };
+    let stream = machine_stream(0, 600);
+    // Split between two distinct times, so progress to the first later
+    // record releases everything before it.
+    let split = (stream.len() / 2..)
+        .find(|&i| stream[i].time > stream[i - 1].time)
+        .expect("a later record");
+    let (before, after) = stream.split_at(split);
+    let (addr, handle) = tracestored::spawn(config).expect("spawn server");
+    let addr = addr.to_string();
+    // Input 1 is empty and done, so input 0's progress releases at once.
+    assert_eq!(stream_as_client(&addr, 2, 1, &[], 1), 0);
+    let mut input = Client::connect(&addr).expect("connect");
+    input.hello(2, 0, offsets_for(0), "m0").expect("hello");
+    input.send_records(before).expect("send");
+    input.progress(after[0].time.as_ms()).expect("progress");
+    // Answered after the writer took every record released above.
+    assert_eq!(input.range(0, u64::MAX).expect("range").len(), before.len());
+    assert!(shard_files(&dir).len() > 1, "no shard sealed yet");
+    std::fs::remove_dir_all(&dir).expect("remove the shard dir");
+
+    // The rest seals the open shard and needs a new one, which fails;
+    // the query queued behind it gets the writer's error.
+    input.send_records(after).expect("send");
+    input.progress(u64::MAX).expect("progress");
+    let err = input
+        .range(0, u64::MAX)
+        .expect_err("a query after the failure");
+    assert!(err.to_string().contains("shard writer failed"), "{err}");
+    let err = input.fin().expect_err("fin after the failure");
+    assert!(err.to_string().contains("shard writer failed"), "{err}");
+    let mut fresh = Client::connect(&addr).expect("connect");
+    let err = fresh.summary().expect_err("summary after the failure");
+    assert!(err.to_string().contains("shard writer failed"), "{err}");
+
+    let err = within("shutdown", move || fresh.shutdown()).expect_err("shutdown after the failure");
+    assert!(err.to_string().contains("shard writer failed"), "{err}");
+    let run = within("run", move || handle.join().expect("server thread"));
+    assert!(run.is_err(), "run succeeded after a write error");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -25,21 +25,23 @@
 //! so memory stays bounded no matter how many hours or machines are
 //! simulated.
 //!
-//! With `--serve ADDR` nothing is written locally:
-//! [`workload::serve_fleet`] runs the same fleet runner and streams
-//! every machine over its own connection into a running `tracestored`,
-//! which performs the watermark merge server-side and shards the
-//! result. The daemon's merged archive is byte-identical to what
-//! `--out fleet.tsa` would produce through the same shard policy,
-//! because both paths run the same [`fstrace::FleetMerge`] over the
-//! same per-machine streams.
+//! With `--serve ADDR` nothing is written locally; the records go into
+//! a running `tracestored` instead, and the daemon ends up holding
+//! exactly the records, in the same order, that `--out` would write for
+//! the same flags. One machine of one profile streams the
+//! single-machine generator's trace over one connection, as input 0 of
+//! 1 with zero id offsets. A fleet runs [`workload::serve_fleet`]: the
+//! same fleet runner, every machine over its own connection, the
+//! watermark merge done server-side by the same [`fstrace::FleetMerge`]
+//! the local path runs over the same per-machine streams.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::exit;
 
-use fstrace::{RecordSink, TextSink, TraceWriter};
+use fstrace::{IdOffsets, RecordSink, TextSink, TraceWriter};
 use tracestore::{ArchiveOptions, ArchiveWriter};
+use tracestored::{Client, IngestSink};
 use workload::{
     generate_fleet_into, generate_into, serve_fleet, FleetConfig, GenerateError, MachineProfile,
     WorkloadConfig,
@@ -151,10 +153,28 @@ fn main() {
     }
     let names: Vec<&str> = config.mix.iter().map(|p| p.trace_name).collect();
     let names = names.join(",");
+    // One machine of one profile is the single-machine generator,
+    // written or served alike.
+    let single = (machines == 1 && config.mix.len() == 1).then(|| WorkloadConfig {
+        profile: config.mix[0].clone(),
+        seed,
+        duration_hours: hours,
+        ..WorkloadConfig::default()
+    });
 
     if let Some(addr) = serve {
         if text {
             die("--serve streams binary records; --text does not apply");
+        }
+        if let Some(single) = &single {
+            eprintln!(
+                "streaming {} ({}) for {hours} simulated hours, seed {seed}, to {addr} ...",
+                single.profile.trace_name, single.profile.name
+            );
+            let records =
+                serve_machine(single, &addr).unwrap_or_else(|e| die(&format!("serve: {e}")));
+            eprintln!("served {records} records from 1 machine to {addr}");
+            return;
         }
         eprintln!(
             "streaming a fleet of {machines} machines (mix {names}) for {hours} simulated hours \
@@ -172,20 +192,14 @@ fn main() {
         die("--text and a .tsa output are mutually exclusive");
     }
 
-    if machines == 1 && config.mix.len() == 1 {
-        let profile = config.mix.remove(0);
+    if let Some(single) = single {
+        let profile = &single.profile;
         eprintln!(
             "generating {} ({}) for {hours} simulated hours, seed {seed} ...",
             profile.trace_name, profile.name
         );
         let name = profile.trace_name.to_string();
-        let config = WorkloadConfig {
-            profile,
-            seed,
-            duration_hours: hours,
-            ..WorkloadConfig::default()
-        };
-        let (stream, bytes) = write_trace(&out, text, name, |sink| generate_into(&config, sink));
+        let (stream, bytes) = write_trace(&out, text, name, |sink| generate_into(&single, sink));
         report(&out, stream.records, bytes);
         return;
     }
@@ -199,6 +213,28 @@ fn main() {
     });
     eprint!("{}", stats.render_table());
     report(&out, stats.records, bytes);
+}
+
+/// Streams one machine's trace into the daemon at `addr` over one
+/// connection, as input 0 of 1 with zero id offsets, so the daemon
+/// holds exactly what `--out` writes. Returns the records the daemon
+/// acknowledged, which must be every record generated.
+fn serve_machine(config: &WorkloadConfig, addr: &str) -> Result<u64, String> {
+    let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    let name = config.profile.trace_name;
+    client
+        .hello(1, 0, IdOffsets::default(), name)
+        .map_err(|e| format!("hello: {e}"))?;
+    let mut sink = IngestSink::new(&mut client);
+    let stream = generate_into(config, &mut sink).map_err(|e| e.to_string())?;
+    let acked = sink.finish().map_err(|e| format!("fin: {e}"))?;
+    if acked != stream.records {
+        return Err(format!(
+            "the daemon acknowledged {acked} records, {} were generated",
+            stream.records
+        ));
+    }
+    Ok(acked)
 }
 
 /// Creates `out` and generates into it, in the format the path and
