@@ -114,6 +114,14 @@ grep -q "== activity ==" "$SERVE/analyze.txt" || {
 ./target/release/tracestored client --addr "$ADDR" metrics | \
     grep -q "tracestored_ingest_records" || {
     echo "   serve: /metrics missing ingest counter"; exit 1; }
+# Metric names are bounded: no name carries a connection or shard
+# number, so 20 more connections leave /metrics as many lines long.
+METRIC_LINES=$(./target/release/tracestored client --addr "$ADDR" metrics | wc -l)
+for _ in $(seq 20); do
+    ./target/release/tracestored client --addr "$ADDR" summary >/dev/null
+done
+[ "$(./target/release/tracestored client --addr "$ADDR" metrics | wc -l)" -eq "$METRIC_LINES" ] || {
+    echo "   serve: /metrics grew with connections"; exit 1; }
 ./target/release/tracestored client --addr "$ADDR" shutdown
 wait "$DAEMON" || { echo "   serve: daemon exited nonzero"; exit 1; }
 ./target/release/tracefmt inspect "$SERVE/shards" > "$SERVE/inspect.txt"
@@ -160,7 +168,7 @@ wait "$DAEMON" || { echo "   serve: daemon exited nonzero"; exit 1; }
 ./target/release/tracefmt dump "$SERVE/local1.fstr" > "$SERVE/local1.txt"
 cmp "$SERVE/served1.txt" "$SERVE/local1.txt" || {
     echo "   serve: served trace at --machines 1 differs from the local trace"; exit 1; }
-echo "   serve: daemon round-trip, query, inspect, clean shutdown, served = local at 1, 2 and 3 machines, analyze alike through both ingest paths"
+echo "   serve: daemon round-trip, query, bounded /metrics, inspect, clean shutdown, served = local at 1, 2 and 3 machines, analyze alike through both ingest paths"
 
 echo "== metrics artifact"
 # Stamp the metrics JSON with the commit it came from and leave it in

@@ -131,15 +131,25 @@ impl Timing {
     /// Wall-clock milliseconds of the fastest timed pass of `f`, and
     /// the last pass's output.
     pub fn ms<T>(self, mut f: impl FnMut() -> T) -> (f64, T) {
+        self.best(|| {
+            let started = Instant::now();
+            let v = f();
+            (started.elapsed().as_secs_f64() * 1e3, v)
+        })
+    }
+
+    /// Like [`Timing::ms`], for passes that time themselves, so their
+    /// set-up and tear-down stay out of the measurement: each pass of
+    /// `f` returns its milliseconds and its output.
+    pub fn best<T>(self, mut f: impl FnMut() -> (f64, T)) -> (f64, T) {
         for _ in 0..self.warmup {
             std::hint::black_box(f());
         }
         let mut best = f64::INFINITY;
         let mut out = None;
         for _ in 0..self.runs {
-            let started = Instant::now();
-            let v = f();
-            best = best.min(started.elapsed().as_secs_f64() * 1e3);
+            let (ms, v) = f();
+            best = best.min(ms);
             out = Some(v);
         }
         (best, out.expect("a timing makes at least one run"))

@@ -5,7 +5,8 @@ use std::ffi::OsString;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, JoinHandle};
+use std::time::Instant;
 
 use bsdtrace::paper::{TABLE_VII_BLOCK_KB, TABLE_VII_CACHE_KB, TABLE_VI_SIZES_KB};
 use cachesim::{
@@ -19,7 +20,9 @@ use fstrace::{
     TraceWriter,
 };
 use tracestore::{Archive, ArchiveOptions, ArchiveWriter, Corruption, RecoveryReport};
-use tracestored::{render_suite, Client, IngestSink, ServerConfig, ShardPolicy, ShardSet};
+use tracestored::{
+    render_suite, Client, IngestSink, ServerConfig, ServerStats, ShardPolicy, ShardSet,
+};
 use workload::{
     generate, generate_fleet_into, generate_into, FleetConfig, FleetStats, GeneratedTrace,
     MachineProfile, WorkloadConfig,
@@ -659,31 +662,35 @@ fn shards_in(dir: &Path) -> Vec<(OsString, Vec<u8>)> {
 }
 
 /// Streams one machine into the daemon at `addr` over its own
-/// connection, through an [`IngestSink`].
+/// connection, through an [`IngestSink`], which checks the ack.
 fn ingest(addr: &str, machines: usize, m: usize, offsets: IdOffsets, stream: &[TraceRecord]) {
     let what = format!("machine {m}");
-    let mut client = Client::connect(addr).or_die(&what);
-    client
-        .hello(machines as u16, m as u16, offsets, &format!("bench-{m}"))
-        .or_die(&what);
-    let mut sink = IngestSink::new(&mut client);
+    let name = format!("bench-{m}");
+    let mut sink =
+        IngestSink::connect(addr, machines as u16, m as u16, offsets, &name).or_die(&what);
     for rec in stream {
         sink.write_record(rec).or_die(&what);
     }
-    let accepted = sink.finish().or_die(&what);
-    if accepted != stream.len() as u64 {
-        die(&format!(
-            "machine {m}: server accepted {accepted}, sent {}",
-            stream.len()
-        ));
-    }
+    sink.finish().or_die(&what);
+}
+
+/// Asks the daemon at `addr` to shut down and returns what it stored.
+fn stop(addr: &str, daemon: JoinHandle<io::Result<ServerStats>>) -> ServerStats {
+    Client::connect(addr)
+        .and_then(|mut c| c.shutdown())
+        .or_die("shutdown");
+    daemon
+        .join()
+        .unwrap_or_else(|_| die("server thread panicked"))
+        .or_die("server")
 }
 
 /// `serve` (`--machines` 4, `--hours` 0.1, `--jobs` one query worker
 /// per core up to 4): streams a fleet (user scale 0.5) into an
-/// in-process `tracestored` from one client thread per machine, then
-/// queries it. The daemon's shard directory must be byte-identical to
-/// an offline [`FleetMerge`] through an identically configured
+/// in-process `tracestored` from one client thread per machine, best of
+/// five passes after a warm-up, each into a fresh daemon; then queries
+/// the last pass's daemon. Its shard directory must be byte-identical
+/// to an offline [`FleetMerge`] through an identically configured
 /// [`ShardSet`] (`identical`), and the served `summary`, `analyze` and
 /// `range` replies must equal local computation (`queries_match`).
 pub fn serve(p: &Params) -> Report {
@@ -732,16 +739,30 @@ pub fn serve(p: &Params) -> Report {
         analysis_windows: WINDOWS.to_vec(),
         query_jobs: jobs,
     };
-    let (addr, handle) = tracestored::spawn(config).or_die("spawn");
-    let addr = addr.to_string();
-    let (ingest_ms, ()) = Timing::ONCE.ms(|| {
+    // Each pass ingests into a fresh daemon on an empty directory, as
+    // the first `hello` fixes a daemon's session; only the ingest is
+    // timed. The last pass's daemon answers the queries.
+    let timing = Timing::BEST_OF_5;
+    let mut daemon: Option<(String, _)> = None;
+    let (ingest_ms, ()) = timing.best(|| {
+        if let Some((addr, handle)) = daemon.take() {
+            stop(&addr, handle);
+        }
+        let _ = std::fs::remove_dir_all(&server_dir);
+        let (addr, handle) = tracestored::spawn(config.clone()).or_die("spawn");
+        let addr = addr.to_string();
+        let started = Instant::now();
         thread::scope(|scope| {
             for (m, stream) in streams.iter().enumerate() {
                 let (addr, offsets) = (&addr, offsets[m]);
                 scope.spawn(move || ingest(addr, machines, m, offsets, stream));
             }
-        })
+        });
+        let ms = started.elapsed().as_secs_f64() * 1e3;
+        daemon = Some((addr, handle));
+        (ms, ())
     });
+    let (addr, handle) = daemon.expect("a timed pass");
 
     let mut q = Client::connect(&addr).or_die("query connect");
     let summary_served = q.summary().or_die("summary");
@@ -753,11 +774,8 @@ pub fn serve(p: &Params) -> Report {
     let (range_ms, range_served) = Timing::ONCE.ms(|| q.range(from, to).or_die("range"));
     let in_range = |r: &&TraceRecord| r.time.as_ms() >= from && r.time.as_ms() < to;
     let range_local: Vec<TraceRecord> = merged.iter().filter(in_range).copied().collect();
-    q.shutdown().or_die("shutdown");
-    let stats = handle
-        .join()
-        .unwrap_or_else(|_| die("server thread panicked"))
-        .or_die("server");
+    drop(q);
+    let stats = stop(&addr, handle);
 
     let mut r = Report::default();
     r.put("machines", machines)
@@ -766,6 +784,8 @@ pub fn serve(p: &Params) -> Report {
         .put("hours", fleet.duration_hours)
         .put("seed", fleet.seed)
         .put("records", records)
+        .put("repeat", timing.runs)
+        .put("warmup_runs", timing.warmup)
         .put("shards", stats.shards.len())
         .identity(
             "identical",

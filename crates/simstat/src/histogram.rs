@@ -11,122 +11,6 @@ pub struct Bucket {
     pub weight: u64,
 }
 
-/// A histogram with equal-width buckets over `[lo, lo + width * n)`.
-///
-/// Values below the range land in an underflow bucket and values at or
-/// above it in an overflow bucket, so no observation is ever lost.
-///
-/// # Examples
-///
-/// ```
-/// use simstat::LinearHistogram;
-///
-/// // Ten 1-kbyte buckets covering 0..10240 bytes.
-/// let mut h = LinearHistogram::new(0, 1024, 10);
-/// h.add(100);
-/// h.add(100);
-/// h.add(5000);
-/// assert_eq!(h.buckets()[0].weight, 2);
-/// assert_eq!(h.buckets()[4].weight, 1);
-/// assert_eq!(h.total_weight(), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinearHistogram {
-    lo: u64,
-    width: u64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl LinearHistogram {
-    /// Creates a histogram of `n` buckets of `width` starting at `lo`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero or `n` is zero.
-    pub fn new(lo: u64, width: u64, n: usize) -> Self {
-        assert!(width > 0, "bucket width must be positive");
-        assert!(n > 0, "bucket count must be positive");
-        Self {
-            lo,
-            width,
-            counts: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation of `value` with weight 1.
-    pub fn add(&mut self, value: u64) {
-        self.add_weighted(value, 1);
-    }
-
-    /// Records an observation of `value` carrying `weight`.
-    ///
-    /// Weighted insertion is how byte-weighted distributions (Figures 1b,
-    /// 2b, 4b of the paper) are built: each file contributes its size in
-    /// bytes rather than a count of one.
-    pub fn add_weighted(&mut self, value: u64, weight: u64) {
-        if value < self.lo {
-            self.underflow += weight;
-            return;
-        }
-        let idx = ((value - self.lo) / self.width) as usize;
-        if idx >= self.counts.len() {
-            self.overflow += weight;
-        } else {
-            self.counts[idx] += weight;
-        }
-    }
-
-    /// Weight recorded below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Weight recorded at or above the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total weight recorded, including under/overflow.
-    pub fn total_weight(&self) -> u64 {
-        self.underflow + self.overflow + self.counts.iter().sum::<u64>()
-    }
-
-    /// The in-range buckets, in increasing value order.
-    pub fn buckets(&self) -> Vec<Bucket> {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &weight)| Bucket {
-                lo: self.lo + i as u64 * self.width,
-                hi: self.lo + (i as u64 + 1) * self.width,
-                weight,
-            })
-            .collect()
-    }
-
-    /// Fraction of total weight at values `< limit` (counting underflow,
-    /// approximating partial buckets by their lower edge).
-    ///
-    /// Returns `0.0` when the histogram is empty.
-    pub fn fraction_below(&self, limit: u64) -> f64 {
-        let total = self.total_weight();
-        if total == 0 {
-            return 0.0;
-        }
-        let mut acc = self.underflow;
-        for b in self.buckets() {
-            if b.hi <= limit {
-                acc += b.weight;
-            }
-        }
-        acc as f64 / total as f64
-    }
-}
-
 /// A histogram with power-of-two buckets: `{0}`, `[1,2)`, `[2,4)`, `[4,8)`, …
 ///
 /// Log-spaced buckets match the wide dynamic range of file sizes and
@@ -224,58 +108,6 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn linear_places_values_in_correct_buckets() {
-        let mut h = LinearHistogram::new(10, 5, 4); // [10,15) [15,20) [20,25) [25,30)
-        h.add(10);
-        h.add(14);
-        h.add(15);
-        h.add(29);
-        let b = h.buckets();
-        assert_eq!(b[0].weight, 2);
-        assert_eq!(b[1].weight, 1);
-        assert_eq!(b[2].weight, 0);
-        assert_eq!(b[3].weight, 1);
-    }
-
-    #[test]
-    fn linear_under_and_overflow() {
-        let mut h = LinearHistogram::new(10, 5, 2);
-        h.add(9);
-        h.add(20); // Exactly at the top edge: overflow.
-        h.add(100);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total_weight(), 3);
-    }
-
-    #[test]
-    fn linear_weighted_insertion() {
-        let mut h = LinearHistogram::new(0, 10, 2);
-        h.add_weighted(5, 100);
-        h.add_weighted(15, 50);
-        assert_eq!(h.buckets()[0].weight, 100);
-        assert_eq!(h.buckets()[1].weight, 50);
-        assert_eq!(h.total_weight(), 150);
-    }
-
-    #[test]
-    fn linear_fraction_below() {
-        let mut h = LinearHistogram::new(0, 10, 4);
-        for v in [1, 2, 3, 15, 25, 35] {
-            h.add(v);
-        }
-        assert!((h.fraction_below(10) - 0.5).abs() < 1e-12);
-        assert!((h.fraction_below(40) - 1.0).abs() < 1e-12);
-        assert_eq!(h.fraction_below(0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "width")]
-    fn linear_zero_width_panics() {
-        let _ = LinearHistogram::new(0, 0, 4);
-    }
 
     #[test]
     fn log_bucket_boundaries() {

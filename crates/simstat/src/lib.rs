@@ -5,8 +5,8 @@
 //!
 //! * [`OnlineStats`] — single-pass mean / standard deviation / extrema
 //!   (Welford's algorithm), used for the "± σ" entries of Table IV.
-//! * [`LinearHistogram`] and [`LogHistogram`] — fixed-memory bucketed
-//!   counters with weighted insertion, used for coarse distribution views.
+//! * [`LogHistogram`] — a fixed-memory power-of-two bucketed counter
+//!   with weighted insertion, behind `obs`'s metric histograms.
 //! * [`Distribution`] — an exact empirical distribution over `u64` values
 //!   with per-sample weights; produces the cumulative curves of
 //!   Figures 1–4 of the paper.
@@ -46,6 +46,6 @@ mod windows;
 
 pub use distribution::{CdfPoint, Distribution};
 pub use hash::{FastMap, FastSet};
-pub use histogram::{Bucket, LinearHistogram, LogHistogram};
+pub use histogram::{Bucket, LogHistogram};
 pub use online::OnlineStats;
 pub use windows::{WindowStats, WindowedSums};

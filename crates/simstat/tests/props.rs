@@ -1,7 +1,7 @@
 //! Property-based tests for the statistics substrate.
 
 use proptest::prelude::*;
-use simstat::{Distribution, LinearHistogram, LogHistogram, OnlineStats, WindowedSums};
+use simstat::{Distribution, LogHistogram, OnlineStats, WindowedSums};
 
 proptest! {
     /// Welford accumulation matches the naive two-pass formulas.
@@ -107,15 +107,12 @@ proptest! {
     fn histograms_conserve_weight(
         samples in prop::collection::vec((0u64..100_000, 1u64..50), 0..200),
     ) {
-        let mut lin = LinearHistogram::new(100, 64, 32);
         let mut log = LogHistogram::new();
         let mut total = 0u64;
         for &(v, w) in &samples {
-            lin.add_weighted(v, w);
             log.add_weighted(v, w);
             total += w;
         }
-        prop_assert_eq!(lin.total_weight(), total);
         prop_assert_eq!(log.total_weight(), total);
         let bucket_sum: u64 = log.buckets().iter().map(|b| b.weight).sum();
         prop_assert_eq!(bucket_sum, total);

@@ -4,7 +4,7 @@
 use std::io::Write;
 use std::path::PathBuf;
 
-use fstrace::IdOffsets;
+use fstrace::{IdOffsets, RecordSink};
 use tracestored::{fetch_metrics, Client, IngestSink, Server, ServerConfig};
 
 const USAGE: &str = "\
@@ -127,14 +127,12 @@ fn cmd_client(args: &[String]) {
             ["ingest", file] => {
                 let archive = tracestore::Archive::open(std::path::Path::new(file))
                     .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-                let mut client = Client::connect(&addr)?;
-                client.hello(1, 0, IdOffsets::default(), file)?;
-                let mut sink = IngestSink::new(&mut client);
+                let mut sink = IngestSink::connect(&addr, 1, 0, IdOffsets::default(), file)?;
                 for rec in archive.records(tracestore::Corruption::Fail) {
                     let rec = rec.map_err(|e| {
                         std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
                     })?;
-                    fstrace::RecordSink::write_record(&mut sink, &rec)?;
+                    sink.write_record(&rec)?;
                 }
                 let accepted = sink.finish()?;
                 eprintln!("ingested {accepted} record(s)");

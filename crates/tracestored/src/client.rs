@@ -1,6 +1,7 @@
-//! The client side of the protocol: one struct per connection, plus a
-//! [`RecordSink`] adapter so any generator (notably `mktrace --serve`)
-//! can stream into a daemon as if it were writing a local file.
+//! The client side of the protocol: [`Client`], one connection with a
+//! method per op, and [`IngestSink`], the one ingest session, which
+//! `mktrace --serve`, `tracestored client ingest` and `bench serve` all
+//! stream through. Replies are read by the daemon's own frame reader.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -133,58 +134,79 @@ pub fn fetch_metrics(addr: &str) -> io::Result<String> {
     }
 }
 
-/// A [`RecordSink`] that streams into a daemon: batches records,
-/// advancing the progress watermark to the last sent record after each
-/// batch. Sound for any sink fed in nondecreasing time order (every
-/// generator path is), because a record at time T promises nothing
-/// earlier than T remains unsent.
-pub struct IngestSink<'a> {
-    client: &'a mut Client,
+/// One ingest session: a connection that is one merge input of a
+/// daemon, and a [`RecordSink`] over it, so any generator can stream
+/// into a daemon as if it were writing a local file. Outside tests,
+/// every ingest in this workspace runs through one.
+///
+/// Records are sent in batch frames of at most 8,192 records. A
+/// full batch goes out with a progress mark at its last record's time,
+/// which is sound for any sink fed in nondecreasing time order (every
+/// generator path is): a record at time T promises nothing earlier
+/// than T remains unsent. [`IngestSink::progress`] sends the pending
+/// batch, then a mark of the caller's; [`IngestSink::finish`] ends the
+/// input.
+pub struct IngestSink {
+    client: Client,
+    /// The input's name in `hello`, for error messages.
+    name: String,
     buf: Vec<TraceRecord>,
     sent: u64,
 }
 
-impl<'a> IngestSink<'a> {
-    /// Wraps a connection that has already said `hello`.
-    pub fn new(client: &'a mut Client) -> Self {
-        IngestSink {
+impl IngestSink {
+    /// Connects to the daemon at `addr` and says `hello`: this
+    /// connection is merge input `index` of `total`, its records
+    /// shifted by `offsets`, named `name`.
+    pub fn connect(
+        addr: &str,
+        total: u16,
+        index: u16,
+        offsets: IdOffsets,
+        name: &str,
+    ) -> io::Result<IngestSink> {
+        let mut client = Client::connect(addr)?;
+        client.hello(total, index, offsets, name)?;
+        Ok(IngestSink {
             client,
+            name: name.to_string(),
             buf: Vec::with_capacity(BATCH),
             sent: 0,
-        }
+        })
     }
 
-    fn flush_batch(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
+    /// Sends the pending batch, if any, then promises that no record
+    /// earlier than `up_to_ms` remains unsent.
+    pub fn progress(&mut self, up_to_ms: u64) -> io::Result<()> {
+        if !self.buf.is_empty() {
+            self.client.send_records(&self.buf)?;
+            self.sent += self.buf.len() as u64;
+            self.buf.clear();
         }
-        self.client.send_records(&self.buf)?;
-        self.sent += self.buf.len() as u64;
-        let last_ms = self.buf.last().expect("non-empty batch").time.as_ms();
-        self.client.progress(last_ms)?;
-        self.buf.clear();
-        Ok(())
+        self.client.progress(up_to_ms)
     }
 
-    /// Flushes the tail batch and finishes the input; returns the
-    /// server's accepted count.
+    /// Ends the input: sends the pending batch, `progress(MAX)` and
+    /// `fin`. Returns the daemon's accepted count, and fails unless it
+    /// equals the records sent.
     pub fn finish(mut self) -> io::Result<u64> {
-        self.flush_batch()?;
-        self.client.progress(u64::MAX)?;
-        self.client.fin()
-    }
-
-    /// Records sent so far (flushed batches only).
-    pub fn sent(&self) -> u64 {
-        self.sent
+        self.progress(u64::MAX)?;
+        let accepted = self.client.fin()?;
+        if accepted != self.sent {
+            return Err(io::Error::other(format!(
+                "{}: the daemon acknowledged {accepted} records, {} were sent",
+                self.name, self.sent
+            )));
+        }
+        Ok(accepted)
     }
 }
 
-impl RecordSink for IngestSink<'_> {
+impl RecordSink for IngestSink {
     fn write_record(&mut self, rec: &TraceRecord) -> io::Result<()> {
         self.buf.push(*rec);
-        if self.buf.len() >= BATCH {
-            self.flush_batch()?;
+        if self.buf.len() == BATCH {
+            self.progress(rec.time.as_ms())?;
         }
         Ok(())
     }

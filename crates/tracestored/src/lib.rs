@@ -16,8 +16,9 @@
 //! * **serves** Table-III summaries, time-range reads, the Section-5
 //!   analyzer suite, and cache-grid sweeps over sealed shards plus the
 //!   live tail, via chunk-parallel pipelined reads;
-//! * **reports** per-connection and per-shard [`obs`] metrics on a
-//!   plain-text `/metrics` HTTP GET over the same listener.
+//! * **reports** its [`obs`] metrics, totals whose names do not grow
+//!   with connections or shards, on a plain-text `/metrics` HTTP GET
+//!   over the same listener.
 //!
 //! Protocol frames, shard rotation rules, backpressure and failure
 //! modes are specified in DESIGN.md §17; the e2e contract (server-side

@@ -17,6 +17,16 @@
 //! per batch, exactly like a `tracestore` chunk — so a batch decodes
 //! with no connection state.
 //!
+//! Both ends read frames with one reader, in three steps:
+//! `read_prefix` (a clean EOF before the prefix is the end of the
+//! conversation, EOF inside it a torn frame), `frame_len` (the one
+//! length rule), and [`read_frame_body`], which grows its buffer only
+//! as bytes arrive. [`read_frame`] runs all three; the daemon runs them
+//! one at a time, because it looks at the prefix in between. Both ends
+//! decode record batches with [`decode_records`], through the same
+//! columnar [`decode_block`] archive chunks and flat traces use, and
+//! reserve nothing by a batch's count.
+//!
 //! One special case: a connection whose first four bytes are `"GET "`
 //! is not speaking this protocol at all — it is an HTTP client asking
 //! for the plain-text `/metrics` page, and the server answers it as
@@ -25,8 +35,9 @@
 
 use std::io::{self, Read, Write};
 
+use fstrace::block::decode_block;
 use fstrace::codec::{self, DecodeError};
-use fstrace::{IdOffsets, TraceRecord};
+use fstrace::{IdOffsets, RecordBlock, TraceRecord};
 
 /// Ingest: declare this connection as input `index` of `total_inputs`.
 pub const OP_HELLO: u8 = 0x01;
@@ -152,25 +163,30 @@ pub fn encode_records(out: &mut Vec<u8>, records: &[TraceRecord]) {
     }
 }
 
-/// Decodes a record batch produced by [`encode_records`].
+/// Decodes a record batch produced by [`encode_records`], through the
+/// columnar [`decode_block`] every archive chunk and flat trace read
+/// uses, then materializes the records. Nothing is reserved by the
+/// batch's count, which is the peer's word: the columns grow with the
+/// records that decode, and the result is sized by them.
 pub fn decode_records(buf: &[u8]) -> Result<Vec<TraceRecord>, DecodeError> {
     let mut pos = 0;
-    let count = codec::get_varint(buf, &mut pos)? as usize;
+    let count = codec::get_varint(buf, &mut pos)?;
     // A record is at least 2 bytes; reject counts the buffer cannot hold.
-    if count > buf.len() {
+    if count > buf.len() as u64 {
         return Err(DecodeError::BadField("record batch count"));
     }
-    let mut out = Vec::with_capacity(count);
-    let mut prev = 0u64;
-    for _ in 0..count {
-        let (rec, ticks) = codec::decode_from(buf, &mut pos, prev)?;
-        prev = ticks;
-        out.push(rec);
+    let mut block = RecordBlock::new();
+    decode_block(buf, &mut pos, 0, buf.len(), count as usize, &mut block)?;
+    if (block.len() as u64) < count {
+        return Err(DecodeError::Truncated {
+            offset: pos as u64,
+            records: block.len() as u64,
+        });
     }
     if pos != buf.len() {
         return Err(DecodeError::BadField("record batch trailer"));
     }
-    Ok(out)
+    Ok(block.to_records())
 }
 
 /// Writes one frame.
@@ -195,43 +211,24 @@ pub fn write_frame(w: &mut impl Write, op: u8, payload: &[u8]) -> io::Result<()>
 /// fit, and take one allocation.
 const FRAME_RESERVE: usize = 64 << 10;
 
-/// Reads a `len`-byte frame body through `fill`, which must fill the
-/// slice it is given or fail. The buffer grows only as bytes arrive:
-/// [`FRAME_RESERVE`] first, then never more than twice what has come.
-/// Both ends of the protocol read bodies through it.
-pub(crate) fn read_body(
-    len: usize,
-    mut fill: impl FnMut(&mut [u8]) -> io::Result<()>,
-) -> io::Result<Vec<u8>> {
+/// Reads a `len`-byte frame body. The buffer grows only as bytes
+/// arrive: [`FRAME_RESERVE`] first, then never more than twice what
+/// has come.
+fn read_body(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
     let mut body = Vec::new();
     while body.len() < len {
         let start = body.len();
         body.resize(len.min((2 * start).max(FRAME_RESERVE)), 0);
-        fill(&mut body[start..])?;
+        r.read_exact(&mut body[start..])?;
     }
     Ok(body)
 }
 
-/// Reads one frame, given its already-read 4-byte length prefix. A
-/// body cut short is an [`io::ErrorKind::UnexpectedEof`] error.
-pub fn read_frame_body(r: &mut impl Read, prefix: [u8; 4]) -> io::Result<(u8, Vec<u8>)> {
-    let len = u32::from_le_bytes(prefix);
-    if len == 0 || len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad frame length {len}"),
-        ));
-    }
-    let mut body = read_body(len as usize, |buf| r.read_exact(buf))?;
-    let op = body[0];
-    body.drain(..1);
-    Ok((op, body))
-}
-
-/// Reads one frame; `Ok(None)` on clean EOF at a frame boundary.
-/// A connection that dies mid-frame surfaces as an error — the caller
-/// discards the partial frame, never acts on it.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
+/// Reads a frame's 4-byte length prefix; `Ok(None)` on a clean EOF
+/// before its first byte. EOF inside the prefix is an
+/// [`io::ErrorKind::UnexpectedEof`] error, and an interrupted read is
+/// retried.
+pub(crate) fn read_prefix(r: &mut impl Read) -> io::Result<Option<[u8; 4]>> {
     let mut prefix = [0u8; 4];
     let mut got = 0;
     while got < 4 {
@@ -244,10 +241,43 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
                 ))
             }
             Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    read_frame_body(r, prefix).map(Some)
+    Ok(Some(prefix))
+}
+
+/// The frame length a prefix declares, if it is one a frame may have:
+/// at least the op byte, at most [`MAX_FRAME`].
+pub(crate) fn frame_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix);
+    if len == 0 || len > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("bad frame length {len}"),
+        ));
+    }
+    Ok(len as usize)
+}
+
+/// Reads one frame, given its already-read 4-byte length prefix. A
+/// body cut short is an [`io::ErrorKind::UnexpectedEof`] error.
+pub fn read_frame_body(r: &mut impl Read, prefix: [u8; 4]) -> io::Result<(u8, Vec<u8>)> {
+    let len = frame_len(prefix)?;
+    let mut op = [0u8];
+    r.read_exact(&mut op)?;
+    Ok((op[0], read_body(r, len - 1)?))
+}
+
+/// Reads one frame; `Ok(None)` on clean EOF at a frame boundary.
+/// A connection that dies mid-frame surfaces as an error — the caller
+/// discards the partial frame, never acts on it.
+pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
+    match read_prefix(r)? {
+        Some(prefix) => read_frame_body(r, prefix).map(Some),
+        None => Ok(None),
+    }
 }
 
 /// Sends a reply frame: `OP_OK` with `payload`.
@@ -387,6 +417,33 @@ mod tests {
         // And mid-header too.
         let mut r = &wire[..2];
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// A reader whose first read is interrupted, as a signal can do.
+    struct InterruptedOnce<'a> {
+        interrupted: bool,
+        rest: &'a [u8],
+    }
+
+    impl Read for InterruptedOnce<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.rest.read(buf)
+        }
+    }
+
+    #[test]
+    fn an_interrupted_read_is_retried() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, OP_PROGRESS, &[42]).unwrap();
+        let mut r = InterruptedOnce {
+            interrupted: false,
+            rest: &wire,
+        };
+        assert_eq!(read_frame(&mut r).unwrap(), Some((OP_PROGRESS, vec![42])));
     }
 
     #[test]

@@ -6,6 +6,14 @@
 //! One listener thread accepts; each connection gets a handler thread;
 //! one shard-writer thread owns the [`ShardSet`].
 //!
+//! A handler reads frames with the reader clients read replies with
+//! (`protocol`'s prefix read, its length rule, then
+//! [`protocol::read_frame_body`]), through a buffer over an adapter
+//! whose reads end as EOF does once shutdown is flagged. Only the
+//! `GET ` sniff for `/metrics` on a connection's first four bytes and
+//! the error reply to a bad length are the server's own. Batches
+//! decode through [`protocol::decode_records`].
+//!
 //! The handlers share one mutex with a condvar. It covers the
 //! [`FleetMerge`], which alone keeps each input's progress and whether
 //! it has finished; each input's attach flag and record count; and the
@@ -62,6 +70,15 @@
 //! The gauge `tracestored.shard.writer_queue_peak` records how many
 //! released records were at most waiting for the writer.
 //!
+//! # Metrics
+//!
+//! Metric names are bounded: the daemon registers totals
+//! (`tracestored.conn.{opened,closed,killed}`,
+//! `tracestored.ingest.records`, `tracestored.shard.{records_in,seals}`)
+//! and no name per connection or shard, so `/metrics` does not grow
+//! however many of either a daemon sees. Per-shard counts are in
+//! [`ServerStats::shards`] and `tracefmt inspect DIR`.
+//!
 //! # Failure modes
 //!
 //! A connection that dies mid-frame loses at most that frame: frames
@@ -84,7 +101,7 @@
 //! a blocked send or a pending reply fails at once. `shutdown` still
 //! stops the daemon, and [`Server::run`] returns the error.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -189,7 +206,6 @@ struct Shared {
     cond: Condvar,
     writer: Arc<WriterStatus>,
     shutdown: AtomicBool,
-    conn_seq: AtomicU64,
     config: ServerConfig,
 }
 
@@ -383,7 +399,6 @@ impl Server {
             cond: Condvar::new(),
             writer: status,
             shutdown: AtomicBool::new(false),
-            conn_seq: AtomicU64::new(0),
             config,
         });
         Ok(Server {
@@ -446,11 +461,31 @@ impl Server {
     }
 }
 
-/// How a blocking read ended.
-enum ReadOutcome {
-    Full,
-    CleanEof,
-    Shutdown,
+/// The socket as the protocol's frame reader sees it. The socket's
+/// read timeout wakes a blocked read every [`POLL`]; once shutdown is
+/// flagged, the read ends as EOF does, which ends an idle connection
+/// cleanly and tears a half-read frame.
+struct Polled<'a> {
+    stream: &'a TcpStream,
+    shutdown: &'a AtomicBool,
+}
+
+impl Read for Polled<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    if self.shutdown.load(Ordering::Acquire) {
+                        return Ok(0);
+                    }
+                }
+                read => return read,
+            }
+        }
+    }
 }
 
 /// One connection's handler state.
@@ -460,47 +495,15 @@ struct Connection {
     input: Option<(usize, IdOffsets)>,
     /// Time of the last accepted record, for order validation.
     last_ticks: u64,
-    conn_id: u64,
 }
 
 impl Connection {
     fn new(shared: Arc<Shared>) -> Connection {
-        let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
         Connection {
             shared,
             input: None,
             last_ticks: 0,
-            conn_id,
         }
-    }
-
-    /// Fills `buf`, polling the shutdown flag while idle. Once bytes
-    /// have arrived, EOF mid-buffer is an error (torn frame).
-    fn read_full(&self, stream: &mut TcpStream, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-        let mut got = 0;
-        while got < buf.len() {
-            match stream.read(&mut buf[got..]) {
-                Ok(0) if got == 0 => return Ok(ReadOutcome::CleanEof),
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection dropped mid-frame",
-                    ))
-                }
-                Ok(n) => got += n,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if self.shared.shutdown.load(Ordering::Acquire) {
-                        return Ok(ReadOutcome::Shutdown);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(ReadOutcome::Full)
     }
 
     fn serve(mut self, mut stream: TcpStream) -> io::Result<()> {
@@ -517,36 +520,35 @@ impl Connection {
     }
 
     fn serve_inner(&mut self, stream: &mut TcpStream) -> io::Result<()> {
-        let mut prefix = [0u8; 4];
+        let (socket, shared) = (stream.try_clone()?, Arc::clone(&self.shared));
+        let mut polled = Polled {
+            stream: &socket,
+            shutdown: &shared.shutdown,
+        };
+        // The first prefix is read unbuffered, so an HTTP request's
+        // remaining head is still on the socket for `serve_metrics`.
+        let Some(first) = protocol::read_prefix(&mut polled)? else {
+            return Ok(());
+        };
+        if &first == b"GET " {
+            // An HTTP client asking for /metrics; not our protocol.
+            return self.serve_metrics(stream);
+        }
+        // Frames, from that first prefix on, go through a buffer: one
+        // read of the socket takes a frame's prefix, op byte and short
+        // payload together.
+        let mut frames = BufReader::new(first.as_slice().chain(polled));
         loop {
-            match self.read_full(stream, &mut prefix)? {
-                ReadOutcome::CleanEof | ReadOutcome::Shutdown => return Ok(()),
-                ReadOutcome::Full => {}
+            let Some(prefix) = protocol::read_prefix(&mut frames)? else {
+                return Ok(());
+            };
+            if let Err(e) = protocol::frame_len(prefix) {
+                protocol::write_err(stream, &e.to_string())?;
+                return Err(e);
             }
-            if &prefix == b"GET " {
-                // An HTTP client asking for /metrics; not our protocol.
-                return self.serve_metrics(stream);
-            }
-            let len = u32::from_le_bytes(prefix);
-            if len == 0 || len > protocol::MAX_FRAME {
-                protocol::write_err(stream, &format!("bad frame length {len}"))?;
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "bad frame length",
-                ));
-            }
-            let body = protocol::read_body(len as usize, |buf| {
-                match self.read_full(stream, buf)? {
-                    ReadOutcome::Full => Ok(()),
-                    // Torn frame: discard, kill path cleans up.
-                    ReadOutcome::CleanEof | ReadOutcome::Shutdown => Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection dropped mid-frame",
-                    )),
-                }
-            })?;
-            let op = body[0];
-            let payload = &body[1..];
+            // A torn frame is an error: discard it, the kill path
+            // cleans up.
+            let (op, payload) = protocol::read_frame_body(&mut frames, prefix)?;
             // A failed writer fails every later op; `shutdown` still
             // stops the daemon, and reports the failure itself.
             if op != protocol::OP_SHUTDOWN && self.shared.writer.failure().is_some() {
@@ -554,9 +556,9 @@ impl Connection {
                 continue;
             }
             match op {
-                protocol::OP_HELLO => self.op_hello(stream, payload)?,
-                protocol::OP_RECORDS => self.op_records(stream, payload)?,
-                protocol::OP_PROGRESS => self.op_progress(stream, payload)?,
+                protocol::OP_HELLO => self.op_hello(stream, &payload)?,
+                protocol::OP_RECORDS => self.op_records(stream, &payload)?,
+                protocol::OP_PROGRESS => self.op_progress(stream, &payload)?,
                 protocol::OP_FIN => {
                     self.op_fin(stream)?;
                     // The input is done; keep serving (queries allowed).
@@ -564,7 +566,7 @@ impl Connection {
                 protocol::OP_SUMMARY
                 | protocol::OP_RANGE
                 | protocol::OP_ANALYZE
-                | protocol::OP_SWEEP => self.op_query(stream, op, payload)?,
+                | protocol::OP_SWEEP => self.op_query(stream, op, &payload)?,
                 protocol::OP_SHUTDOWN => {
                     self.op_shutdown(stream)?;
                     return Ok(());
@@ -627,9 +629,6 @@ impl Connection {
             state.inputs[index].attached = true;
         }
         self.input = Some((index, hello.offsets));
-        obs::global()
-            .counter(&format!("tracestored.conn.{}.attached", self.conn_id))
-            .inc();
         protocol::write_ok(stream, &[])
     }
 
@@ -684,9 +683,6 @@ impl Connection {
             drop(state);
             return refuse(stream, protocol::OP_RECORDS, &e);
         }
-        obs::global()
-            .counter(&format!("tracestored.conn.{}.records_in", self.conn_id))
-            .add(n);
         obs::global().counter("tracestored.ingest.records").add(n);
         // Backpressure: wait while the merge is over budget and some
         // *other* input is strictly behind us (we are not the gate).
@@ -792,9 +788,6 @@ impl Connection {
             state.queries_active -= 1;
             self.shared.cond.notify_all();
         }
-        obs::global()
-            .counter(&format!("tracestored.conn.{}.queries", self.conn_id))
-            .inc();
         match result {
             Ok(reply) => protocol::write_ok(stream, &reply),
             Err(e) => protocol::write_err(stream, &e.to_string()),

@@ -34,7 +34,10 @@
 //! **Cost per record**: encoding into the open chunk, a `tail` push,
 //! and one increment of `tracestored.shard.records_in`, whose handle
 //! the set takes once at [`ShardSet::create`] rather than looking it up
-//! in the registry per record. Compression runs once per chunk on the
+//! in the registry per record. A seal adds one to
+//! `tracestored.shard.seals`; no metric is named after a shard, so the
+//! registry does not grow with them (each [`SealedShard`] carries its
+//! own counts). Compression runs once per chunk on the
 //! shard writer's one reused [`tracestore::compress::Compressor`]. In
 //! the daemon a `ShardSet` belongs to one shard-writer thread
 //! (`server.rs`), so none of this runs under the merge's lock.
@@ -158,18 +161,11 @@ impl ShardSet {
         let Some(shard) = self.open.take() else {
             return Ok(());
         };
-        let seq = self.sealed.len();
         let _fsync = obs::global().span("tracestored.shard.seal").start();
         let (buf, summary) = shard.writer.finish()?;
         let file = buf.into_inner().map_err(|e| e.into_error())?;
         file.sync_all()?;
         obs::global().counter("tracestored.shard.seals").inc();
-        obs::global()
-            .counter(&format!("tracestored.shard.{seq}.records"))
-            .add(summary.records);
-        obs::global()
-            .counter(&format!("tracestored.shard.{seq}.bytes"))
-            .add(summary.bytes);
         self.sealed.push(SealedShard {
             path: shard.path,
             records: summary.records,

@@ -6,7 +6,7 @@
 //! identically configured [`ShardSet`] — and its query replies equal
 //! the same analyses computed locally.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 
@@ -253,19 +253,12 @@ fn concurrent_ingest_matches_offline_merge_and_local_analyses() {
     let sweep = q.sweep(&[64, 400]).expect("sweep");
     assert_eq!(sweep.lines().count(), 3, "sweep rows: {sweep}");
 
-    // /metrics over the same listener: per-connection and per-shard
-    // counters present.
+    // /metrics over the same listener: the connection and ingest
+    // totals are there.
     let metrics = fetch_metrics(&addr).expect("metrics");
-    assert!(
-        metrics
-            .lines()
-            .any(|l| l.starts_with("tracestored_conn_") && l.contains("_records_in ")),
-        "no per-connection counters in:\n{metrics}"
-    );
-    assert!(
-        metrics.contains("tracestored_ingest_records"),
-        "no ingest counter in:\n{metrics}"
-    );
+    for total in ["tracestored_conn_opened ", "tracestored_ingest_records "] {
+        assert!(metrics.contains(total), "no {total} in:\n{metrics}");
+    }
 
     q.shutdown().expect("shutdown");
     let stats = handle.join().expect("server thread").expect("server run");
@@ -273,15 +266,24 @@ fn concurrent_ingest_matches_offline_merge_and_local_analyses() {
     assert_eq!(stats.records_merged, merged.len() as u64);
     assert!(!stats.shards.is_empty());
 
-    // Per-shard counters appear once shards have sealed. The registry
-    // is process-global, so read it directly.
+    // Seals are counted, and no metric name carries a connection or
+    // shard number, so names stay bounded however many of either a
+    // daemon sees. The registry is process-global, so read it directly.
     let snap = obs::global().snapshot();
     assert!(
-        snap.counters
-            .keys()
-            .any(|k| k.starts_with("tracestored.shard.") && k.ends_with(".records")),
-        "no per-shard counters registered"
+        snap.counter("tracestored.shard.seals").unwrap_or(0) >= stats.shards.len() as u64,
+        "seals not counted"
     );
+    let names = (snap.counters.keys())
+        .chain(snap.gauges.keys())
+        .chain(snap.spans.keys())
+        .chain(snap.histograms.keys());
+    for name in names.filter(|n| n.starts_with("tracestored.")) {
+        assert!(
+            !name.split('.').any(|part| part.parse::<u64>().is_ok()),
+            "metric name {name} carries a number"
+        );
+    }
 
     // The tentpole assertion: server shards == offline merge, byte for
     // byte.
@@ -398,6 +400,45 @@ fn overflowing_id_offsets_get_an_error_and_the_daemon_keeps_serving() {
     let stats = handle.join().expect("server thread").expect("server run");
     assert_eq!(stats.records_in, survivor.len() as u64);
     assert_eq!(stats.records_merged, survivor.len() as u64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The one frame length rule: a frame holds at least its op byte and at
+/// most `MAX_FRAME` bytes. A prefix outside it gets an error reply naming
+/// the length and closes that connection only.
+#[test]
+fn a_bad_frame_length_gets_an_error_and_costs_only_its_connection() {
+    let dir = tmpdir("bad-length");
+    let config = ServerConfig {
+        dir: dir.clone(),
+        query_jobs: 2,
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = tracestored::spawn(config).expect("spawn server");
+    let addr = addr.to_string();
+    let stream = machine_stream(0, 50);
+    assert_eq!(
+        stream_as_client(&addr, 1, 0, &stream, 16),
+        stream.len() as u64
+    );
+    for len in [0, protocol::MAX_FRAME + 1] {
+        let mut raw = TcpStream::connect(&addr).expect("connect");
+        raw.write_all(&len.to_le_bytes()).expect("prefix");
+        let err = protocol::read_reply(&mut raw).expect_err("a bad length");
+        assert!(
+            err.to_string().contains(&format!("bad frame length {len}")),
+            "{err}"
+        );
+        let mut rest = Vec::new();
+        raw.read_to_end(&mut rest)
+            .expect("the daemon closes the connection");
+        assert!(rest.is_empty(), "more after the error reply: {rest:?}");
+    }
+    let mut q = Client::connect(&addr).expect("query client");
+    assert!(q.summary().expect("summary").contains("trace"));
+    q.shutdown().expect("shutdown");
+    let stats = handle.join().expect("server thread").expect("server run");
+    assert_eq!(stats.records_merged, stream.len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

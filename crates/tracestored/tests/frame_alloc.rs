@@ -1,8 +1,9 @@
 //! A frame's length prefix is the peer's word: reading a frame must not
 //! reserve memory by it before the body's bytes arrive, at either end
-//! of a connection. A test binary of its own, because it installs a
-//! counting global allocator and reads its process-wide peak; its tests
-//! take turns, since they share that peak.
+//! of a connection. Nor may a record batch's count, which is the peer's
+//! word too. A test binary of its own, because it installs a counting
+//! global allocator and reads its process-wide peak; its tests take
+//! turns, since they share that peak.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -11,7 +12,8 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use tracestored::protocol::{read_frame, write_frame, MAX_FRAME, OP_RECORDS};
+use fstrace::codec::put_varint;
+use tracestored::protocol::{decode_records, read_frame, write_frame, MAX_FRAME, OP_RECORDS};
 use tracestored::{Client, ServerConfig};
 
 /// The system allocator, counting live bytes and their high-water mark,
@@ -118,4 +120,23 @@ fn daemon_reads_a_frame_body_as_it_arrives() {
         .expect("shutdown");
     daemon.join().expect("daemon thread").expect("daemon run");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_forged_batch_count_reserves_nothing_by_it() {
+    let _turn = one_at_a_time();
+    for len in [64 << 10, 1 << 20] {
+        // A batch declaring one record per byte, as many as a count may
+        // claim, whose first record has no valid tag.
+        let mut batch = Vec::new();
+        put_varint(&mut batch, len as u64);
+        batch.resize(len, 0xff);
+        let baseline = reset();
+        let err = decode_records(&batch).expect_err("no record decodes");
+        let peak = PEAK.load(Ordering::SeqCst) - baseline;
+        assert!(
+            peak < len,
+            "a {len}-byte batch failing at its first record ({err}) peaked at {peak} bytes"
+        );
+    }
 }

@@ -29,11 +29,13 @@
 //! a running `tracestored` instead, and the daemon ends up holding
 //! exactly the records, in the same order, that `--out` would write for
 //! the same flags. One machine of one profile streams the
-//! single-machine generator's trace over one connection, as input 0 of
-//! 1 with zero id offsets. A fleet runs [`workload::serve_fleet`]: the
-//! same fleet runner, every machine over its own connection, the
-//! watermark merge done server-side by the same [`fstrace::FleetMerge`]
-//! the local path runs over the same per-machine streams.
+//! single-machine generator's trace through one
+//! [`tracestored::IngestSink`], as input 0 of 1 with zero id offsets. A
+//! fleet runs [`workload::serve_fleet`]: the same fleet runner, every
+//! machine through its own `IngestSink`, the watermark merge done
+//! server-side by the same [`fstrace::FleetMerge`] the local path runs
+//! over the same per-machine streams. The sink checks that the daemon
+//! acknowledged every record it sent.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -41,7 +43,7 @@ use std::process::exit;
 
 use fstrace::{IdOffsets, RecordSink, TextSink, TraceWriter};
 use tracestore::{ArchiveOptions, ArchiveWriter};
-use tracestored::{Client, IngestSink};
+use tracestored::IngestSink;
 use workload::{
     generate_fleet_into, generate_into, serve_fleet, FleetConfig, GenerateError, MachineProfile,
     WorkloadConfig,
@@ -171,8 +173,16 @@ fn main() {
                 "streaming {} ({}) for {hours} simulated hours, seed {seed}, to {addr} ...",
                 single.profile.trace_name, single.profile.name
             );
-            let records =
-                serve_machine(single, &addr).unwrap_or_else(|e| die(&format!("serve: {e}")));
+            // Input 0 of 1 with zero id offsets: the daemon holds
+            // exactly what `--out` writes.
+            let name = single.profile.trace_name;
+            let served = IngestSink::connect(&addr, 1, 0, IdOffsets::default(), name)
+                .map_err(GenerateError::from)
+                .and_then(|mut sink| {
+                    generate_into(single, &mut sink)?;
+                    Ok(sink.finish()?)
+                });
+            let records = served.unwrap_or_else(|e| die(&format!("serve: {e}")));
             eprintln!("served {records} records from 1 machine to {addr}");
             return;
         }
@@ -213,28 +223,6 @@ fn main() {
     });
     eprint!("{}", stats.render_table());
     report(&out, stats.records, bytes);
-}
-
-/// Streams one machine's trace into the daemon at `addr` over one
-/// connection, as input 0 of 1 with zero id offsets, so the daemon
-/// holds exactly what `--out` writes. Returns the records the daemon
-/// acknowledged, which must be every record generated.
-fn serve_machine(config: &WorkloadConfig, addr: &str) -> Result<u64, String> {
-    let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let name = config.profile.trace_name;
-    client
-        .hello(1, 0, IdOffsets::default(), name)
-        .map_err(|e| format!("hello: {e}"))?;
-    let mut sink = IngestSink::new(&mut client);
-    let stream = generate_into(config, &mut sink).map_err(|e| e.to_string())?;
-    let acked = sink.finish().map_err(|e| format!("fin: {e}"))?;
-    if acked != stream.records {
-        return Err(format!(
-            "the daemon acknowledged {acked} records, {} were generated",
-            stream.records
-        ));
-    }
-    Ok(acked)
 }
 
 /// Creates `out` and generates into it, in the format the path and

@@ -21,8 +21,8 @@
 //!    which keeps every machine's progress and releases records up to
 //!    the fleet-wide watermark (the slowest machine's progress) in
 //!    `(time, machine, arrival)` order. [`serve_fleet`] forwards each
-//!    over its machine's connection to a `tracestored` daemon, which
-//!    runs the same merge.
+//!    through its machine's `tracestored::IngestSink`, the one ingest
+//!    session, to a `tracestored` daemon, which runs the same merge.
 //!
 //! The load-bearing property is *schedule independence*: the merged
 //! trace is byte-identical for any worker count, because each machine's
@@ -50,7 +50,7 @@ use std::sync::{Barrier, OnceLock};
 
 use bsdfs::FsParams;
 use fstrace::{EventKind, FleetMerge, IdOffsets, RecordSink, Timestamp, TraceRecord};
-use tracestored::Client;
+use tracestored::IngestSink;
 
 use crate::engine::{GenerateError, MachineSim, WorkloadConfig};
 use crate::profile::MachineProfile;
@@ -298,14 +298,18 @@ pub fn generate_fleet_into(
 /// merged trace is then byte-identical to what [`generate_fleet_into`]
 /// writes for the same config.
 ///
-/// Each machine holds one connection, one merge input of the daemon,
-/// for the whole run: a `hello` with the machine's id offsets, then its
-/// slices in the order the workers send them. Every machine's epoch-k
-/// slice goes out before any epoch-k+1 slice, so the input that holds
-/// the daemon's watermark always has its next frames on the wire: the
-/// daemon's backpressure can slow the run but never stall it, at any
-/// `jobs`. The returned stats count the records the daemon
-/// acknowledged; their merge fields stay zero (the daemon merged).
+/// Each machine holds one [`IngestSink`], one merge input of the
+/// daemon, for the whole run: a `hello` with the machine's id offsets,
+/// then its slices in the order the workers send them. Each slice's
+/// records go out as one `records` frame (a slice past the sink's batch
+/// size as several), then progress to the slice's horizon; a machine's
+/// last slice ends its input with [`IngestSink::finish`]. Every
+/// machine's epoch-k slice goes out before any epoch-k+1 slice, so the
+/// input that holds the daemon's watermark always has its next frames
+/// on the wire: the daemon's backpressure can slow the run but never
+/// stall it, at any `jobs`. The returned stats count the records the
+/// daemon acknowledged; their merge fields stay zero (the daemon
+/// merged).
 ///
 /// # Errors
 ///
@@ -313,16 +317,29 @@ pub fn generate_fleet_into(
 /// input with a record count other than what was sent on it, or a
 /// machine fails as in [`generate_fleet_into`].
 pub fn serve_fleet(config: &FleetConfig, addr: &str) -> Result<FleetStats, GenerateError> {
-    let mut clients = (0..config.machines)
+    let mut sinks = (0..config.machines)
         .map(|m| {
-            let mut client = Client::connect(addr)?;
             let name = format!("{}-{m}", config.machine_config(m).profile.trace_name);
             let (total, index) = (config.machines as u16, m as u16);
-            client.hello(total, index, config.machine_offsets(m), &name)?;
-            Ok(client)
+            IngestSink::connect(addr, total, index, config.machine_offsets(m), &name).map(Some)
         })
-        .collect::<io::Result<Vec<Client>>>()?;
-    let (acked, mut stats) = run_fleet(config, |slices| serve_slices(slices, &mut clients))?;
+        .collect::<io::Result<Vec<Option<IngestSink>>>>()?;
+    let (acked, mut stats) = run_fleet(config, |slices| {
+        let mut acked = 0;
+        for slice in slices {
+            let sink = &mut sinks[slice.machine];
+            let open = sink.as_mut().expect("no slice follows a machine's last");
+            slice
+                .records
+                .iter()
+                .try_for_each(|rec| open.write_record(rec))?;
+            match slice.horizon_ms {
+                Some(horizon_ms) => open.progress(horizon_ms)?,
+                None => acked += sink.take().expect("checked above").finish()?,
+            }
+        }
+        Ok(acked)
+    })?;
     stats.records = acked;
     Ok(stats)
 }
@@ -419,41 +436,6 @@ fn merge_slices(
         merge.release(sink)?;
     }
     Ok(lag_peak)
-}
-
-/// The daemon consumer. Sends each slice on its machine's connection:
-/// one `records` frame when the slice holds records, then progress to
-/// its horizon, or on the machine's last slice `progress(MAX)` and
-/// `fin`, whose acknowledged count must equal the records sent there.
-/// Returns the records acknowledged, or the first error.
-fn serve_slices(
-    slices: &mut dyn Iterator<Item = Slice>,
-    clients: &mut [Client],
-) -> io::Result<u64> {
-    let mut sent = vec![0u64; clients.len()];
-    let mut acked = 0;
-    for slice in slices {
-        let (client, sent) = (&mut clients[slice.machine], &mut sent[slice.machine]);
-        if !slice.records.is_empty() {
-            client.send_records(&slice.records)?;
-            *sent += slice.records.len() as u64;
-        }
-        let Some(horizon_ms) = slice.horizon_ms else {
-            client.progress(u64::MAX)?;
-            match client.fin()? {
-                fin if fin == *sent => acked += fin,
-                fin => {
-                    return Err(io::Error::other(format!(
-                        "machine {}: the daemon acknowledged {fin} records, {sent} were sent",
-                        slice.machine
-                    )))
-                }
-            }
-            continue;
-        };
-        client.progress(horizon_ms)?;
-    }
-    Ok(acked)
 }
 
 impl Worker<'_> {

@@ -112,3 +112,55 @@ fn served_fleet_equals_local_fleet_with_fewer_workers_than_machines() {
     assert_eq!(stats.records_merged, local.len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An epoch that spans the whole run makes each machine's one slice its
+/// last, and each larger than the ingest session's 8,192-record batch:
+/// the sink splits the slice into batch frames, and the daemon's merge,
+/// which does not depend on how frames are cut, still stores exactly the
+/// local fleet.
+#[test]
+fn served_fleet_in_one_slice_per_machine_equals_local_fleet() {
+    let config = FleetConfig {
+        machines: 2,
+        seed: 1985,
+        duration_hours: 1.0,
+        user_scale: 0.5,
+        epoch_ms: 2 * 3_600_000,
+        ..FleetConfig::default()
+    };
+    let (local, local_stats) = generate_fleet(&config).expect("local fleet");
+    let largest = local_stats.machines.iter().map(|m| m.records).max();
+    assert_eq!(
+        Some(local_stats.ring_occupancy_peak),
+        largest,
+        "one slice a machine"
+    );
+    for m in &local_stats.machines {
+        assert!(m.records > 8192, "machine {} fits one batch", m.machine);
+    }
+
+    let dir = std::env::temp_dir().join(format!("workload-serve-one-slice-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (addr, daemon) = tracestored::spawn(ServerConfig {
+        dir: dir.clone(),
+        ..ServerConfig::default()
+    })
+    .expect("spawn daemon");
+    let addr = addr.to_string();
+
+    let served = within("serve_fleet", {
+        let (config, addr) = (config.clone(), addr.clone());
+        move || serve_fleet(&config, &addr)
+    })
+    .expect("serve_fleet");
+    assert_eq!(served.records, local.len() as u64);
+
+    let mut query = Client::connect(&addr).expect("query connect");
+    let stored = query.range(0, u64::MAX).expect("range");
+    assert!(stored == local, "served fleet differs from the local fleet");
+    query.shutdown().expect("shutdown");
+    within("daemon shutdown", move || daemon.join())
+        .expect("daemon thread")
+        .expect("daemon run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
