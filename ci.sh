@@ -22,6 +22,28 @@ echo "== repro output matches repro_output.txt byte for byte"
 ./target/release/repro all --hours 2 2>/dev/null | cmp - repro_output.txt
 ./target/release/repro all --hours 2 --jobs 1 2>/dev/null | cmp - repro_output.txt
 
+echo "== repro prints the same with and without its archive cache"
+# --archive only changes where the traces come from: a run without it,
+# a cold run that writes the cache and a warm run that replays it print
+# the same bytes. Each experiment gets a fresh cache directory.
+CACHE=target/artifacts/repro_cache
+rm -rf "$CACHE" && mkdir -p "$CACHE"
+for exp in server table6; do
+    ./target/release/repro "$exp" --hours 0.5 >"$CACHE/$exp.plain" 2>/dev/null
+    for run in cold warm; do
+        ./target/release/repro "$exp" --hours 0.5 --archive "$CACHE/$exp" \
+            >"$CACHE/$exp.$run" 2>/dev/null
+        cmp "$CACHE/$exp.plain" "$CACHE/$exp.$run" || {
+            echo "   repro: $exp with a $run archive cache differs from a run without it"; exit 1; }
+    done
+done
+# An unknown experiment is refused before any trace is generated.
+STATUS=0
+./target/release/repro nosuch 2>"$CACHE/nosuch.err" >/dev/null || STATUS=$?
+if [ "$STATUS" != 1 ] || grep -q generating "$CACHE/nosuch.err"; then
+    echo "   repro: an unknown experiment exited $STATUS or generated traces first"; exit 1
+fi
+
 echo "== cargo test"
 cargo test -q
 
@@ -92,11 +114,14 @@ echo "== trace-serving daemon CLI smoke"
 SERVE=target/artifacts/serve_smoke
 rm -rf "$SERVE" && mkdir -p "$SERVE"
 # Starts a daemon on a free port over the shard dir "$SERVE/$1"; sets
-# DAEMON and ADDR.
+# DAEMON and ADDR. Until a clean `wait` clears it, a trap kills the
+# daemon when a failed check exits, so no daemon outlives the script
+# (its open stdout would hang a pipe the script's output goes into).
 start_daemon() {
     ./target/release/tracestored serve --addr 127.0.0.1:0 --dir "$SERVE/$1" \
         --shard-kib 256 --port-file "$SERVE/$1.port" 2>"$SERVE/$1.log" &
     DAEMON=$!
+    trap 'kill "$DAEMON" 2>/dev/null' EXIT
     for _ in $(seq 50); do [ -s "$SERVE/$1.port" ] && break; sleep 0.1; done
     [ -s "$SERVE/$1.port" ] || { echo "   serve: daemon never wrote its port"; exit 1; }
     ADDR="127.0.0.1:$(cat "$SERVE/$1.port")"
@@ -124,6 +149,7 @@ done
     echo "   serve: /metrics grew with connections"; exit 1; }
 ./target/release/tracestored client --addr "$ADDR" shutdown
 wait "$DAEMON" || { echo "   serve: daemon exited nonzero"; exit 1; }
+trap - EXIT
 ./target/release/tracefmt inspect "$SERVE/shards" > "$SERVE/inspect.txt"
 grep -q "shard dir:" "$SERVE/inspect.txt" || {
     echo "   serve: tracefmt inspect did not recognize the shard dir"; exit 1; }
@@ -140,6 +166,7 @@ start_daemon shards_ingest
 ./target/release/tracestored client --addr "$ADDR" analyze > "$SERVE/analyze_ingest.txt"
 ./target/release/tracestored client --addr "$ADDR" shutdown
 wait "$DAEMON" || { echo "   serve: daemon exited nonzero"; exit 1; }
+trap - EXIT
 cmp "$SERVE/analyze.txt" "$SERVE/analyze_ingest.txt" || {
     echo "   serve: analyze after client ingest differs from analyze after mktrace --serve"; exit 1; }
 # Fewer workers than machines: the fleet runner sends every machine's
@@ -152,6 +179,7 @@ start_daemon shards3
     > "$SERVE/served3.txt" 2>/dev/null
 ./target/release/tracestored client --addr "$ADDR" shutdown
 wait "$DAEMON" || { echo "   serve: daemon exited nonzero"; exit 1; }
+trap - EXIT
 ./target/release/mktrace a5 --hours 0.05 --machines 3 --jobs 1 -o "$SERVE/local3.fstr" 2>/dev/null
 ./target/release/tracefmt dump "$SERVE/local3.fstr" > "$SERVE/local3.txt"
 cmp "$SERVE/served3.txt" "$SERVE/local3.txt" || {
@@ -164,6 +192,7 @@ start_daemon shards1
     > "$SERVE/served1.txt" 2>/dev/null
 ./target/release/tracestored client --addr "$ADDR" shutdown
 wait "$DAEMON" || { echo "   serve: daemon exited nonzero"; exit 1; }
+trap - EXIT
 ./target/release/mktrace a5 --hours 0.05 --machines 1 -o "$SERVE/local1.fstr" 2>/dev/null
 ./target/release/tracefmt dump "$SERVE/local1.fstr" > "$SERVE/local1.txt"
 cmp "$SERVE/served1.txt" "$SERVE/local1.txt" || {

@@ -1448,14 +1448,6 @@ impl Fs {
         self.tracer.take()
     }
 
-    /// Drains the raw trace records collected so far, in arrival order.
-    ///
-    /// Streaming consumers call this after every batch of operations so
-    /// the tracer's buffer never grows beyond one batch.
-    pub fn drain_trace_records(&mut self) -> std::vec::Drain<'_, fstrace::TraceRecord> {
-        self.tracer.drain_records()
-    }
-
     /// Drains the collected trace records into a consumer-side
     /// [`fstrace::ReorderBuffer`] (see [`crate::Tracer::drain_into`]).
     pub fn drain_trace_into(&mut self, buf: &mut fstrace::ReorderBuffer) {

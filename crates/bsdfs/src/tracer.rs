@@ -140,16 +140,6 @@ impl Tracer {
         Trace::from_records(std::mem::take(&mut self.records))
     }
 
-    /// Drains the collected records in arrival order, leaving the tracer
-    /// empty (open id assignment continues from where it was).
-    ///
-    /// This is the streaming sibling of [`Tracer::take`]: callers that
-    /// consume records incrementally avoid ever materialising a full
-    /// [`Trace`].
-    pub fn drain_records(&mut self) -> std::vec::Drain<'_, TraceRecord> {
-        self.records.drain(..)
-    }
-
     /// Drains the collected records straight into a consumer-side
     /// [`ReorderBuffer`], keeping the tracer's allocation for the next
     /// batch.

@@ -33,15 +33,15 @@
 //! produce.
 //!
 //! The engine is dependency-free: plain [`std::thread::scope`] workers
-//! pulling indices from an atomic counter, defaulting to
-//! [`std::thread::available_parallelism`] threads.
+//! pulling indices from an atomic counter, at most the caller's `jobs`
+//! of them.
 
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use fstrace::{Trace, TraceRecord};
+use fstrace::TraceRecord;
 
 use crate::config::{CacheConfig, Fidelity, RwHandling};
 use crate::metrics::CacheMetrics;
@@ -72,33 +72,6 @@ impl ExpansionKey {
             simulate_paging: config.simulate_paging,
         }
     }
-}
-
-/// Process-wide default worker count; 0 means "ask the OS".
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default worker count used by [`run`].
-///
-/// `0` restores the automatic default
-/// ([`std::thread::available_parallelism`]). The `repro --jobs N` flag
-/// calls this once at startup so every experiment sweep picks it up.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// The worker count [`run`] will use: the [`set_default_jobs`] override
-/// if set, otherwise the machine's available parallelism.
-pub fn default_jobs() -> usize {
-    match DEFAULT_JOBS.load(Ordering::Relaxed) {
-        0 => thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-}
-
-/// Simulates every configuration against the trace using
-/// [`default_jobs`] worker threads. See [`run_source`].
-pub fn run(trace: &Trace, configs: &[CacheConfig]) -> Vec<(CacheConfig, CacheMetrics)> {
-    run_source(trace.records(), configs, default_jobs())
 }
 
 /// One unit of replay work: a profile subgroup (two or more cells) or
@@ -414,7 +387,7 @@ mod tests {
     use super::*;
     use crate::config::WritePolicy;
     use crate::replay::Simulator;
-    use fstrace::{AccessMode, TraceBuilder};
+    use fstrace::{AccessMode, Trace, TraceBuilder};
 
     fn small_trace() -> Trace {
         let mut b = TraceBuilder::new();
@@ -627,13 +600,5 @@ mod tests {
         for (_, m) in &swept {
             assert_eq!(*m, want);
         }
-    }
-
-    #[test]
-    fn default_jobs_override_round_trips() {
-        set_default_jobs(3);
-        assert_eq!(default_jobs(), 3);
-        set_default_jobs(0);
-        assert!(default_jobs() >= 1);
     }
 }

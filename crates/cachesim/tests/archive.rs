@@ -89,7 +89,7 @@ fn grid() -> Vec<CacheConfig> {
 fn archive_fed_sweep_matches_in_memory_sweep() {
     let trace = seeded_trace(0xA5, 600);
     let configs = grid();
-    let baseline = sweep::run(&trace, &configs);
+    let baseline = sweep::run_source(trace.records(), &configs, 2);
 
     for compress in [false, true] {
         let archive = archive_of(&trace, compress);
@@ -121,7 +121,7 @@ fn archive_fed_sweep_matches_in_memory_sweep() {
 fn sequential_archive_source_feeds_sweep_directly() {
     let trace = seeded_trace(0x7E, 400);
     let configs = grid();
-    let baseline = sweep::run(&trace, &configs);
+    let baseline = sweep::run_source(trace.records(), &configs, 1);
     let archive = archive_of(&trace, true);
     // The archive's record iterator is itself a record source; unwrap is
     // safe because the archive was just written.

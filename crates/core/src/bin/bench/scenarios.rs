@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use bsdtrace::paper::{TABLE_VII_BLOCK_KB, TABLE_VII_CACHE_KB, TABLE_VI_SIZES_KB};
+use bsdtrace::experiments::{table6, table7};
 use cachesim::{
     replay_events, sweep, CacheConfig, CacheMetrics, EventExpander, Fidelity, Replayer, Simulator,
     WritePolicy,
@@ -48,38 +48,6 @@ fn workload(p: &Params, default_hours: f64) -> WorkloadConfig {
 /// change what the allocator hands the timed code.
 fn generate_trace(config: &WorkloadConfig) -> GeneratedTrace {
     generate(config).or_die("generate")
-}
-
-/// Table VI: every cache size × write policy, 4 KiB blocks.
-fn table6_grid() -> Vec<CacheConfig> {
-    TABLE_VI_SIZES_KB
-        .iter()
-        .flat_map(|&size_kb| {
-            WritePolicy::TABLE_VI
-                .into_iter()
-                .map(move |policy| CacheConfig {
-                    cache_bytes: size_kb * 1024,
-                    block_size: 4096,
-                    write_policy: policy,
-                    ..CacheConfig::default()
-                })
-        })
-        .collect()
-}
-
-/// Table VII: every block size × cache size, delayed write.
-fn table7_grid() -> Vec<CacheConfig> {
-    TABLE_VII_BLOCK_KB
-        .iter()
-        .flat_map(|&block_kb| {
-            TABLE_VII_CACHE_KB.iter().map(move |&cache_kb| CacheConfig {
-                cache_bytes: cache_kb * 1024,
-                block_size: block_kb * 1024,
-                write_policy: WritePolicy::DelayedWrite,
-                ..CacheConfig::default()
-            })
-        })
-        .collect()
 }
 
 /// The one Table VI cell the replay throughputs time: 2 MB, delayed
@@ -209,7 +177,7 @@ fn direct_sweep(
 /// `table7_identical`); the speedups are what ci.sh gates.
 pub fn sweep(p: &Params) -> Report {
     let config = workload(p, 0.25);
-    let jobs = p.jobs.unwrap_or_else(sweep::default_jobs);
+    let jobs = p.jobs.unwrap_or_else(cores);
     let out = generate_trace(&config);
     let trace = &out.trace;
     // Profiled first (cold caches), direct second: any warm-up effect
@@ -220,11 +188,11 @@ pub fn sweep(p: &Params) -> Report {
         let (direct_ms, direct) = Timing::ONCE.ms(|| direct_sweep(trace, configs, jobs));
         (direct_ms, profiled_ms, profiled == direct)
     };
-    let configs = table6_grid();
+    let configs = table6::grid(Fidelity::Block);
     let (direct_ms, profiled_ms, identical) = compare(&configs);
     // The profiler's counters describe the Table VI pass alone.
     let snap = obs::global().snapshot();
-    let (t7_direct_ms, t7_profiled_ms, t7_identical) = compare(&table7_grid());
+    let (t7_direct_ms, t7_profiled_ms, t7_identical) = compare(&table7::grid(Fidelity::Block));
     let mut r = Report::default();
     r.text("bench", "stack_sweep")
         .put("hours", config.duration_hours)
@@ -347,7 +315,7 @@ pub fn archive(p: &Params) -> Report {
         )
     });
 
-    let configs = table6_grid();
+    let configs = table6::grid(Fidelity::Block);
     let identical = sweep::run_source(trace.records(), &configs, jobs)
         == sweep::run_source(par_records.iter(), &configs, jobs);
 

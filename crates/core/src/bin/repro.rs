@@ -4,9 +4,7 @@
 //! repro [EXPERIMENT] [--hours H] [--seed S] [--jobs N] [--metrics PATH]
 //!       [--archive DIR] [--fidelity open|syscall|block]
 //!
-//! EXPERIMENT: all (default) | table1 | table3 | table4 | table5 |
-//!             fig1 | fig2 | fig3 | fig4 | gaps | table6 | table7 |
-//!             fig7 | residency | compare | fidelity
+//! EXPERIMENT: all (default), or one of the experiments `--help` lists
 //!
 //! --fidelity selects the replay fidelity for the Section 6 cache
 //! simulations (default: block, the paper's simulator; see DESIGN.md
@@ -23,26 +21,64 @@
 //! bit-identical with or without the flag; wall-clock values live only
 //! in the JSON and in per-phase timing lines on stderr.
 //!
-//! --archive DIR caches generated traces as `tracestore` archives
-//! under DIR: the first run with a given --hours/--seed writes them,
-//! later runs replay them (checksummed, chunk-parallel decode) instead
-//! of regenerating. The server experiment also persists its merged
-//! trace there. Experiment output is identical with or without the
-//! cache. The `compare` experiment needs live file-system state that a
-//! replay cannot reconstruct, so runs that include it bypass the cache
-//! with a note.
+//! --archive DIR caches the generated per-machine traces as
+//! `tracestore` archives under DIR: the first run with a given
+//! --hours/--seed writes them, later runs replay them (checksummed,
+//! chunk-parallel decode) instead of regenerating. Experiment output is
+//! identical with or without the cache. The `compare` experiment needs
+//! live file-system state that a replay cannot reconstruct, so runs
+//! that include it bypass the cache with a note.
 //! ```
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use bsdtrace::{experiments, ReproConfig, TraceSet};
+use bsdtrace::{experiments as ex, ReproConfig, TraceSet};
+use workload::MachineProfile;
+
+/// The traces an experiment reads.
+#[derive(Clone, Copy, PartialEq)]
+enum Reads {
+    /// A5 alone, the trace Section 6 reports.
+    A5,
+    /// All three machines.
+    All,
+    /// A5 with the file system that generated it, which the archive
+    /// cache does not keep.
+    LiveA5,
+}
+
+/// One experiment: its name, the traces it reads, and its report with
+/// the blank line that follows it (the figures that end in a chart
+/// print none).
+type Experiment = (&'static str, Reads, fn(&TraceSet) -> String);
+
+/// Every experiment, in the order `all` runs them.
+#[rustfmt::skip]
+const EXPERIMENTS: [Experiment; 17] = [
+    ("table1",    Reads::All,    |s| format!("{}\n", ex::table1::run(s))),
+    ("table3",    Reads::All,    |s| format!("{}\n", ex::table3::run(s))),
+    ("table4",    Reads::All,    |s| format!("{}\n", ex::table4::run(s))),
+    ("table5",    Reads::All,    |s| format!("{}\n", ex::table5::run(s))),
+    ("fig1",      Reads::All,    |s| ex::fig1::run(s).to_string()),
+    ("fig2",      Reads::All,    |s| ex::fig2::run(s).to_string()),
+    ("fig3",      Reads::All,    |s| format!("{}\n", ex::fig3::run(s))),
+    ("fig4",      Reads::All,    |s| ex::fig4::run(s).to_string()),
+    ("gaps",      Reads::All,    |s| format!("{}\n", ex::gaps::run(s))),
+    ("table6",    Reads::A5,     |s| format!("{}\n", ex::table6::run(s))),
+    ("table7",    Reads::A5,     |s| format!("{}\n", ex::table7::run(s))),
+    ("fig7",      Reads::A5,     |s| format!("{}\n", ex::fig7::run(s))),
+    ("residency", Reads::A5,     |s| format!("{}\n", ex::residency::run(s))),
+    ("compare",   Reads::LiveA5, |s| format!("{}\n", ex::comparisons::run(s))),
+    ("fidelity",  Reads::A5,     |s| format!("{}\n", ex::fidelity::run(s))),
+    ("ablations", Reads::A5,     |s| format!("{}\n", ex::ablations::run(s))),
+    ("server",    Reads::All,    |s| format!("{}\n", ex::server::run(s))),
+];
 
 fn main() {
     let mut which = "all".to_string();
     let mut config = ReproConfig::default();
     let mut metrics_path: Option<String> = None;
-    let mut jobs_flag: Option<usize> = None;
     let mut archive_dir: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -60,13 +96,11 @@ fn main() {
                     .unwrap_or_else(|| die("--seed needs an integer"));
             }
             "--jobs" => {
-                let jobs: usize = args
+                config.jobs = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| die("--jobs needs a positive integer"));
-                cachesim::sweep::set_default_jobs(jobs);
-                jobs_flag = Some(jobs);
             }
             "--metrics" => {
                 metrics_path = Some(args.next().unwrap_or_else(|| die("--metrics needs a path")));
@@ -84,12 +118,13 @@ fn main() {
                     .unwrap_or_else(|| die("--fidelity needs one of: open, syscall, block"));
             }
             "--help" | "-h" => {
+                let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+                let rows: Vec<String> = names.chunks(9).map(|row| row.join(" ")).collect();
                 println!(
                     "usage: repro [EXPERIMENT] [--hours H] [--seed S] [--jobs N] [--metrics PATH]\n\
                      \x20      [--archive DIR] [--fidelity open|syscall|block]\n\
-                     experiments: all table1 table3 table4 table5 fig1 fig2 fig3 fig4\n\
-                     \x20            gaps table6 table7 fig7 residency compare ablations\n\
-                     \x20            server fidelity"
+                     experiments: all {}",
+                    rows.join("\n             ")
                 );
                 return;
             }
@@ -98,119 +133,57 @@ fn main() {
         }
     }
 
-    let needs_all_traces = matches!(
-        which.as_str(),
-        "all"
-            | "table1"
-            | "table3"
-            | "table4"
-            | "table5"
-            | "fig1"
-            | "fig2"
-            | "fig3"
-            | "fig4"
-            | "gaps"
-            | "server"
-    );
+    let selected: Vec<&Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|e| which == "all" || e.0 == which)
+        .collect();
+    if selected.is_empty() {
+        die(&format!("unknown experiment {which}"));
+    }
+    let reads = |r: Reads| selected.iter().any(|e| e.1 == r);
+    let profiles = if reads(Reads::All) {
+        MachineProfile::all()
+    } else {
+        vec![MachineProfile::ucbarpa()]
+    };
     eprintln!(
         "generating {} trace(s), {} simulated hour(s), seed {} ...",
-        if needs_all_traces { 3 } else { 1 },
+        profiles.len(),
         config.hours,
         config.seed
     );
-    // The compare experiment reads the simulated file system's cache
-    // counters, which only exist after a live workload run — an
-    // archive replay cannot reconstruct them, so runs including it
-    // regenerate.
-    let includes_compare = matches!(which.as_str(), "all" | "compare");
-    if includes_compare && archive_dir.is_some() {
+    if reads(Reads::LiveA5) && archive_dir.is_some() {
         eprintln!("note: archive cache bypassed ('{which}' includes compare, which needs live file-system state)");
     }
-    let trace_cache = archive_dir.as_deref().filter(|_| !includes_compare);
-    let jobs = jobs_flag.unwrap_or_else(cachesim::sweep::default_jobs);
+    let cache = archive_dir.as_deref().filter(|_| !reads(Reads::LiveA5));
     let gen_started = Instant::now();
     let set = {
         let _timing = obs::global().span("repro.generate_traces").start();
-        match (needs_all_traces, trace_cache) {
-            (true, None) => TraceSet::generate(&config),
-            (true, Some(dir)) => TraceSet::generate_cached(&config, dir, jobs),
-            (false, None) => TraceSet::generate_a5(&config),
-            (false, Some(dir)) => TraceSet::generate_a5_cached(&config, dir, jobs),
-        }
+        TraceSet::load(&config, profiles, cache)
     }
     .unwrap_or_else(|e| die(&format!("trace generation failed: {e}")));
     for e in &set.entries {
         eprintln!(
             "  {}: {} records, {:.1} Mbytes transferred",
             e.name,
-            e.out.trace.len(),
-            e.out.trace.summary().total_mbytes_transferred()
+            e.trace.len(),
+            e.trace.summary().total_mbytes_transferred()
         );
-        // Export each file system's cache counters (buffer cache, name
-        // cache, inode table) under its trace name.
-        e.out
-            .fs
-            .register_obs(obs::global(), &format!("bsdfs.{}", e.name));
+        // Export each generated file system's cache counters (buffer
+        // cache, name cache, inode table) under its trace name; a
+        // replayed trace has none.
+        if let Some(fs) = &e.fs {
+            fs.register_obs(obs::global(), &format!("bsdfs.{}", e.name));
+        }
     }
     eprintln!("  [timing] generate_traces: {:.1} ms", ms(gen_started));
     eprintln!();
 
-    let run_one = |name: &str| {
+    for (name, _, render) in selected {
         let started = Instant::now();
         let _timing = obs::global().span(&format!("repro.{name}")).start();
-        match name {
-            "table1" => println!("{}\n", experiments::table1::run(&set)),
-            "table3" => println!("{}\n", experiments::table3::run(&set)),
-            "table4" => println!("{}\n", experiments::table4::run(&set)),
-            "table5" => println!("{}\n", experiments::table5::run(&set)),
-            "fig1" => println!("{}", experiments::fig1::run(&set)),
-            "fig2" => println!("{}", experiments::fig2::run(&set)),
-            "fig3" => println!("{}\n", experiments::fig3::run(&set)),
-            "fig4" => println!("{}", experiments::fig4::run(&set)),
-            "gaps" => println!("{}\n", experiments::gaps::run(&set)),
-            "table6" => println!("{}\n", experiments::table6::run(&set)),
-            "table7" => println!("{}\n", experiments::table7::run(&set)),
-            "fig7" => println!("{}\n", experiments::fig7::run(&set)),
-            "residency" => println!("{}\n", experiments::residency::run(&set)),
-            "compare" => println!("{}\n", experiments::comparisons::run(&set)),
-            "fidelity" => println!("{}\n", experiments::fidelity::run(&set)),
-            "ablations" => println!("{}\n", experiments::ablations::run(&set)),
-            "server" => match &archive_dir {
-                Some(dir) => {
-                    let path = bsdtrace::archive::trace_path(dir, "server-merged", &config);
-                    println!("{}\n", experiments::server::run_archived(&set, &path, jobs));
-                }
-                None => println!("{}\n", experiments::server::run(&set)),
-            },
-            other => die(&format!("unknown experiment {other}")),
-        }
+        println!("{}", render(&set));
         eprintln!("  [timing] {name}: {:.1} ms", ms(started));
-    };
-
-    if which == "all" {
-        for name in [
-            "table1",
-            "table3",
-            "table4",
-            "table5",
-            "fig1",
-            "fig2",
-            "fig3",
-            "fig4",
-            "gaps",
-            "table6",
-            "table7",
-            "fig7",
-            "residency",
-            "compare",
-            "fidelity",
-            "ablations",
-            "server",
-        ] {
-            run_one(name);
-        }
-    } else {
-        run_one(&which);
     }
 
     if let Some(path) = metrics_path {
@@ -218,7 +191,7 @@ fn main() {
             ("experiment", which.clone()),
             ("hours", format!("{}", config.hours)),
             ("seed", format!("{}", config.seed)),
-            ("jobs", format!("{jobs}")),
+            ("jobs", format!("{}", config.jobs)),
         ];
         // ci.sh stamps artifacts with the commit they came from.
         if let Ok(sha) = std::env::var("BSDTRACE_GIT_SHA") {

@@ -30,12 +30,12 @@ pub struct Ablations {
 
 /// Runs all ablations on the A5 trace.
 pub fn run(set: &TraceSet) -> Ablations {
-    let trace = &set.a5().out.trace;
+    let trace = &set.a5().trace;
     let base = CacheConfig {
         cache_bytes: 1 << 20,
         block_size: 4096,
         write_policy: WritePolicy::DelayedWrite,
-        fidelity: set.fidelity,
+        fidelity: set.config.fidelity,
         ..CacheConfig::default()
     };
     // The sweep engine groups these by expansion key: the first four
@@ -80,7 +80,7 @@ pub fn run(set: &TraceSet) -> Ablations {
         ),
     ];
     let configs: Vec<CacheConfig> = variants_spec.iter().map(|(_, c)| c.clone()).collect();
-    let results = sweep::run(trace, &configs);
+    let results = sweep::run_source(trace.records(), &configs, set.config.jobs);
     let mut measured = variants_spec
         .into_iter()
         .zip(results)

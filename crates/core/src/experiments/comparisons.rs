@@ -34,6 +34,11 @@ pub struct Comparisons {
 }
 
 /// Runs the comparison on the A5 trace/file system.
+///
+/// # Panics
+///
+/// Panics if the A5 entry was replayed from the archive cache: a
+/// replay carries no file system to measure.
 pub fn run(set: &TraceSet) -> Comparisons {
     let entry = set.a5();
     // Always block fidelity, whatever --fidelity asks: the comparison
@@ -47,12 +52,16 @@ pub fn run(set: &TraceSet) -> Comparisons {
         },
         ..CacheConfig::default()
     };
-    let sim = Simulator::run(&entry.out.trace, &cfg);
-    let bc = entry.out.fs.bcache_stats();
+    let fs = entry
+        .fs
+        .as_ref()
+        .expect("compare needs the A5 file system: load its set without an archive cache");
+    let sim = Simulator::run(&entry.trace, &cfg);
+    let bc = fs.bcache_stats();
     Comparisons {
         simulated_miss: sim.miss_ratio(),
         measured_miss: bc.miss_ratio(),
-        name_cache_hit: entry.out.fs.ncache_stats().hit_ratio(),
+        name_cache_hit: fs.ncache_stats().hit_ratio(),
         simulated_accesses: sim.logical_accesses(),
         measured_accesses: bc.logical_accesses(),
     }

@@ -14,6 +14,7 @@ use std::fmt;
 
 use cachesim::{sweep, CacheConfig, Fidelity, WritePolicy};
 
+use super::table6;
 use crate::paper;
 use crate::report::Table;
 use crate::TraceSet;
@@ -59,22 +60,8 @@ pub struct FidelityCompare {
 /// one pass over the trace, one expansion per fidelity, and each
 /// fidelity's 24 cells stack-profiled together.
 pub fn run(set: &TraceSet) -> FidelityCompare {
-    let trace = &set.a5().out.trace;
-    let mut configs: Vec<CacheConfig> = Vec::new();
-    for fidelity in Fidelity::ALL {
-        for &size_kb in paper::TABLE_VI_SIZES_KB.iter() {
-            for policy in WritePolicy::TABLE_VI {
-                configs.push(CacheConfig {
-                    cache_bytes: size_kb * 1024,
-                    block_size: 4096,
-                    write_policy: policy,
-                    fidelity,
-                    ..CacheConfig::default()
-                });
-            }
-        }
-    }
-    let results = sweep::run(trace, &configs);
+    let configs: Vec<CacheConfig> = Fidelity::ALL.into_iter().flat_map(table6::grid).collect();
+    let results = sweep::run_source(set.a5().trace.records(), &configs, set.config.jobs);
     let per = paper::TABLE_VI_SIZES_KB.len() * WritePolicy::TABLE_VI.len();
     let planes: Vec<_> = results.chunks(per).collect();
     let cells: Vec<Cell> = (0..per)
@@ -244,15 +231,16 @@ impl fmt::Display for FidelityCompare {
 mod tests {
     use super::*;
     use crate::ReproConfig;
+    use workload::MachineProfile;
 
     #[test]
     fn grid_covers_all_fidelities_and_diverges_sanely() {
-        let set = TraceSet::generate_a5(&ReproConfig {
+        let config = ReproConfig {
             hours: 0.05,
             seed: 1,
             ..ReproConfig::default()
-        })
-        .unwrap();
+        };
+        let set = TraceSet::load(&config, [MachineProfile::ucbarpa()], None).unwrap();
         let out = run(&set);
         assert_eq!(
             out.cells.len(),

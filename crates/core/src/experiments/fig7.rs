@@ -34,8 +34,8 @@ pub struct Fig7 {
 /// Two expansion groups: all the paging-off points share one event
 /// vector, all the paging-on points another.
 pub fn run(set: &TraceSet) -> Fig7 {
-    let trace = &set.a5().out.trace;
-    let fidelity = set.fidelity;
+    let trace = &set.a5().trace;
+    let fidelity = set.config.fidelity;
     let configs: Vec<CacheConfig> = CACHE_MB
         .iter()
         .flat_map(|&mb| {
@@ -49,7 +49,7 @@ pub fn run(set: &TraceSet) -> Fig7 {
             })
         })
         .collect();
-    let results = sweep::run(trace, &configs);
+    let results = sweep::run_source(trace.records(), &configs, set.config.jobs);
     let points = results
         .chunks(2)
         .zip(CACHE_MB)

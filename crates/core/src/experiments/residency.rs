@@ -22,12 +22,12 @@ pub struct Residency {
 
 /// Measures dirty-block residency at a 4-Mbyte delayed-write cache.
 pub fn run(set: &TraceSet) -> Residency {
-    let trace = &set.a5().out.trace;
+    let trace = &set.a5().trace;
     let cfg = CacheConfig {
         cache_bytes: 4 << 20,
         block_size: 4096,
         write_policy: WritePolicy::DelayedWrite,
-        fidelity: set.fidelity,
+        fidelity: set.config.fidelity,
         ..CacheConfig::default()
     };
     let mut m = Simulator::run(trace, &cfg);

@@ -9,12 +9,10 @@
 //! carry — and size its cache.
 
 use std::fmt;
-use std::path::Path;
 
-use cachesim::{sweep, CacheConfig, Fidelity, WritePolicy};
-use fstrace::{merged_records, Trace, TraceRecord};
+use cachesim::{sweep, CacheConfig, WritePolicy};
+use fstrace::{merged_records, Trace};
 
-use crate::archive;
 use crate::chart::{render, Curve};
 use crate::report::{pct, Table};
 use crate::TraceSet;
@@ -52,7 +50,7 @@ pub struct Server {
 /// sequence straight into the sweep, so the combined server trace is
 /// never materialized.
 pub fn run(set: &TraceSet) -> Server {
-    let traces: Vec<&Trace> = set.entries.iter().map(|e| &e.out.trace).collect();
+    let traces: Vec<&Trace> = set.entries.iter().map(|e| &e.trace).collect();
     let records: usize = traces.iter().map(|t| t.len()).sum();
     // The merge offsets each client's ids into a disjoint range, so
     // distinct users across the merged stream sum over the clients.
@@ -70,64 +68,8 @@ pub fn run(set: &TraceSet) -> Server {
             ids.len() as u64
         })
         .sum();
-    let configs = server_configs(set.fidelity);
-    let results = sweep::run_source(merged_records(&traces), &configs, sweep::default_jobs());
-    Server {
-        clients: traces.len(),
-        records,
-        users,
-        points: points_from(&results),
-    }
-}
-
-/// Archive-backed variant of [`run`]: the merged server trace is
-/// persisted to `path` on first use and replayed from it afterwards.
-///
-/// On a cache miss the streaming merge runs once to build the archive;
-/// on a hit the merge is skipped entirely and the archive's chunks are
-/// decoded in parallel with `jobs` workers. Either way the sweep sees
-/// the identical record sequence, so the report matches [`run`]
-/// exactly. A damaged archive is a miss: it is re-merged and
-/// rewritten, never partially trusted.
-pub fn run_archived(set: &TraceSet, path: &Path, jobs: usize) -> Server {
-    let merged: Trace = match archive::load_trace(path, jobs) {
-        Some(trace) => {
-            eprintln!("  server: merged trace replayed from {}", path.display());
-            trace
-        }
-        None => {
-            let traces: Vec<&Trace> = set.entries.iter().map(|e| &e.out.trace).collect();
-            let records: Vec<TraceRecord> = merged_records(&traces).collect();
-            let trace = Trace::from_records(records);
-            archive::store_trace(path, "server-merged", &trace);
-            eprintln!("  server: merged trace archived to {}", path.display());
-            trace
-        }
-    };
-    // Disjoint id remapping makes user ids unique across clients, so
-    // counting them on the merged stream equals [`run`]'s per-client
-    // sum.
-    let mut users: Vec<u32> = merged
-        .records()
-        .iter()
-        .filter_map(|r| r.event.user_id())
-        .map(|u| u.0)
-        .collect();
-    users.sort_unstable();
-    users.dedup();
-    let configs = server_configs(set.fidelity);
-    let results = sweep::run_source(merged.records(), &configs, jobs);
-    Server {
-        clients: set.entries.len(),
-        records: merged.len(),
-        users: users.len() as u64,
-        points: points_from(&results),
-    }
-}
-
-/// The cache-size × write-policy grid both entry points sweep.
-fn server_configs(fidelity: Fidelity) -> Vec<CacheConfig> {
-    CACHE_MB
+    let fidelity = set.config.fidelity;
+    let configs: Vec<CacheConfig> = CACHE_MB
         .iter()
         .flat_map(|&mb| {
             [
@@ -145,19 +87,22 @@ fn server_configs(fidelity: Fidelity) -> Vec<CacheConfig> {
                 ..CacheConfig::default()
             })
         })
-        .collect()
-}
-
-fn points_from(results: &[(CacheConfig, cachesim::CacheMetrics)]) -> Vec<Point> {
-    results
-        .chunks(2)
-        .zip(CACHE_MB)
-        .map(|(pair, mb)| Point {
-            cache_mb: mb,
-            miss_ratio: pair[0].1.miss_ratio(),
-            miss_ratio_flush: pair[1].1.miss_ratio(),
-        })
-        .collect()
+        .collect();
+    let results = sweep::run_source(merged_records(&traces), &configs, set.config.jobs);
+    Server {
+        clients: traces.len(),
+        records,
+        users,
+        points: results
+            .chunks(2)
+            .zip(CACHE_MB)
+            .map(|(pair, mb)| Point {
+                cache_mb: mb,
+                miss_ratio: pair[0].1.miss_ratio(),
+                miss_ratio_flush: pair[1].1.miss_ratio(),
+            })
+            .collect(),
+    }
 }
 
 impl Server {

@@ -53,7 +53,7 @@ pub fn run(set: &TraceSet) -> Table1 {
         )
     };
 
-    let a5 = &set.a5().out.trace;
+    let a5 = &set.a5().trace;
     let a5_suite = set.a5().analysis();
     let mut ot = a5_suite.open_times.clone();
     let mut sizes = a5_suite.sizes.clone();
@@ -65,7 +65,7 @@ pub fn run(set: &TraceSet) -> Table1 {
         cache_bytes,
         block_size: block_kb * 1024,
         write_policy,
-        fidelity: set.fidelity,
+        fidelity: set.config.fidelity,
         ..CacheConfig::default()
     };
     let mut configs = vec![
@@ -77,7 +77,7 @@ pub fn run(set: &TraceSet) -> Table1 {
             configs.push(cell(cache_bytes, block_kb, WritePolicy::DelayedWrite));
         }
     }
-    let results = sweep::run(a5, &configs);
+    let results = sweep::run_source(a5.records(), &configs, set.config.jobs);
     let (wt, dw) = (results[0].1.miss_ratio(), results[1].1.miss_ratio());
     let best_block = |row: &[(CacheConfig, CacheMetrics)]| -> u64 {
         row.iter()

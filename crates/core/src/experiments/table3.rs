@@ -19,7 +19,7 @@ pub struct Table3 {
 pub fn run(set: &TraceSet) -> Table3 {
     Table3 {
         names: set.entries.iter().map(|e| e.name.clone()).collect(),
-        summaries: set.entries.iter().map(|e| e.out.trace.summary()).collect(),
+        summaries: set.entries.iter().map(|e| e.trace.summary()).collect(),
     }
 }
 

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use cachesim::{sweep, CacheConfig, WritePolicy};
+use cachesim::{sweep, CacheConfig, Fidelity, WritePolicy};
 
 use crate::chart::{render, Curve};
 use crate::paper;
@@ -27,12 +27,10 @@ pub struct Table6 {
     pub cells: Vec<Vec<Cell>>,
 }
 
-/// Runs the 6 × 4 sweep on the A5 trace (one shared expansion, all
-/// cells simulated in parallel).
-pub fn run(set: &TraceSet) -> Table6 {
-    let trace = &set.a5().out.trace;
-    let fidelity = set.fidelity;
-    let configs: Vec<CacheConfig> = paper::TABLE_VI_SIZES_KB
+/// The Table VI grid at `fidelity`: every cache size × write policy,
+/// 4 KiB blocks, in the paper's row-major order.
+pub fn grid(fidelity: Fidelity) -> Vec<CacheConfig> {
+    paper::TABLE_VI_SIZES_KB
         .iter()
         .flat_map(|&size_kb| {
             WritePolicy::TABLE_VI
@@ -45,8 +43,17 @@ pub fn run(set: &TraceSet) -> Table6 {
                     ..CacheConfig::default()
                 })
         })
-        .collect();
-    let results = sweep::run(trace, &configs);
+        .collect()
+}
+
+/// Runs the 6 × 4 sweep on the A5 trace (one shared expansion, all
+/// cells simulated in parallel).
+pub fn run(set: &TraceSet) -> Table6 {
+    let results = sweep::run_source(
+        set.a5().trace.records(),
+        &grid(set.config.fidelity),
+        set.config.jobs,
+    );
     let cells = results
         .chunks(WritePolicy::TABLE_VI.len())
         .map(|row| {

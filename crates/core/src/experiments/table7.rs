@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use cachesim::{sweep, CacheConfig, WritePolicy};
+use cachesim::{sweep, CacheConfig, Fidelity, WritePolicy};
 
 use crate::paper;
 use crate::report::{count, Table};
@@ -27,14 +27,10 @@ pub struct Table7 {
     pub rows: Vec<Row>,
 }
 
-/// Runs the block-size × cache-size sweep on the A5 trace.
-///
-/// The block size only changes how the event stream is *consumed*, not
-/// how it expands, so the whole grid shares a single expansion.
-pub fn run(set: &TraceSet) -> Table7 {
-    let trace = &set.a5().out.trace;
-    let fidelity = set.fidelity;
-    let configs: Vec<CacheConfig> = paper::TABLE_VII_BLOCK_KB
+/// The Table VII grid at `fidelity`: every block size × cache size,
+/// delayed write, in the paper's row-major order.
+pub fn grid(fidelity: Fidelity) -> Vec<CacheConfig> {
+    paper::TABLE_VII_BLOCK_KB
         .iter()
         .flat_map(|&bs_kb| {
             paper::TABLE_VII_CACHE_KB
@@ -47,8 +43,19 @@ pub fn run(set: &TraceSet) -> Table7 {
                     ..CacheConfig::default()
                 })
         })
-        .collect();
-    let results = sweep::run(trace, &configs);
+        .collect()
+}
+
+/// Runs the block-size × cache-size sweep on the A5 trace.
+///
+/// The block size only changes how the event stream is *consumed*, not
+/// how it expands, so the whole grid shares a single expansion.
+pub fn run(set: &TraceSet) -> Table7 {
+    let results = sweep::run_source(
+        set.a5().trace.records(),
+        &grid(set.config.fidelity),
+        set.config.jobs,
+    );
     let rows = results
         .chunks(paper::TABLE_VII_CACHE_KB.len())
         .map(|row| Row {

@@ -32,16 +32,17 @@
 //!
 //! ```no_run
 //! use bsdtrace::{ReproConfig, TraceSet};
+//! use workload::MachineProfile;
 //!
 //! let config = ReproConfig { hours: 1.0, ..ReproConfig::default() };
-//! let traces = TraceSet::generate(&config).unwrap();
+//! let traces = TraceSet::load(&config, MachineProfile::all(), None).unwrap();
 //! println!("{}", bsdtrace::experiments::table5::run(&traces));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod archive;
+mod archive;
 pub mod chart;
 pub mod experiments;
 pub mod paper;

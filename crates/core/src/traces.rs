@@ -6,12 +6,13 @@ use std::sync::OnceLock;
 use bsdfs::{Fs, FsResult};
 use cachesim::Fidelity;
 use fsanalysis::{run_analyzers, AnalysisSuite};
-use workload::{generate, GeneratedTrace, MachineProfile, WorkloadConfig};
+use fstrace::Trace;
+use workload::{generate, MachineProfile, WorkloadConfig};
 
 use crate::archive;
 
-/// Reproduction parameters: how much simulated time to trace, and the
-/// master seed.
+/// Reproduction parameters: how much simulated time to trace, the
+/// master seed, and how the cache experiments replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReproConfig {
     /// Simulated hours per trace (the paper traced 2–3 days; one to a
@@ -23,6 +24,10 @@ pub struct ReproConfig {
     /// (`repro --fidelity`); block is the paper's simulator. Section 5
     /// analyses are fidelity-invariant and ignore this.
     pub fidelity: Fidelity,
+    /// Worker threads for the cache-simulation sweeps and the archive
+    /// cache's decode (`repro --jobs`; default: every available core).
+    /// Results are identical for any value.
+    pub jobs: usize,
 }
 
 impl Default for ReproConfig {
@@ -31,18 +36,23 @@ impl Default for ReproConfig {
             hours: 1.0,
             seed: 1985,
             fidelity: Fidelity::Block,
+            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
 
-/// One generated trace with its name ("a5", "e3", "c4").
+/// One trace with its name ("a5", "e3", "c4").
 pub struct TraceEntry {
     /// Trace name as used in the paper's tables.
     pub name: String,
     /// Machine name ("Ucbarpa" …).
     pub machine: String,
-    /// The generated trace and file system.
-    pub out: GeneratedTrace,
+    /// The logical trace, in time order.
+    pub trace: Trace,
+    /// The file system the workload ran against, whose caches the
+    /// Section 6.4 comparison reads; `None` for a trace replayed from
+    /// the archive cache, where no workload ran.
+    pub fs: Option<Fs>,
     analysis: OnceLock<AnalysisSuite>,
 }
 
@@ -55,146 +65,84 @@ impl TraceEntry {
     /// streaming pass the first time any experiment asks, then shared.
     pub fn analysis(&self) -> &AnalysisSuite {
         self.analysis
-            .get_or_init(|| run_analyzers(self.out.trace.records(), &Self::WINDOW_SECS))
+            .get_or_init(|| run_analyzers(self.trace.records(), &Self::WINDOW_SECS))
     }
 }
 
-/// The three traces of the paper, regenerated.
+/// The paper's traces, regenerated.
 pub struct TraceSet {
-    /// Entries in paper order: a5, e3, c4.
+    /// Entries in the order their profiles were given; the paper's is
+    /// a5, e3, c4.
     pub entries: Vec<TraceEntry>,
-    /// Replay fidelity the cache experiments should simulate at
-    /// (carried from [`ReproConfig::fidelity`]).
-    pub fidelity: Fidelity,
+    /// The parameters the set was loaded with; the cache experiments
+    /// read its fidelity and worker count.
+    pub config: ReproConfig,
 }
 
 impl TraceSet {
-    /// Generates all three traces.
-    pub fn generate(config: &ReproConfig) -> FsResult<Self> {
+    /// Loads one trace per profile: [`MachineProfile::all`] for the
+    /// paper's three machines, or A5 alone for the Section 6
+    /// simulations ("only the results from the A5 trace are
+    /// reported").
+    ///
+    /// With `cache`, a `tracestore` archive cache under that directory
+    /// backs the set: a trace whose archive is present and intact is
+    /// replayed (chunk-parallel) instead of regenerated, and a fresh
+    /// generation is archived for the next run. A replayed entry
+    /// carries no file system, so the `compare` experiment, which reads
+    /// it, must be given a set loaded without a cache.
+    pub fn load(
+        config: &ReproConfig,
+        profiles: impl IntoIterator<Item = MachineProfile>,
+        cache: Option<&Path>,
+    ) -> FsResult<Self> {
         let mut entries = Vec::new();
-        for profile in MachineProfile::all() {
+        for profile in profiles {
             let name = profile.trace_name.to_string();
             let machine = profile.name.to_string();
-            let out = generate(&WorkloadConfig {
-                profile,
-                seed: config.seed,
-                duration_hours: config.hours,
-                ..WorkloadConfig::default()
-            })?;
+            let path = cache.map(|dir| archive::trace_path(dir, &name, config));
+            let replayed = path.as_deref().and_then(|path| {
+                let trace = archive::load_trace(path, config.jobs)?;
+                eprintln!("  {name}: replayed from {}", path.display());
+                Some(trace)
+            });
+            let (trace, fs) = match replayed {
+                Some(trace) => (trace, None),
+                None => {
+                    let out = generate(&WorkloadConfig {
+                        profile,
+                        seed: config.seed,
+                        duration_hours: config.hours,
+                        ..WorkloadConfig::default()
+                    })?;
+                    if let Some(path) = &path {
+                        archive::store_trace(path, &name, &out.trace);
+                    }
+                    (out.trace, Some(out.fs))
+                }
+            };
             entries.push(TraceEntry {
                 name,
                 machine,
-                out,
+                trace,
+                fs,
                 analysis: OnceLock::new(),
             });
         }
         Ok(TraceSet {
             entries,
-            fidelity: config.fidelity,
+            config: *config,
         })
     }
 
-    /// Generates only the A5 trace (the Section 6 simulations use A5
-    /// alone: "only the results from the A5 trace are reported").
-    pub fn generate_a5(config: &ReproConfig) -> FsResult<Self> {
-        let profile = MachineProfile::ucbarpa();
-        let name = profile.trace_name.to_string();
-        let machine = profile.name.to_string();
-        let out = generate(&WorkloadConfig {
-            profile,
-            seed: config.seed,
-            duration_hours: config.hours,
-            ..WorkloadConfig::default()
-        })?;
-        Ok(TraceSet {
-            entries: vec![TraceEntry {
-                name,
-                machine,
-                out,
-                analysis: OnceLock::new(),
-            }],
-            fidelity: config.fidelity,
-        })
-    }
-
-    /// The A5 entry.
+    /// The A5 entry: the first, where both [`MachineProfile::all`] and
+    /// the A5-alone list put it.
     ///
     /// # Panics
     ///
-    /// Panics if the set is empty (cannot happen for generated sets).
+    /// Panics if the set was loaded from no profiles.
     pub fn a5(&self) -> &TraceEntry {
         &self.entries[0]
-    }
-
-    /// Like [`TraceSet::generate`], but backed by a `tracestore`
-    /// archive cache under `dir`: a trace whose archive is present and
-    /// intact is replayed (chunk-parallel) instead of regenerated, and
-    /// fresh generations are archived for the next run.
-    ///
-    /// A replayed entry carries a pristine file system — the workload
-    /// never ran, so there is no cache state to report. The `compare`
-    /// experiment needs that state and must use [`TraceSet::generate`];
-    /// `repro` enforces this.
-    pub fn generate_cached(config: &ReproConfig, dir: &Path, jobs: usize) -> FsResult<Self> {
-        let mut entries = Vec::new();
-        for profile in MachineProfile::all() {
-            entries.push(Self::entry_cached(profile, config, dir, jobs)?);
-        }
-        Ok(TraceSet {
-            entries,
-            fidelity: config.fidelity,
-        })
-    }
-
-    /// Archive-cached counterpart of [`TraceSet::generate_a5`].
-    pub fn generate_a5_cached(config: &ReproConfig, dir: &Path, jobs: usize) -> FsResult<Self> {
-        Ok(TraceSet {
-            entries: vec![Self::entry_cached(
-                MachineProfile::ucbarpa(),
-                config,
-                dir,
-                jobs,
-            )?],
-            fidelity: config.fidelity,
-        })
-    }
-
-    fn entry_cached(
-        profile: MachineProfile,
-        config: &ReproConfig,
-        dir: &Path,
-        jobs: usize,
-    ) -> FsResult<TraceEntry> {
-        let name = profile.trace_name.to_string();
-        let machine = profile.name.to_string();
-        let path = archive::trace_path(dir, &name, config);
-        let workload_config = WorkloadConfig {
-            profile,
-            seed: config.seed,
-            duration_hours: config.hours,
-            ..WorkloadConfig::default()
-        };
-        let out = match archive::load_trace(&path, jobs) {
-            Some(trace) => {
-                eprintln!("  {name}: replayed from {}", path.display());
-                GeneratedTrace {
-                    trace,
-                    fs: Fs::new(workload_config.fs_params.clone())?,
-                    errors: 0,
-                }
-            }
-            None => {
-                let out = generate(&workload_config)?;
-                archive::store_trace(&path, &name, &out.trace);
-                out
-            }
-        };
-        Ok(TraceEntry {
-            name,
-            machine,
-            out,
-            analysis: OnceLock::new(),
-        })
     }
 }
 
@@ -204,25 +152,25 @@ mod tests {
 
     #[test]
     fn generates_three_named_traces() {
-        let set = TraceSet::generate(&ReproConfig {
+        let config = ReproConfig {
             hours: 0.05,
             seed: 1,
             ..ReproConfig::default()
-        })
-        .unwrap();
+        };
+        let set = TraceSet::load(&config, MachineProfile::all(), None).unwrap();
         let names: Vec<&str> = set.entries.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["a5", "e3", "c4"]);
-        assert!(set.entries.iter().all(|e| !e.out.trace.is_empty()));
+        assert!(set.entries.iter().all(|e| !e.trace.is_empty()));
     }
 
     #[test]
     fn a5_only_generation() {
-        let set = TraceSet::generate_a5(&ReproConfig {
+        let config = ReproConfig {
             hours: 0.05,
             seed: 1,
             ..ReproConfig::default()
-        })
-        .unwrap();
+        };
+        let set = TraceSet::load(&config, [MachineProfile::ucbarpa()], None).unwrap();
         assert_eq!(set.entries.len(), 1);
         assert_eq!(set.a5().name, "a5");
         assert_eq!(set.a5().machine, "Ucbarpa");

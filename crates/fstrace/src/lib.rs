@@ -23,8 +23,8 @@
 //!   every hot id-keyed table in the replay and analysis loops
 //!   (re-exported from `simstat`, which keeps the workspace's one
 //!   hasher).
-//! * [`source`] — streaming [`source::RecordSource`] /
-//!   [`source::RecordSink`] contracts, the k-way time-ordered
+//! * [`source`] — the [`source::RecordSink`] contract for streaming
+//!   record destinations, the k-way time-ordered
 //!   [`FleetMerge`] (and [`merged_records`], its pull driver over
 //!   in-memory traces), and the [`ReorderBuffer`] that bounds the
 //!   memory of almost-sorted producers.
@@ -72,8 +72,6 @@ pub use ids::{FileId, OpenId, Timestamp, UserId, TICK_MS};
 pub use session::{OpenSession, OpenTable, Run, SessionBuilder, SessionSet, Step};
 pub use simstat::hash;
 pub use simstat::hash::{FastMap, FastSet};
-pub use source::{
-    merged_records, FleetMerge, IdOffsets, RecordSink, RecordSource, ReorderBuffer, TextSink,
-};
+pub use source::{merged_records, FleetMerge, IdOffsets, RecordSink, ReorderBuffer, TextSink};
 pub use summary::TraceSummary;
 pub use trace::{Trace, TraceBuilder};

@@ -1,9 +1,10 @@
 //! Streaming record sources, sinks, and the k-way merge.
 //!
 //! The paper's tracer streamed events off a live kernel for days; this
-//! module gives the reproduction the same shape. A [`RecordSource`] is
-//! any fallible iterator of [`TraceRecord`]s — an in-memory trace or an
-//! incremental [`crate::TraceReader`]. A [`RecordSink`] is anywhere
+//! module gives the reproduction the same shape. A record source is any
+//! fallible iterator of [`TraceRecord`]s in time order that stops at its
+//! first error — an in-memory trace or an incremental
+//! [`crate::TraceReader`]. A [`RecordSink`] is anywhere
 //! records go — a `Vec`, a [`TraceWriter`], a [`TextSink`]. One k-way
 //! merge, [`FleetMerge`], combines time-ordered streams; producers push
 //! into it, and [`merged_records`] pulls in-memory traces through it.
@@ -18,20 +19,10 @@ use std::collections::BinaryHeap;
 use std::io;
 use std::sync::OnceLock;
 
-use crate::codec::{self, DecodeError, TraceWriter};
+use crate::codec::{self, TraceWriter};
 use crate::event::{TraceEvent, TraceRecord};
 use crate::ids::Timestamp;
 use crate::trace::Trace;
-
-/// A stream of trace records in nondecreasing time order.
-///
-/// Blanket-implemented for every `Iterator<Item = Result<TraceRecord,
-/// DecodeError>>`, so adapters compose with plain iterator combinators;
-/// the trait exists to name the contract (time order, fail-stop on the
-/// first error) that analyzers and the replay expander rely on.
-pub trait RecordSource: Iterator<Item = Result<TraceRecord, DecodeError>> {}
-
-impl<T: Iterator<Item = Result<TraceRecord, DecodeError>> + ?Sized> RecordSource for T {}
 
 /// A destination for a stream of trace records.
 ///

@@ -115,13 +115,6 @@ impl Registry {
         map.insert(name.to_string(), Metric::Counter(counter.clone()));
     }
 
-    /// Registers an existing histogram handle under `name`, replacing
-    /// any previous registration.
-    pub fn attach_histogram(&self, name: &str, histogram: &Histogram) {
-        let mut map = self.metrics.lock().expect("registry lock");
-        map.insert(name.to_string(), Metric::Histogram(histogram.clone()));
-    }
-
     /// Registers an existing gauge handle under `name`, replacing any
     /// previous registration.
     pub fn attach_gauge(&self, name: &str, gauge: &Gauge) {

@@ -162,7 +162,7 @@ pub fn chunk_crc(info: &ChunkInfo, payload: &[u8]) -> u32 {
 /// Per-trace metadata stored in the footer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArchiveMeta {
-    /// Trace name ("a5", "server-merged", …); informational.
+    /// Trace name ("a5", "e3", …); informational.
     pub name: String,
     /// Total records across all chunks.
     pub total_records: u64,

@@ -34,7 +34,7 @@
 //! [`Archive::pipelined`] overlaps chunk verify/decompress/decode with
 //! the consumer on a worker pool while staying byte-identical to them;
 //! [`Archive::records`] and [`Archive::records_in_ticks`] flatten the
-//! source into [`Records`], a [`fstrace::source::RecordSource`]. The
+//! source into [`Records`], an iterator of decoded records. The
 //! source alone records lost chunks, fuses in `Fail` mode, and
 //! publishes the `tracestore.*_read` counters.
 //!

@@ -575,8 +575,7 @@ impl Drop for ArchiveBlocks {
 }
 
 /// Record iterator over an [`ArchiveBlocks`] pass; yields
-/// `Result<TraceRecord, DecodeError>`, so it is a
-/// [`fstrace::source::RecordSource`].
+/// `Result<TraceRecord, DecodeError>` in time order.
 ///
 /// Chunks land in one reused [`RecordBlock`]; `next()` walks its
 /// columns with a cursor and materializes one record view at a time, so

@@ -22,7 +22,7 @@ pub struct ArchiveOptions {
     /// Compress chunk payloads. A chunk is stored raw anyway when
     /// compression does not shrink it.
     pub compress: bool,
-    /// Trace name recorded in the footer ("a5", "server-merged", …).
+    /// Trace name recorded in the footer ("a5", "e3", …).
     pub name: String,
 }
 
@@ -139,16 +139,6 @@ impl<W: Write> ArchiveWriter<W> {
         Ok(())
     }
 
-    /// Appends every record of a decoded block, in order — the columnar
-    /// repack path: `Archive::blocks` → filter/transform → `write_block`
-    /// moves chunks between archives without a per-record sink call.
-    pub fn write_block(&mut self, block: &fstrace::RecordBlock) -> io::Result<()> {
-        for i in 0..block.len() {
-            self.write(&block.get(i))?;
-        }
-        Ok(())
-    }
-
     /// Frames, checksums, and writes the pending chunk, if any.
     fn flush_chunk(&mut self) -> io::Result<()> {
         if self.chunk_records == 0 {
@@ -218,20 +208,10 @@ impl<W: Write> ArchiveWriter<W> {
         Ok((self.inner, summary))
     }
 
-    /// Records accepted so far.
-    pub fn records_written(&self) -> u64 {
-        self.meta.total_records
-    }
-
     /// Bytes flushed to the underlying writer so far (buffered chunk
     /// bytes excluded).
     pub fn bytes_flushed(&self) -> u64 {
         self.offset
-    }
-
-    /// Chunks flushed so far.
-    pub fn chunks_flushed(&self) -> usize {
-        self.chunks.len()
     }
 }
 

@@ -8,15 +8,16 @@
 //! the before/after diffs.
 
 use bsdtrace::{experiments, ReproConfig, TraceSet};
+use workload::MachineProfile;
 
 #[test]
 fn experiments_share_one_expansion_per_trace() {
-    let set = TraceSet::generate_a5(&ReproConfig {
+    let config = ReproConfig {
         hours: 0.1,
         seed: 7,
         ..ReproConfig::default()
-    })
-    .expect("trace");
+    };
+    let set = TraceSet::load(&config, [MachineProfile::ucbarpa()], None).expect("trace");
 
     // Table VI: 6 sizes x 4 policies, all one expansion key.
     let before = cachesim::expansion_count();

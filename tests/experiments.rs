@@ -2,14 +2,52 @@
 //! small standard run.
 
 use bsdtrace::{experiments, paper, ReproConfig, TraceSet};
+use workload::MachineProfile;
 
 fn small_set() -> TraceSet {
-    TraceSet::generate(&ReproConfig {
+    let config = ReproConfig {
         hours: 0.25,
         seed: 77,
         ..ReproConfig::default()
-    })
-    .expect("trace set")
+    };
+    TraceSet::load(&config, MachineProfile::all(), None).expect("trace set")
+}
+
+#[test]
+fn archive_cache_renders_like_a_fresh_generation() {
+    let config = ReproConfig {
+        hours: 0.1,
+        ..ReproConfig::default()
+    };
+    let dir = std::env::temp_dir().join(format!("bsdtrace-cache-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let load = |cache| TraceSet::load(&config, MachineProfile::all(), cache).expect("trace set");
+    let fresh = load(None);
+    let cold = load(Some(dir.as_path()));
+    for name in ["a5", "e3", "c4"] {
+        assert!(
+            dir.join(format!("{name}-0.1h-s1985.tsa")).is_file(),
+            "{name}"
+        );
+    }
+    let warm = load(Some(dir.as_path()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let render = |set: &TraceSet| {
+        [
+            experiments::table3::run(set).to_string(),
+            experiments::table6::run(set).to_string(),
+            experiments::server::run(set).to_string(),
+        ]
+    };
+    let want = render(&fresh);
+    assert_eq!(render(&cold), want, "cold cache");
+    assert_eq!(render(&warm), want, "warm cache");
+    assert!(cold.entries.iter().all(|e| e.fs.is_some()));
+    assert!(
+        warm.entries.iter().all(|e| e.fs.is_none()),
+        "a replayed trace carries no file system"
+    );
 }
 
 #[test]

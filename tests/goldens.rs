@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use bsdtrace::{experiments, ReproConfig, TraceSet};
+use workload::MachineProfile;
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -33,12 +34,12 @@ fn slug(s: &str) -> String {
 
 /// Computes every golden value as `(key, value, tolerance)`.
 fn compute() -> Vec<(String, f64, f64)> {
-    let set = TraceSet::generate(&ReproConfig {
+    let config = ReproConfig {
         hours: 0.1,
         seed: 7,
         ..ReproConfig::default()
-    })
-    .expect("traces");
+    };
+    let set = TraceSet::load(&config, MachineProfile::all(), None).expect("traces");
     let mut out: Vec<(String, f64, f64)> = Vec::new();
 
     // Table III: per-trace activity summaries. Counts are exact; rates

@@ -19,27 +19,32 @@
 
 use bsdtrace::{experiments, ReproConfig, TraceSet};
 use obs::Registry;
+use workload::MachineProfile;
 
 #[test]
 fn obs_metrics_invariants() {
-    let set = TraceSet::generate_a5(&ReproConfig {
+    let config = ReproConfig {
         hours: 0.1,
         seed: 7,
         ..ReproConfig::default()
-    })
-    .expect("trace");
-    let entry = set.a5();
+    };
+    let mut set = TraceSet::load(&config, [MachineProfile::ucbarpa()], None).expect("trace");
+    let fs = set
+        .a5()
+        .fs
+        .as_ref()
+        .expect("a generated trace has its file system");
 
     // --- Per-instance bsdfs cache counters (local registry) ---
     let reg = Registry::new();
-    entry.out.fs.register_obs(&reg, "bsdfs.a5");
+    fs.register_obs(&reg, "bsdfs.a5");
     let snap = reg.snapshot();
     let c = |name: &str| {
         snap.counter(name)
             .unwrap_or_else(|| panic!("counter {name} must be registered"))
     };
 
-    let bstats = entry.out.fs.bcache_stats();
+    let bstats = fs.bcache_stats();
     assert_eq!(c("bsdfs.a5.bufcache.read_hits"), bstats.read_hits);
     assert_eq!(c("bsdfs.a5.bufcache.read_misses"), bstats.read_misses);
     assert_eq!(c("bsdfs.a5.bufcache.logical_reads"), bstats.logical_reads);
@@ -50,12 +55,12 @@ fn obs_metrics_invariants() {
         "every logical read is exactly one hit or one miss"
     );
 
-    let nstats = entry.out.fs.ncache_stats();
+    let nstats = fs.ncache_stats();
     assert_eq!(c("bsdfs.a5.namecache.hits"), nstats.hits);
     assert_eq!(c("bsdfs.a5.namecache.misses"), nstats.misses);
     assert!(nstats.hits + nstats.misses > 0, "lookups must be counted");
 
-    let istats = entry.out.fs.itable_stats();
+    let istats = fs.itable_stats();
     assert_eq!(c("bsdfs.a5.itable.hits"), istats.hits);
     assert_eq!(c("bsdfs.a5.itable.misses"), istats.misses);
 
@@ -63,7 +68,7 @@ fn obs_metrics_invariants() {
     let global = obs::global();
     let mut table6_outputs: Vec<String> = Vec::new();
     for jobs in [1usize, 2, 8] {
-        cachesim::sweep::set_default_jobs(jobs);
+        set.config.jobs = jobs;
 
         // Table VI: 6 sizes x 4 policies, all one expansion key.
         let before = global.snapshot();
@@ -114,7 +119,6 @@ fn obs_metrics_invariants() {
         );
         assert_eq!(d("cachesim.sweep.cells"), 10, "jobs={jobs}");
     }
-    cachesim::sweep::set_default_jobs(0);
 
     assert!(
         table6_outputs.windows(2).all(|w| w[0] == w[1]),
