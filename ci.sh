@@ -37,12 +37,64 @@ for exp in server table6; do
             echo "   repro: $exp with a $run archive cache differs from a run without it"; exit 1; }
     done
 done
+# A run that includes compare needs a5's live file system, so it
+# generates a5 afresh, but a warm cache still replays e3 and c4; its
+# output matches a run without the cache either way.
+./target/release/repro all --hours 0.1 >"$CACHE/all.plain" 2>/dev/null
+for run in cold warm; do
+    ./target/release/repro all --hours 0.1 --archive "$CACHE/all" \
+        >"$CACHE/all.$run" 2>"$CACHE/all.$run.err"
+    cmp "$CACHE/all.plain" "$CACHE/all.$run" || {
+        echo "   repro: all with a $run archive cache differs from a run without it"; exit 1; }
+done
+for trace in e3 c4; do
+    grep -q "$trace: replayed from" "$CACHE/all.warm.err" || {
+        echo "   repro: a warm 'all' regenerated $trace instead of replaying it"; exit 1; }
+done
+if grep -q "a5: replayed from" "$CACHE/all.warm.err"; then
+    echo "   repro: a warm 'all' replayed a5, whose file system compare reads"; exit 1
+fi
 # An unknown experiment is refused before any trace is generated.
 STATUS=0
 ./target/release/repro nosuch 2>"$CACHE/nosuch.err" >/dev/null || STATUS=$?
 if [ "$STATUS" != 1 ] || grep -q generating "$CACHE/nosuch.err"; then
     echo "   repro: an unknown experiment exited $STATUS or generated traces first"; exit 1
 fi
+
+echo "== numeric flags refuse values no run can use"
+# Simulated hours and the user scale must be finite and positive: a bad
+# value exits 1, naming the flag, before anything is generated or
+# written. An infinite run would never end and an infinite scale asks
+# for 2^32 - 1 users a machine, so each check runs under a timeout and
+# an address-space cap and fails rather than hangs if that comes back.
+(
+    ulimit -v 1048576
+    for hours in -1 0 nan inf; do
+        STATUS=0
+        timeout 60 ./target/release/repro table3 --hours "$hours" \
+            2>"$CACHE/hours.err" >/dev/null || STATUS=$?
+        if [ "$STATUS" != 1 ] || grep -q generating "$CACHE/hours.err" \
+            || ! grep -q -- --hours "$CACHE/hours.err"; then
+            echo "   repro: --hours $hours exited $STATUS or generated traces first"; exit 1
+        fi
+    done
+    for flag in --hours --user-scale; do
+        rm -f "$CACHE/inf.fstr"
+        STATUS=0
+        timeout 60 ./target/release/mktrace a5 "$flag" inf -o "$CACHE/inf.fstr" \
+            2>"$CACHE/flag.err" || STATUS=$?
+        if [ "$STATUS" != 1 ] || [ -e "$CACHE/inf.fstr" ] \
+            || ! grep -q -- "$flag" "$CACHE/flag.err"; then
+            echo "   mktrace: $flag inf exited $STATUS or wrote its output"; exit 1
+        fi
+    done
+    STATUS=0
+    timeout 60 ./target/release/bench stream --hours inf >/dev/null 2>"$CACHE/flag.err" \
+        || STATUS=$?
+    if [ "$STATUS" != 1 ] || ! grep -q -- --hours "$CACHE/flag.err"; then
+        echo "   bench: stream --hours inf exited $STATUS"; exit 1
+    fi
+)
 
 echo "== cargo test"
 cargo test -q
@@ -75,6 +127,13 @@ cmp "$SMOKE/a5.fstr" "$SMOKE/back.fstr"
 ./target/release/tracefmt pack "$SMOKE/a5.txt" "$SMOKE/text.tsa" --chunk-kib 8 2>/dev/null
 ./target/release/tracefmt unpack "$SMOKE/text.tsa" "$SMOKE/text.fstr" 2>/dev/null
 cmp "$SMOKE/a5.fstr" "$SMOKE/text.fstr"
+# summary reads every format through the same reader as dump: the
+# flat, text and (intact) archive copies of the trace summarize alike.
+./target/release/tracefmt summary "$SMOKE/a5.fstr" > "$SMOKE/summary.fstr"
+for copy in a5.txt text.tsa; do
+    ./target/release/tracefmt summary "$SMOKE/$copy" | cmp - "$SMOKE/summary.fstr" || {
+        echo "   archive: tracefmt summary of $copy differs from the flat trace's"; exit 1; }
+done
 echo "0 unlink 1 4294967296" > "$SMOKE/big_user.txt"
 if ./target/release/tracefmt pack "$SMOKE/big_user.txt" "$SMOKE/big_user.tsa" 2>/dev/null; then
     echo "   archive: pack accepted user id 2^32"; exit 1
@@ -93,7 +152,7 @@ BAD=$(grep -c CORRUPT "$SMOKE/verify.out")
 if [ "$BAD" != 1 ]; then
     echo "   archive: verify reported $BAD bad chunks, want 1"; exit 1
 fi
-echo "   tracefmt: binary and text pack/unpack round-trip, verify isolates the bad chunk"
+echo "   tracefmt: binary and text pack/unpack round-trip, summary agrees across formats, verify isolates the bad chunk"
 
 echo "== cross-fidelity experiment smoke"
 # The fidelity experiment replays the Table VI grid at block, syscall,

@@ -91,8 +91,8 @@ impl Params {
                         value
                             .parse()
                             .ok()
-                            .filter(|&h: &f64| h > 0.0)
-                            .unwrap_or_else(|| die("--hours needs a positive number")),
+                            .filter(|h: &f64| h.is_finite() && *h > 0.0)
+                            .unwrap_or_else(|| die("--hours needs a finite positive number")),
                     )
                 }
                 "--seed" => {

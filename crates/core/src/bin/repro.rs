@@ -26,8 +26,9 @@
 //! --hours/--seed writes them, later runs replay them (checksummed,
 //! chunk-parallel decode) instead of regenerating. Experiment output is
 //! identical with or without the cache. The `compare` experiment needs
-//! live file-system state that a replay cannot reconstruct, so runs
-//! that include it bypass the cache with a note.
+//! A5's live file-system state, which a replay cannot reconstruct, so
+//! runs that include it generate A5 afresh (with a note) and replay the
+//! other traces from the cache.
 //! ```
 
 use std::path::PathBuf;
@@ -87,7 +88,8 @@ fn main() {
                 config.hours = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--hours needs a number"));
+                    .filter(|h: &f64| h.is_finite() && *h > 0.0)
+                    .unwrap_or_else(|| die("--hours needs a finite positive number"));
             }
             "--seed" => {
                 config.seed = args
@@ -152,14 +154,27 @@ fn main() {
         config.hours,
         config.seed
     );
-    if reads(Reads::LiveA5) && archive_dir.is_some() {
-        eprintln!("note: archive cache bypassed ('{which}' includes compare, which needs live file-system state)");
-    }
-    let cache = archive_dir.as_deref().filter(|_| !reads(Reads::LiveA5));
     let gen_started = Instant::now();
     let set = {
         let _timing = obs::global().span("repro.generate_traces").start();
-        TraceSet::load(&config, profiles, cache)
+        match archive_dir.as_deref() {
+            // A5 comes first in both profile lists; only its file
+            // system is needed, so the other traces still replay.
+            Some(dir) if reads(Reads::LiveA5) => {
+                eprintln!(
+                    "note: archive cache bypassed for a5 ('{which}' includes compare, \
+                     which needs a5's live file-system state)"
+                );
+                let mut rest = profiles;
+                let a5 = rest.remove(0);
+                TraceSet::load(&config, [a5], None).and_then(|mut set| {
+                    set.entries
+                        .extend(TraceSet::load(&config, rest, Some(dir))?.entries);
+                    Ok(set)
+                })
+            }
+            cache => TraceSet::load(&config, profiles, cache),
+        }
     }
     .unwrap_or_else(|e| die(&format!("trace generation failed: {e}")));
     for e in &set.entries {

@@ -90,7 +90,7 @@ impl TraceSet {
     /// replayed (chunk-parallel) instead of regenerated, and a fresh
     /// generation is archived for the next run. A replayed entry
     /// carries no file system, so the `compare` experiment, which reads
-    /// it, must be given a set loaded without a cache.
+    /// A5's, must be given an A5 entry loaded without a cache.
     pub fn load(
         config: &ReproConfig,
         profiles: impl IntoIterator<Item = MachineProfile>,

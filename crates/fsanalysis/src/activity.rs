@@ -1,10 +1,8 @@
 //! System activity: users, active users, and per-user throughput
 //! (Table IV of the paper).
 
-use fstrace::{FastSet, Step, Trace, TraceEvent, TraceRecord, UserId};
+use fstrace::{FastSet, Step, TraceEvent, TraceRecord, UserId};
 use simstat::{OnlineStats, WindowedSums};
-
-use crate::stream::{drive, Analyzer};
 
 /// Activity measured over one window length.
 #[derive(Debug, Clone)]
@@ -34,6 +32,10 @@ impl ActivityWindow {
 }
 
 /// Table IV: overall and per-window activity for one trace.
+///
+/// A user is *active* in a window if any trace event attributable to
+/// them falls inside it; bytes are billed at the time of the `close` or
+/// `seek` ending each sequential run, per the paper's rule.
 #[derive(Debug, Clone)]
 pub struct ActivityAnalysis {
     /// Mean throughput over the life of the trace (bytes/second).
@@ -48,21 +50,8 @@ pub struct ActivityAnalysis {
     pub windows: Vec<ActivityWindow>,
 }
 
-impl ActivityAnalysis {
-    /// Analyzes a trace over the given window lengths (in seconds).
-    ///
-    /// A user is *active* in a window if any trace event attributable to
-    /// them falls inside it; bytes are billed at the time of the `close`
-    /// or `seek` ending each sequential run, per the paper's rule.
-    ///
-    /// A thin wrapper over the streaming [`ActivityBuilder`].
-    pub fn analyze(trace: &Trace, window_secs: &[u64]) -> Self {
-        drive(ActivityBuilder::new(window_secs), trace.records())
-    }
-}
-
-/// Streaming form of [`ActivityAnalysis::analyze`]: feed records in
-/// time order, finish into the analysis.
+/// Builds [`ActivityAnalysis`]: feed records in time order, finish into
+/// the analysis.
 ///
 /// Activity points — opens, run billings, closes, and user-attributed
 /// events — are folded into per-window sums as each record arrives, so
@@ -70,7 +59,7 @@ impl ActivityAnalysis {
 /// the `seek`/`close` record that ends them, as the session builder
 /// reports in each record's [`Step`]; the builder keeps no open-id
 /// state of its own.
-pub struct ActivityBuilder {
+pub(crate) struct ActivityBuilder {
     window_secs: Vec<u64>,
     windows: Vec<WindowedSums>,
     users: FastSet<u32>,
@@ -84,7 +73,7 @@ pub struct ActivityBuilder {
 
 impl ActivityBuilder {
     /// Creates a builder measuring the given window lengths (seconds).
-    pub fn new(window_secs: &[u64]) -> Self {
+    pub(crate) fn new(window_secs: &[u64]) -> Self {
         ActivityBuilder {
             window_secs: window_secs.to_vec(),
             windows: window_secs
@@ -111,12 +100,9 @@ impl ActivityBuilder {
             w.add(t, u.0 as u64, bytes);
         }
     }
-}
 
-impl Analyzer for ActivityBuilder {
-    type Output = ActivityAnalysis;
-
-    fn observe(&mut self, rec: &TraceRecord, step: Step) {
+    /// Feeds one record, with what it did to its open id.
+    pub(crate) fn observe(&mut self, rec: &TraceRecord, step: Step) {
         let now = rec.time.as_ms();
         self.first_ms = Some(self.first_ms.map_or(now, |f| f.min(now)));
         self.last_ms = self.last_ms.max(now);
@@ -140,7 +126,8 @@ impl Analyzer for ActivityBuilder {
         }
     }
 
-    fn finish(self) -> ActivityAnalysis {
+    /// Produces the analysis.
+    pub(crate) fn finish(self) -> ActivityAnalysis {
         let duration_ms = self.last_ms.saturating_sub(self.first_ms.unwrap_or(0));
         let duration_secs = duration_ms as f64 / 1000.0;
         let avg_throughput = if duration_secs > 0.0 {
@@ -214,7 +201,12 @@ fn scale_into(src: &OnlineStats, divisor: f64, dst: &mut OnlineStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fstrace::{AccessMode, TraceBuilder};
+    use crate::run_analyzers;
+    use fstrace::{AccessMode, Trace, TraceBuilder};
+
+    fn activity(trace: &Trace, window_secs: &[u64]) -> ActivityAnalysis {
+        run_analyzers(trace.records(), window_secs).activity
+    }
 
     /// Two users: one reads 1000 bytes at t=5 s, the other 3000 at t=15 s.
     fn two_user_trace() -> Trace {
@@ -232,7 +224,7 @@ mod tests {
 
     #[test]
     fn totals() {
-        let a = ActivityAnalysis::analyze(&two_user_trace(), &[10]);
+        let a = activity(&two_user_trace(), &[10]);
         assert_eq!(a.total_users, 2);
         assert_eq!(a.total_bytes, 4000);
         assert!((a.duration_secs - 11.0).abs() < 1e-9);
@@ -241,7 +233,7 @@ mod tests {
 
     #[test]
     fn ten_second_windows() {
-        let a = ActivityAnalysis::analyze(&two_user_trace(), &[10]);
+        let a = activity(&two_user_trace(), &[10]);
         let w = &a.windows[0];
         assert_eq!(w.window_secs, 10);
         assert_eq!(w.max_active, 1);
@@ -259,7 +251,7 @@ mod tests {
         let f = b.new_file_id();
         b.unlink(500, f, u);
         b.unlink(25_000, f, u);
-        let a = ActivityAnalysis::analyze(&b.finish(), &[10]);
+        let a = activity(&b.finish(), &[10]);
         assert_eq!(a.total_users, 1);
         let w = &a.windows[0];
         assert_eq!(w.max_active, 1);
@@ -269,7 +261,7 @@ mod tests {
 
     #[test]
     fn empty_trace() {
-        let a = ActivityAnalysis::analyze(&Trace::default(), &[600, 10]);
+        let a = activity(&Trace::default(), &[600, 10]);
         assert_eq!(a.total_users, 0);
         assert_eq!(a.avg_throughput, 0.0);
         assert_eq!(a.windows.len(), 2);

@@ -5,12 +5,11 @@
 //! measured 75% of intervals under 0.5 s, 90% under 10 s, and 99% under
 //! 30 s, justifying the no-read-write tracing approach.
 
-use fstrace::{Step, Trace, TraceRecord};
+use fstrace::{Step, TraceRecord};
 use simstat::Distribution;
 
-use crate::stream::{drive, Analyzer};
-
-/// Distribution of gaps between successive events for one open file.
+/// Distribution of gaps between successive events for one open file:
+/// every open→seek→…→close gap in a trace.
 #[derive(Debug, Clone, Default)]
 pub struct EventGapAnalysis {
     /// Gaps in milliseconds, one per successive event pair.
@@ -18,41 +17,34 @@ pub struct EventGapAnalysis {
 }
 
 impl EventGapAnalysis {
-    /// Measures all open→seek→…→close gaps in a trace.
-    ///
-    /// A thin wrapper over the streaming [`EventGapBuilder`].
-    pub fn analyze(trace: &Trace) -> Self {
-        drive(EventGapBuilder::default(), trace.records())
-    }
-
     /// Fraction of gaps at most `secs` seconds.
     pub fn fraction_le_secs(&mut self, secs: f64) -> f64 {
         self.gaps_ms.fraction_le((secs * 1000.0) as u64)
     }
 }
 
-/// Streaming form of [`EventGapAnalysis::analyze`]: each gap is
-/// recorded at the later of its two events, from the previous event's
-/// time that the session builder reports in [`Step::prev`]. The builder
-/// keeps no open-id state of its own.
+/// Builds [`EventGapAnalysis`]: each gap is recorded at the later of
+/// its two events, from the previous event's time that the session
+/// builder reports in [`Step::prev`]. The builder keeps no open-id
+/// state of its own.
 ///
 /// An id is tracked from its `open`, or from an orphan `seek` when the
 /// open preceded the trace, until its `close`.
 #[derive(Debug, Clone, Default)]
-pub struct EventGapBuilder {
+pub(crate) struct EventGapBuilder {
     out: EventGapAnalysis,
 }
 
-impl Analyzer for EventGapBuilder {
-    type Output = EventGapAnalysis;
-
-    fn observe(&mut self, rec: &TraceRecord, step: Step) {
+impl EventGapBuilder {
+    /// Feeds one record, with the previous event on its open id.
+    pub(crate) fn observe(&mut self, rec: &TraceRecord, step: Step) {
         if let Some(prev) = step.prev {
             self.out.gaps_ms.add(rec.time.since(prev), 1);
         }
     }
 
-    fn finish(mut self) -> EventGapAnalysis {
+    /// Produces the analysis.
+    pub(crate) fn finish(mut self) -> EventGapAnalysis {
         self.out.gaps_ms.prepare();
         self.out
     }
@@ -61,7 +53,12 @@ impl Analyzer for EventGapBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fstrace::{AccessMode, OpenId, TraceBuilder};
+    use crate::run_analyzers;
+    use fstrace::{AccessMode, OpenId, Trace, TraceBuilder};
+
+    fn gaps(trace: &Trace) -> EventGapAnalysis {
+        run_analyzers(trace.records(), &[]).gaps
+    }
 
     #[test]
     fn gaps_per_open_file() {
@@ -72,7 +69,7 @@ mod tests {
         b.seek(200, o, 0, 500); // Gap 200 ms.
         b.seek(300, o, 600, 0); // Gap 100 ms.
         b.close(9_300, o, 100); // Gap 9 000 ms.
-        let mut a = EventGapAnalysis::analyze(&b.finish());
+        let mut a = gaps(&b.finish());
         assert_eq!(a.gaps_ms.total_weight(), 3);
         assert!((a.fraction_le_secs(0.5) - 2.0 / 3.0).abs() < 1e-12);
         assert!((a.fraction_le_secs(10.0) - 1.0).abs() < 1e-12);
@@ -87,7 +84,7 @@ mod tests {
         let o2 = b.open(1_000, f, u, AccessMode::ReadOnly, 10, false);
         b.close(100, o1, 10); // Gap 100 for o1.
         b.close(1_050, o2, 10); // Gap 50 for o2.
-        let mut a = EventGapAnalysis::analyze(&b.finish());
+        let mut a = gaps(&b.finish());
         assert_eq!(a.gaps_ms.total_weight(), 2);
         assert_eq!(a.gaps_ms.percentile(1.0), Some(100));
     }
@@ -102,7 +99,7 @@ mod tests {
         b.seek(1_300, OpenId(42), 150, 0);
         b.close(3_300, OpenId(42), 10);
         b.close(4_000, OpenId(43), 10); // Untracked: no gap.
-        let mut a = EventGapAnalysis::analyze(&b.finish());
+        let mut a = gaps(&b.finish());
         assert_eq!(a.gaps_ms.total_weight(), 2);
         assert_eq!(a.gaps_ms.percentile(0.0), Some(300));
         assert_eq!(a.gaps_ms.percentile(1.0), Some(2_000));
@@ -110,7 +107,7 @@ mod tests {
 
     #[test]
     fn empty_trace() {
-        let mut a = EventGapAnalysis::analyze(&Trace::default());
+        let mut a = gaps(&Trace::default());
         assert_eq!(a.fraction_le_secs(1.0), 0.0);
     }
 }

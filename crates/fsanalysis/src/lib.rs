@@ -19,9 +19,13 @@
 //! exactly as the paper does; the reconstruction itself lives in
 //! [`fstrace::session`].
 //!
-//! Every analysis is implemented as a streaming [`stream::Analyzer`];
-//! the batch `analyze(...)` entry points are thin wrappers, and
-//! [`run_analyzers`] computes all of them in one bounded-memory pass.
+//! One driver computes them all: [`AnalysisStream`] feeds each record
+//! of a time-ordered trace to one shared session reconstruction and to
+//! every analysis's builder, in one bounded-memory pass, and
+//! [`run_analyzers`] (records) and [`run_analyzers_blocks`] (decoded
+//! blocks) run it over a whole trace. A caller that wants one analysis
+//! reads its field of the [`AnalysisSuite`]; there is no per-analysis
+//! entry point and no analyzer trait (see [`stream`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,13 +39,11 @@ pub mod sizes;
 pub mod stream;
 pub mod users;
 
-pub use activity::{ActivityAnalysis, ActivityBuilder, ActivityWindow};
-pub use intervals::{EventGapAnalysis, EventGapBuilder};
-pub use lifetime::{LifetimeAnalysis, LifetimeBuilder, LifetimeEvent};
-pub use opentime::{OpenTimeAnalysis, OpenTimeBuilder};
-pub use sequential::{
-    RunLengthAnalysis, RunLengthBuilder, SequentialityBuilder, SequentialityReport,
-};
-pub use sizes::{FileSizeAnalysis, FileSizeBuilder};
-pub use stream::{run_analyzers, run_analyzers_blocks, AnalysisStream, AnalysisSuite, Analyzer};
-pub use users::{UserActivity, UserAnalysis, UserAnalysisBuilder};
+pub use activity::{ActivityAnalysis, ActivityWindow};
+pub use intervals::EventGapAnalysis;
+pub use lifetime::{LifetimeAnalysis, LifetimeEvent};
+pub use opentime::OpenTimeAnalysis;
+pub use sequential::{RunLengthAnalysis, SequentialityReport};
+pub use sizes::FileSizeAnalysis;
+pub use stream::{run_analyzers, run_analyzers_blocks, AnalysisStream, AnalysisSuite};
+pub use users::{UserActivity, UserAnalysis};

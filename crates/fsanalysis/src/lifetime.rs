@@ -7,10 +7,8 @@
 //! at the end of the trace are censored and excluded, just as the
 //! paper's trace-bounded measurement necessarily was.
 
-use fstrace::{FastMap, FileId, OpenSession, Step, Trace, TraceEvent, TraceRecord};
+use fstrace::{FastMap, FileId, OpenSession, TraceEvent, TraceRecord};
 use simstat::Distribution;
-
-use crate::stream::{drive, Analyzer};
 
 /// Why a file's data died.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +43,9 @@ impl LifetimeEvent {
     }
 }
 
-/// Figure 4: the distribution of new-file lifetimes.
+/// Figure 4: the distribution of new-file lifetimes, from the trace's
+/// creations and deaths, with write bytes billed to the live file at
+/// each `close`.
 #[derive(Debug, Clone, Default)]
 pub struct LifetimeAnalysis {
     /// Every completed lifetime, in death order.
@@ -64,15 +64,6 @@ struct Birth {
 }
 
 impl LifetimeAnalysis {
-    /// Scans a trace for creations and deaths.
-    ///
-    /// A thin wrapper over the streaming [`LifetimeBuilder`], driving
-    /// its own session reconstruction so write bytes are billed to the
-    /// live file at each `close`.
-    pub fn analyze(trace: &Trace) -> Self {
-        drive(LifetimeBuilder::default(), trace.records())
-    }
-
     fn finish(&mut self, file_id: FileId, b: Birth, died_ms: u64, cause: DeathCause) {
         let ev = LifetimeEvent {
             file_id,
@@ -104,21 +95,20 @@ impl LifetimeAnalysis {
     }
 }
 
-/// Streaming form of [`LifetimeAnalysis::analyze`]: births and deaths
-/// come from the record stream, and write bytes from each session the
-/// moment it closes.
+/// Builds [`LifetimeAnalysis`]: births and deaths come from the record
+/// stream, and write bytes from each session the moment it closes.
 ///
 /// Memory is O(new files currently alive), never O(records).
 #[derive(Default)]
-pub struct LifetimeBuilder {
+pub(crate) struct LifetimeBuilder {
     alive: FastMap<FileId, Birth>,
     out: LifetimeAnalysis,
 }
 
-impl Analyzer for LifetimeBuilder {
-    type Output = LifetimeAnalysis;
-
-    fn observe(&mut self, rec: &TraceRecord, _step: Step) {
+impl LifetimeBuilder {
+    /// Feeds one record: a creation, deletion or truncation to zero
+    /// starts or ends a lifetime.
+    pub(crate) fn observe(&mut self, rec: &TraceRecord) {
         let now = rec.time.as_ms();
         match rec.event {
             TraceEvent::Open {
@@ -163,7 +153,8 @@ impl Analyzer for LifetimeBuilder {
         }
     }
 
-    fn on_session(&mut self, s: &OpenSession) {
+    /// Feeds a session completed by the record just observed.
+    pub(crate) fn on_session(&mut self, s: &OpenSession) {
         // Bytes written per session, billed at close.
         if s.mode.can_write() {
             if let Some(b) = self.alive.get_mut(&s.file_id) {
@@ -172,7 +163,8 @@ impl Analyzer for LifetimeBuilder {
         }
     }
 
-    fn finish(mut self) -> LifetimeAnalysis {
+    /// Produces the analysis; files still alive are censored.
+    pub(crate) fn finish(mut self) -> LifetimeAnalysis {
         self.out.censored = self.alive.len() as u64;
         self.out.by_files.prepare();
         self.out.by_bytes.prepare();
@@ -183,7 +175,12 @@ impl Analyzer for LifetimeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fstrace::{AccessMode, TraceBuilder};
+    use crate::run_analyzers;
+    use fstrace::{AccessMode, Trace, TraceBuilder};
+
+    fn lifetimes(trace: &Trace) -> LifetimeAnalysis {
+        run_analyzers(trace.records(), &[]).lifetimes
+    }
 
     /// Creates a file at `t0` writing `n` bytes, deletes it at `t1`.
     fn temp_file(b: &mut TraceBuilder, u: fstrace::UserId, t0: u64, t1: u64, n: u64) {
@@ -198,7 +195,7 @@ mod tests {
         let mut b = TraceBuilder::new();
         let u = b.new_user_id();
         temp_file(&mut b, u, 1_000, 31_000, 5_000);
-        let a = LifetimeAnalysis::analyze(&b.finish());
+        let a = lifetimes(&b.finish());
         assert_eq!(a.events.len(), 1);
         let e = a.events[0];
         assert_eq!(e.lifetime_ms(), 30_000);
@@ -217,7 +214,7 @@ mod tests {
         // Recreate (truncate on open) 180 s later: daemon-style rewrite.
         let o = b.open(180_000, f, u, AccessMode::WriteOnly, 0, true);
         b.close(180_050, o, 100);
-        let mut a = LifetimeAnalysis::analyze(&b.finish());
+        let mut a = lifetimes(&b.finish());
         assert_eq!(a.events.len(), 1);
         assert_eq!(a.events[0].cause, DeathCause::Overwritten);
         assert_eq!(a.events[0].lifetime_ms(), 180_000);
@@ -234,7 +231,7 @@ mod tests {
         b.close(10, o, 100);
         b.truncate(5_000, f, 0, u);
         b.unlink(9_000, f, u);
-        let a = LifetimeAnalysis::analyze(&b.finish());
+        let a = lifetimes(&b.finish());
         assert_eq!(a.events.len(), 2);
         assert_eq!(a.events[0].cause, DeathCause::Overwritten);
         assert_eq!(a.events[0].lifetime_ms(), 5_000);
@@ -250,7 +247,7 @@ mod tests {
         let o = b.open(0, f, u, AccessMode::WriteOnly, 0, true);
         b.close(10, o, 100);
         b.truncate(5_000, f, 50, u);
-        let a = LifetimeAnalysis::analyze(&b.finish());
+        let a = lifetimes(&b.finish());
         assert!(a.events.is_empty());
         assert_eq!(a.censored, 1);
     }
@@ -261,7 +258,7 @@ mod tests {
         let u = b.new_user_id();
         temp_file(&mut b, u, 0, 10_000, 1_000); // 10 s life, 1 kB.
         temp_file(&mut b, u, 0, 600_000, 9_000); // 600 s life, 9 kB.
-        let mut a = LifetimeAnalysis::analyze(&b.finish());
+        let mut a = lifetimes(&b.finish());
         assert!((a.fraction_of_files_le_secs(60.0) - 0.5).abs() < 1e-12);
         assert!((a.fraction_of_bytes_le_secs(60.0) - 0.1).abs() < 1e-12);
     }
@@ -274,7 +271,7 @@ mod tests {
         let o = b.open(0, f, u, AccessMode::ReadOnly, 100, false);
         b.close(10, o, 100);
         b.unlink(50_000, f, u);
-        let a = LifetimeAnalysis::analyze(&b.finish());
+        let a = lifetimes(&b.finish());
         // Deleting a file that predates the trace yields no lifetime.
         assert!(a.events.is_empty());
         assert_eq!(a.censored, 0);
@@ -292,7 +289,7 @@ mod tests {
         b.seek(1_001, o, 0, 100);
         b.close(1_010, o, 150);
         b.unlink(2_000, f, u);
-        let a = LifetimeAnalysis::analyze(&b.finish());
+        let a = lifetimes(&b.finish());
         assert_eq!(a.events[0].bytes_written, 150); // 100 + 50 appended.
     }
 }

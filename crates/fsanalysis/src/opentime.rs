@@ -1,11 +1,10 @@
 //! Distribution of how long files stay open (Figure 3).
 
-use fstrace::{OpenSession, SessionSet};
+use fstrace::OpenSession;
 use simstat::Distribution;
 
-use crate::stream::Analyzer;
-
-/// Figure 3: distribution of open durations in milliseconds.
+/// Figure 3: distribution of open durations in milliseconds, one per
+/// completed session.
 ///
 /// The paper found ~75% of files open less than 0.5 s and ~90% less than
 /// 10 s — which is what justifies billing transfers at close/seek times.
@@ -16,17 +15,6 @@ pub struct OpenTimeAnalysis {
 }
 
 impl OpenTimeAnalysis {
-    /// Collects the open duration of every completed session.
-    ///
-    /// A thin wrapper over the streaming [`OpenTimeBuilder`].
-    pub fn analyze(sessions: &SessionSet) -> Self {
-        let mut b = OpenTimeBuilder::default();
-        for s in sessions.complete() {
-            b.on_session(s);
-        }
-        b.finish()
-    }
-
     /// Fraction of accesses with the file open at most `secs` seconds.
     pub fn fraction_le_secs(&mut self, secs: f64) -> f64 {
         self.durations_ms.fraction_le((secs * 1000.0) as u64)
@@ -38,23 +26,23 @@ impl OpenTimeAnalysis {
     }
 }
 
-/// Streaming form of [`OpenTimeAnalysis::analyze`]: durations are
-/// recorded as each session closes.
+/// Builds [`OpenTimeAnalysis`]: durations are recorded as each session
+/// closes.
 #[derive(Debug, Clone, Default)]
-pub struct OpenTimeBuilder {
+pub(crate) struct OpenTimeBuilder {
     out: OpenTimeAnalysis,
 }
 
-impl Analyzer for OpenTimeBuilder {
-    type Output = OpenTimeAnalysis;
-
-    fn on_session(&mut self, s: &OpenSession) {
+impl OpenTimeBuilder {
+    /// Feeds a session completed by the record just observed.
+    pub(crate) fn on_session(&mut self, s: &OpenSession) {
         if let Some(d) = s.open_duration_ms() {
             self.out.durations_ms.add(d, 1);
         }
     }
 
-    fn finish(mut self) -> OpenTimeAnalysis {
+    /// Produces the analysis.
+    pub(crate) fn finish(mut self) -> OpenTimeAnalysis {
         self.out.durations_ms.prepare();
         self.out
     }
@@ -63,7 +51,12 @@ impl Analyzer for OpenTimeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fstrace::{AccessMode, TraceBuilder};
+    use crate::run_analyzers;
+    use fstrace::{AccessMode, Trace, TraceBuilder};
+
+    fn open_times(trace: &Trace) -> OpenTimeAnalysis {
+        run_analyzers(trace.records(), &[]).open_times
+    }
 
     #[test]
     fn durations_and_fractions() {
@@ -74,7 +67,7 @@ mod tests {
             let o = b.open(start, f, u, AccessMode::ReadOnly, 10, false);
             b.close(end, o, 10);
         }
-        let mut a = OpenTimeAnalysis::analyze(&b.finish().sessions());
+        let mut a = open_times(&b.finish());
         assert_eq!(a.durations_ms.total_weight(), 3);
         assert!((a.fraction_le_secs(0.5) - 2.0 / 3.0).abs() < 1e-12);
         assert!((a.fraction_le_secs(30.0) - 1.0).abs() < 1e-12);
@@ -83,7 +76,7 @@ mod tests {
 
     #[test]
     fn empty() {
-        let mut a = OpenTimeAnalysis::analyze(&SessionSet::default());
+        let mut a = open_times(&Trace::default());
         assert_eq!(a.fraction_le_secs(1.0), 0.0);
         assert_eq!(a.median_ms(), None);
     }

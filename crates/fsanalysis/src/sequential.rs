@@ -1,10 +1,8 @@
 //! Sequentiality of file access (Table V) and sequential run lengths
 //! (Figure 1).
 
-use fstrace::{AccessMode, OpenSession, SessionSet};
+use fstrace::{AccessMode, OpenSession};
 use simstat::Distribution;
-
-use crate::stream::Analyzer;
 
 /// Counts for one access-mode class in Table V.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,7 +41,8 @@ fn ratio(a: u64, b: u64) -> f64 {
     }
 }
 
-/// Table V: sequentiality broken down by access mode.
+/// Table V: sequentiality of every completed session, broken down by
+/// access mode.
 #[derive(Debug, Clone, Default)]
 pub struct SequentialityReport {
     /// Read-only accesses.
@@ -55,17 +54,6 @@ pub struct SequentialityReport {
 }
 
 impl SequentialityReport {
-    /// Computes the report over all completed sessions.
-    ///
-    /// A thin wrapper over the streaming [`SequentialityBuilder`].
-    pub fn analyze(sessions: &SessionSet) -> Self {
-        let mut b = SequentialityBuilder::default();
-        for s in sessions.complete() {
-            b.on_session(s);
-        }
-        b.finish()
-    }
-
     /// Total completed accesses.
     pub fn total_accesses(&self) -> u64 {
         self.read_only.accesses + self.write_only.accesses + self.read_write.accesses
@@ -109,17 +97,16 @@ impl SequentialityReport {
     }
 }
 
-/// Streaming form of [`SequentialityReport::analyze`]: classifies each
-/// completed session as it closes.
+/// Builds [`SequentialityReport`]: classifies each completed session as
+/// it closes.
 #[derive(Debug, Clone, Default)]
-pub struct SequentialityBuilder {
+pub(crate) struct SequentialityBuilder {
     report: SequentialityReport,
 }
 
-impl Analyzer for SequentialityBuilder {
-    type Output = SequentialityReport;
-
-    fn on_session(&mut self, s: &OpenSession) {
+impl SequentialityBuilder {
+    /// Feeds a session completed by the record just observed.
+    pub(crate) fn on_session(&mut self, s: &OpenSession) {
         let c = match s.mode {
             AccessMode::ReadOnly => &mut self.report.read_only,
             AccessMode::WriteOnly => &mut self.report.write_only,
@@ -138,13 +125,15 @@ impl Analyzer for SequentialityBuilder {
         }
     }
 
-    fn finish(self) -> SequentialityReport {
+    /// Produces the report.
+    pub(crate) fn finish(self) -> SequentialityReport {
         self.report
     }
 }
 
 /// Figure 1: the distribution of sequential run lengths, weighted by
-/// runs (1a) and by bytes (1b).
+/// runs (1a) and by bytes (1b): every positive-length run, in closed
+/// and unclosed sessions alike.
 #[derive(Debug, Clone, Default)]
 pub struct RunLengthAnalysis {
     /// Run lengths weighted by count (Figure 1a).
@@ -154,18 +143,6 @@ pub struct RunLengthAnalysis {
 }
 
 impl RunLengthAnalysis {
-    /// Collects every positive-length sequential run, in closed and
-    /// unclosed sessions alike.
-    ///
-    /// A thin wrapper over the streaming [`RunLengthBuilder`].
-    pub fn analyze(sessions: &SessionSet) -> Self {
-        let mut b = RunLengthBuilder::default();
-        for s in sessions.all() {
-            b.on_session(s);
-        }
-        b.finish()
-    }
-
     /// Fraction of runs at most `limit` bytes long.
     pub fn fraction_of_runs_le(&mut self, limit: u64) -> f64 {
         self.by_runs.fraction_le(limit)
@@ -177,8 +154,7 @@ impl RunLengthAnalysis {
     }
 }
 
-/// Streaming form of [`RunLengthAnalysis::analyze`]: runs are folded in
-/// from each session at close (or at end of stream for never-closed
+/// Builds [`RunLengthAnalysis`]: runs are folded in from each session at close (or at end of stream for never-closed
 /// sessions).
 ///
 /// Only the count-weighted distribution is accumulated: Figure 1b
@@ -186,30 +162,21 @@ impl RunLengthAnalysis {
 /// Figure 1a at finish ([`Distribution::weighted_by_value`]) and one
 /// sort serves both.
 #[derive(Debug, Clone, Default)]
-pub struct RunLengthBuilder {
+pub(crate) struct RunLengthBuilder {
     by_runs: Distribution,
 }
 
 impl RunLengthBuilder {
-    fn add_runs(&mut self, s: &OpenSession) {
+    /// Feeds a session's runs: at its close, or at end of stream for a
+    /// session never closed.
+    pub(crate) fn add_runs(&mut self, s: &OpenSession) {
         for r in &s.runs {
             self.by_runs.add(r.len, 1);
         }
     }
-}
 
-impl Analyzer for RunLengthBuilder {
-    type Output = RunLengthAnalysis;
-
-    fn on_session(&mut self, s: &OpenSession) {
-        self.add_runs(s);
-    }
-
-    fn on_unclosed(&mut self, s: &OpenSession) {
-        self.add_runs(s);
-    }
-
-    fn finish(mut self) -> RunLengthAnalysis {
+    /// Produces the analysis.
+    pub(crate) fn finish(mut self) -> RunLengthAnalysis {
         RunLengthAnalysis {
             by_bytes: self.by_runs.weighted_by_value(),
             by_runs: self.by_runs,
@@ -219,12 +186,16 @@ impl Analyzer for RunLengthBuilder {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use fstrace::{AccessMode, TraceBuilder};
+    use crate::{run_analyzers, AnalysisSuite};
+    use fstrace::{AccessMode, Trace, TraceBuilder};
+
+    fn suite(trace: &Trace) -> AnalysisSuite {
+        run_analyzers(trace.records(), &[])
+    }
 
     /// Builds: one whole-file read, one partial read, one append
     /// (sequential r/w), one random-access read-write.
-    fn sample() -> SessionSet {
+    fn sample() -> Trace {
         let mut b = TraceBuilder::new();
         let u = b.new_user_id();
 
@@ -251,12 +222,12 @@ mod tests {
         let o = b.open(80, f5, u, AccessMode::WriteOnly, 0, true);
         b.close(95, o, 600); // Whole-file write of 600 B.
 
-        b.finish().sessions()
+        b.finish()
     }
 
     #[test]
     fn table_v_classification() {
-        let r = SequentialityReport::analyze(&sample());
+        let r = suite(&sample()).sequentiality;
         assert_eq!(r.read_only.accesses, 2);
         assert_eq!(r.read_only.whole_file, 1);
         assert_eq!(r.read_only.sequential, 2);
@@ -270,7 +241,7 @@ mod tests {
 
     #[test]
     fn byte_accounting() {
-        let r = SequentialityReport::analyze(&sample());
+        let r = suite(&sample()).sequentiality;
         assert_eq!(r.total_bytes(), 1000 + 400 + 100 + 400 + 600);
         assert_eq!(r.whole_file_bytes_fraction(), (1000 + 600) as f64 / 2500.0);
         assert_eq!(
@@ -282,7 +253,7 @@ mod tests {
 
     #[test]
     fn run_lengths() {
-        let mut a = RunLengthAnalysis::analyze(&sample());
+        let mut a = suite(&sample()).run_lengths;
         // Runs: 1000, 400, 100, 200, 200, 600.
         assert_eq!(a.by_runs.total_weight(), 6);
         assert_eq!(a.by_bytes.total_weight(), 2500);
@@ -292,7 +263,7 @@ mod tests {
 
     #[test]
     fn empty_sessions() {
-        let r = SequentialityReport::analyze(&SessionSet::default());
+        let r = suite(&Trace::default()).sequentiality;
         assert_eq!(r.total_accesses(), 0);
         assert_eq!(r.whole_file_fraction(), 0.0);
         assert_eq!(r.read_only.whole_file_fraction(), 0.0);

@@ -1,18 +1,23 @@
-//! Single-pass streaming analysis: every analyzer in this crate as an
-//! incremental consumer, driven once per trace.
+//! Single-pass streaming analysis: every Section 5 analysis of this
+//! crate computed together, driven once per trace.
 //!
-//! The batch `analyze(...)` entry points materialize nothing extra: each
-//! is a thin wrapper over the [`Analyzer`] implementation in its module,
-//! and [`run_analyzers`] drives *all* of them over one pass of the
-//! record stream. Memory is bounded by the number of simultaneously
-//! open files plus the analyzers' own summaries, so a multi-day trace
-//! streams straight from disk. The summaries' distributions hold one
-//! entry per distinct value ([`simstat::Distribution`]), not one per
-//! event, so they stop growing once the trace's values repeat. Two
-//! summaries do grow with the trace: Table IV's window sums keep one
-//! entry per active `(window, user)` pair, so they grow with the
-//! trace's span, and Figure 4's [`LifetimeAnalysis::events`] keeps one
-//! entry per file death.
+//! [`AnalysisStream`] is the one driver. It feeds each record to one
+//! shared [`SessionBuilder`] and to the per-analysis builders, and
+//! [`run_analyzers`] and [`run_analyzers_blocks`] are its record and
+//! block loops. There is no per-analysis entry point and no analyzer
+//! trait: each builder is a crate-private type whose inherent methods
+//! are exactly the calls the stream makes, and a caller that wants one
+//! analysis reads its field of the [`AnalysisSuite`].
+//!
+//! Memory is bounded by the number of simultaneously open files plus
+//! the analyses' own summaries, so a multi-day trace streams straight
+//! from disk. The summaries' distributions hold one entry per distinct
+//! value ([`simstat::Distribution`]), not one per event, so they stop
+//! growing once the trace's values repeat. Two summaries do grow with
+//! the trace: Table IV's window sums keep one entry per active
+//! `(window, user)` pair, so they grow with the trace's span, and
+//! Figure 4's [`LifetimeAnalysis::events`] keeps one entry per file
+//! death.
 //!
 //! The pass allocates nothing per session in steady state: the
 //! session builder lends each closed session from its freed slot
@@ -26,11 +31,11 @@
 //! every replay fidelity steps in `cachesim`. Its
 //! [`SessionBuilder::step`] reports, for each record, the user of the
 //! open it belongs to, the run it billed, and the time of the previous
-//! event on the same id ([`Step`]). Activity points (Table IV) and event
-//! gaps (Section 3.1) come from that step, so no analyzer repeats the
-//! paper's run-billing rule or looks the id up again. About 90% of the
-//! records in a generated trace are opens, seeks and closes, and each
-//! costs the pass one hash lookup.
+//! event on the same id ([`Step`](fstrace::Step)). Activity points
+//! (Table IV) and event gaps (Section 3.1) come from that step, so no
+//! analysis repeats the paper's run-billing rule or looks the id up
+//! again. About 90% of the records in a generated trace are opens,
+//! seeks and closes, and each costs the pass one hash lookup.
 //!
 //! Table IV's window sums go to [`simstat::WindowedSums`], which keeps
 //! only the newest window open and appends closed windows in order, so
@@ -42,26 +47,27 @@
 //! # Fidelity
 //!
 //! In the replay-fidelity taxonomy (`cachesim::Fidelity`, DESIGN.md
-//! §15) this suite is open/syscall-level *by construction*: analyzers
-//! consume records and [`OpenSession`]s — never block decompositions —
-//! so its results are invariant across replay fidelities. It is fed
-//! through the same record layer as the expanders, which is what lets
-//! one trace pass drive both Section-5 analysis and any-fidelity cache
-//! replay.
+//! §15) this suite is open/syscall-level *by construction*: the
+//! builders consume records and [`OpenSession`](fstrace::OpenSession)s
+//! — never block decompositions — so its results are invariant across
+//! replay fidelities. It is fed through the same record layer as the
+//! expanders, which is what lets one trace pass drive both Section-5
+//! analysis and any-fidelity cache replay.
 //!
-//! # Contract
+//! # Order
 //!
-//! An [`Analyzer`] sees, in trace order:
+//! In trace order, the builders see:
 //!
-//! 1. [`Analyzer::observe`] for every record, with the [`Step`] the
-//!    shared session builder computed for it;
-//! 2. [`Analyzer::on_session`] immediately after the `close` record that
-//!    completed the session (after `observe` of that same record);
-//! 3. [`Analyzer::on_unclosed`] at end of stream for each never-closed
-//!    session, ordered by `(open_time, open_id)`;
-//! 4. [`Analyzer::finish`] exactly once to produce the result.
+//! 1. every record (activity, lifetimes, gaps), with the
+//!    [`Step`](fstrace::Step) the shared session builder computed for
+//!    it where the builder needs it;
+//! 2. each session right after the `close` record that completed it
+//!    has been seen (every session-driven analysis);
+//! 3. at end of stream, each never-closed session, ordered by
+//!    `(open_time, open_id)` (run lengths and users);
+//! 4. one `finish` each, to produce its analysis.
 
-use fstrace::{OpenSession, SessionBuilder, Step, TraceRecord};
+use fstrace::{SessionBuilder, TraceRecord};
 
 use crate::activity::{ActivityAnalysis, ActivityBuilder};
 use crate::intervals::{EventGapAnalysis, EventGapBuilder};
@@ -72,32 +78,6 @@ use crate::sequential::{
 };
 use crate::sizes::{FileSizeAnalysis, FileSizeBuilder};
 use crate::users::{UserAnalysis, UserAnalysisBuilder};
-
-/// An incremental trace analyzer.
-///
-/// Implementations accumulate state from records and reconstructed
-/// sessions, then produce their summary in [`Analyzer::finish`]. The
-/// default method bodies ignore the corresponding input, so a purely
-/// session-driven analyzer implements only [`Analyzer::on_session`] and
-/// a purely record-driven one only [`Analyzer::observe`].
-pub trait Analyzer {
-    /// The summary produced at the end of the stream.
-    type Output;
-
-    /// Feeds one trace record, in time order, with what it did to its
-    /// open id.
-    fn observe(&mut self, _rec: &TraceRecord, _step: Step) {}
-
-    /// Feeds a session completed by the record just observed.
-    fn on_session(&mut self, _s: &OpenSession) {}
-
-    /// Feeds a session still open when the stream ended
-    /// (`close_time == None`).
-    fn on_unclosed(&mut self, _s: &OpenSession) {}
-
-    /// Consumes the analyzer, producing its summary.
-    fn finish(self) -> Self::Output;
-}
 
 /// The result of one shared pass over a trace: every analysis this
 /// crate offers, computed together.
@@ -161,11 +141,11 @@ impl AnalysisStream {
     pub fn observe(&mut self, rec: &TraceRecord) {
         let (step, closed) = self.sessions.step(rec);
         self.activity.observe(rec, step);
-        self.lifetimes.observe(rec, step);
+        self.lifetimes.observe(rec);
         self.gaps.observe(rec, step);
         if let Some(s) = closed {
             self.sequentiality.on_session(s);
-            self.run_lengths.on_session(s);
+            self.run_lengths.add_runs(s);
             self.sizes.on_session(s);
             self.open_times.on_session(s);
             self.lifetimes.on_session(s);
@@ -210,7 +190,7 @@ impl AnalysisStream {
         } = self;
         let (unclosed, _anomalies) = sessions.finish();
         for s in &unclosed {
-            run_lengths.on_unclosed(s);
+            run_lengths.add_runs(s);
             users.on_unclosed(s);
         }
         AnalysisSuite {
@@ -226,30 +206,9 @@ impl AnalysisStream {
     }
 }
 
-/// Drives one analyzer over `records` with a [`SessionBuilder`] of its
-/// own, following the [`Analyzer`] contract: the loop behind the
-/// standalone `analyze(...)` wrappers.
-pub(crate) fn drive<A: Analyzer>(mut analyzer: A, records: &[TraceRecord]) -> A::Output {
-    let mut sessions = SessionBuilder::new();
-    for rec in records {
-        let (step, closed) = sessions.step(rec);
-        analyzer.observe(rec, step);
-        if let Some(s) = closed {
-            analyzer.on_session(s);
-        }
-    }
-    for s in &sessions.finish().0 {
-        analyzer.on_unclosed(s);
-    }
-    analyzer.finish()
-}
-
 /// Runs every analyzer over `records` in a single shared pass.
 ///
-/// `records` must be in time order (any [`fstrace::Trace`] is). This is
-/// the streaming equivalent of calling each `analyze(...)` entry point
-/// separately — and produces bit-identical results, because those entry
-/// points are wrappers over the same builders.
+/// `records` must be in time order (any [`fstrace::Trace`] is).
 ///
 /// Accepts borrowed or owned records (anything
 /// `Borrow<TraceRecord>`), so both `Trace::records()` and decoded
@@ -317,74 +276,6 @@ mod tests {
         b.open(22_000, f3, u1, AccessMode::ReadOnly, 32_000, false); // Unclosed.
         b.close(23_000, fstrace::OpenId(999), 10); // Orphan.
         b.finish()
-    }
-
-    #[test]
-    fn suite_matches_individual_analyses() {
-        let trace = sample();
-        let windows = [600, 10];
-        let suite = run_analyzers(trace.records(), &windows);
-
-        let mut activity = ActivityAnalysis::analyze(&trace, &windows);
-        assert_eq!(suite.activity.total_bytes, activity.total_bytes);
-        assert_eq!(suite.activity.total_users, activity.total_users);
-        assert_eq!(suite.activity.duration_secs, activity.duration_secs);
-        let mut suite_activity = suite.activity.clone();
-        for (a, b) in suite_activity.windows.iter_mut().zip(&mut activity.windows) {
-            assert_eq!(a.max_active, b.max_active);
-            assert_eq!(a.avg_active(), b.avg_active());
-            assert_eq!(a.avg_throughput(), b.avg_throughput());
-            assert_eq!(
-                a.throughput_per_active.population_stddev(),
-                b.throughput_per_active.population_stddev()
-            );
-        }
-
-        let sessions = trace.sessions();
-        let seq = SequentialityReport::analyze(&sessions);
-        assert_eq!(suite.sequentiality.total_accesses(), seq.total_accesses());
-        assert_eq!(suite.sequentiality.total_bytes(), seq.total_bytes());
-        assert_eq!(
-            suite.sequentiality.whole_file_fraction(),
-            seq.whole_file_fraction()
-        );
-
-        let mut runs = RunLengthAnalysis::analyze(&sessions);
-        let mut suite_runs = suite.run_lengths.clone();
-        assert_eq!(
-            suite_runs.by_runs.total_weight(),
-            runs.by_runs.total_weight()
-        );
-        assert_eq!(
-            suite_runs.fraction_of_bytes_le(1_000),
-            runs.fraction_of_bytes_le(1_000)
-        );
-
-        let mut sizes = FileSizeAnalysis::analyze(&sessions);
-        let mut suite_sizes = suite.sizes.clone();
-        assert_eq!(
-            suite_sizes.fraction_of_accesses_le(1_000),
-            sizes.fraction_of_accesses_le(1_000)
-        );
-
-        let mut open_times = OpenTimeAnalysis::analyze(&sessions);
-        let mut suite_open = suite.open_times.clone();
-        assert_eq!(suite_open.median_ms(), open_times.median_ms());
-
-        let lifetimes = LifetimeAnalysis::analyze(&trace);
-        assert_eq!(suite.lifetimes.events, lifetimes.events);
-        assert_eq!(suite.lifetimes.censored, lifetimes.censored);
-
-        let mut gaps = EventGapAnalysis::analyze(&trace);
-        let mut suite_gaps = suite.gaps.clone();
-        assert_eq!(
-            suite_gaps.gaps_ms.total_weight(),
-            gaps.gaps_ms.total_weight()
-        );
-        assert_eq!(suite_gaps.fraction_le_secs(0.5), gaps.fraction_le_secs(0.5));
-
-        let users = UserAnalysis::analyze(&trace);
-        assert_eq!(suite.users.users, users.users);
     }
 
     #[test]

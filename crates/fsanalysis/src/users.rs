@@ -5,9 +5,7 @@
 //! intervals". This module quantifies that: per-user totals and the
 //! peak-to-mean ratio of each user's transfer rate.
 
-use fstrace::{FastMap, OpenSession, Trace, UserId};
-
-use crate::stream::{drive, Analyzer};
+use fstrace::{FastMap, OpenSession, UserId};
 
 /// Activity attributed to one user.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,7 +33,8 @@ impl UserActivity {
     }
 }
 
-/// Per-user activity table.
+/// Per-user activity table: transfers, billed at close or seek,
+/// attributed to users.
 #[derive(Debug, Clone, Default)]
 pub struct UserAnalysis {
     /// Activity per user, sorted by bytes descending.
@@ -43,13 +42,6 @@ pub struct UserAnalysis {
 }
 
 impl UserAnalysis {
-    /// Attributes transfers (billed at close/seek) to users.
-    ///
-    /// A thin wrapper over the streaming [`UserAnalysisBuilder`].
-    pub fn analyze(trace: &Trace) -> Self {
-        drive(UserAnalysisBuilder::default(), trace.records())
-    }
-
     /// The `n` heaviest users by bytes.
     pub fn top(&self, n: usize) -> &[UserActivity] {
         &self.users[..n.min(self.users.len())]
@@ -66,11 +58,10 @@ impl UserAnalysis {
     }
 }
 
-/// Streaming form of [`UserAnalysis::analyze`]: per-user totals and
-/// 10-second windows accumulate as sessions arrive. Memory is O(users ×
+/// Builds [`UserAnalysis`]: per-user totals and 10-second windows accumulate as sessions arrive. Memory is O(users ×
 /// active windows), never O(records).
 #[derive(Debug, Clone, Default)]
-pub struct UserAnalysisBuilder {
+pub(crate) struct UserAnalysisBuilder {
     users: FastMap<UserId, UserTotals>,
     /// Bytes per (user, 10-second window) with activity.
     windows: FastMap<(UserId, u64), u64>,
@@ -100,20 +91,19 @@ impl UserAnalysisBuilder {
         }
         totals
     }
-}
 
-impl Analyzer for UserAnalysisBuilder {
-    type Output = UserAnalysis;
-
-    fn on_session(&mut self, s: &OpenSession) {
+    /// Feeds a session completed by the record just observed.
+    pub(crate) fn on_session(&mut self, s: &OpenSession) {
         self.add_runs(s).sessions += 1;
     }
 
-    fn on_unclosed(&mut self, s: &OpenSession) {
+    /// Feeds a session still open when the stream ended.
+    pub(crate) fn on_unclosed(&mut self, s: &OpenSession) {
         self.add_runs(s);
     }
 
-    fn finish(self) -> UserAnalysis {
+    /// Produces the table, heaviest users first.
+    pub(crate) fn finish(self) -> UserAnalysis {
         let UserAnalysisBuilder { mut users, windows } = self;
         // One pass over the windows, folded into their users' rows.
         for (&(user, _), &bytes) in &windows {
@@ -143,7 +133,12 @@ impl Analyzer for UserAnalysisBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fstrace::{AccessMode, TraceBuilder};
+    use crate::run_analyzers;
+    use fstrace::{AccessMode, Trace, TraceBuilder};
+
+    fn users(trace: &Trace) -> UserAnalysis {
+        run_analyzers(trace.records(), &[]).users
+    }
 
     fn two_users() -> Trace {
         let mut b = TraceBuilder::new();
@@ -164,7 +159,7 @@ mod tests {
 
     #[test]
     fn orders_users_by_bytes() {
-        let a = UserAnalysis::analyze(&two_users());
+        let a = users(&two_users());
         assert_eq!(a.users.len(), 2);
         assert_eq!(a.users[0].bytes, 110_000);
         assert_eq!(a.users[0].sessions, 2);
@@ -173,7 +168,7 @@ mod tests {
 
     #[test]
     fn burstiness_reflects_uneven_windows() {
-        let a = UserAnalysis::analyze(&two_users());
+        let a = users(&two_users());
         let heavy = &a.users[0];
         // Windows: 100 000 in one, 10 000 in another → mean 55 000.
         assert_eq!(heavy.peak_10s_bytes, 100_000);
@@ -184,7 +179,7 @@ mod tests {
 
     #[test]
     fn concentration_sums_correctly() {
-        let a = UserAnalysis::analyze(&two_users());
+        let a = users(&two_users());
         assert!((a.concentration(1) - 110_000.0 / 110_500.0).abs() < 1e-9);
         assert!((a.concentration(10) - 1.0).abs() < 1e-9);
         assert_eq!(UserAnalysis::default().concentration(3), 0.0);

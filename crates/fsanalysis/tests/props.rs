@@ -1,10 +1,8 @@
-//! Property-based tests: the analyzers against brute-force recomputation
-//! on randomly generated (but well-formed) traces.
+//! Property-based tests: the analyses against brute-force recomputation
+//! on randomly generated (but well-formed) traces, and against legacy
+//! copies of the pre-change analyzers on anomalous ones.
 
-use fsanalysis::{
-    run_analyzers, ActivityAnalysis, EventGapAnalysis, FileSizeAnalysis, LifetimeAnalysis,
-    OpenTimeAnalysis, RunLengthAnalysis, SequentialityReport, UserAnalysis,
-};
+use fsanalysis::{run_analyzers, AnalysisSuite};
 use fstrace::{AccessMode, FileId, OpenId, Trace, TraceBuilder, TraceEvent, TraceRecord, UserId};
 use proptest::prelude::*;
 
@@ -138,6 +136,11 @@ fn arb_raw_event() -> impl Strategy<Value = TraceEvent> {
     ]
 }
 
+/// Every analysis of `trace`, from the one shared pass.
+fn suite(trace: &Trace) -> AnalysisSuite {
+    run_analyzers(trace.records(), &[600, 10])
+}
+
 fn arb_raw_trace() -> impl Strategy<Value = Trace> {
     prop::collection::vec((0u64..600_000u64, arb_raw_event()), 0..150).prop_map(|pairs| {
         Trace::from_records(
@@ -152,57 +155,29 @@ fn arb_raw_trace() -> impl Strategy<Value = Trace> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The one-pass streaming suite agrees with every standalone
-    /// analyzer on arbitrary traces — including anomalous ones, where
-    /// both sides must drop the same malformed sessions.
+    /// The suite's session-driven analyses see exactly the sessions the
+    /// trace reconstructs, brute-forced from `Trace::sessions`: every
+    /// completed session, plus the unclosed ones for run lengths, on
+    /// traces with orphan seeks and closes, duplicate opens and
+    /// unclosed sessions.
     #[test]
-    fn streaming_suite_matches_wrappers(trace in arb_raw_trace()) {
-        let windows = [600, 10];
-        let suite = run_analyzers(trace.records(), &windows);
+    fn suite_matches_session_set(trace in arb_raw_trace()) {
+        let suite = suite(&trace);
         let sessions = trace.sessions();
-
-        let activity = ActivityAnalysis::analyze(&trace, &windows);
-        prop_assert_eq!(suite.activity.total_bytes, activity.total_bytes);
-        prop_assert_eq!(suite.activity.total_users, activity.total_users);
-        prop_assert_eq!(suite.activity.duration_secs, activity.duration_secs);
-
-        let seq = SequentialityReport::analyze(&sessions);
-        prop_assert_eq!(suite.sequentiality.total_accesses(), seq.total_accesses());
-        prop_assert_eq!(suite.sequentiality.total_bytes(), seq.total_bytes());
-
-        let mut runs = RunLengthAnalysis::analyze(&sessions);
-        let mut suite_runs = suite.run_lengths.clone();
-        prop_assert_eq!(suite_runs.by_runs.total_weight(), runs.by_runs.total_weight());
-        prop_assert_eq!(suite_runs.by_bytes.total_weight(), runs.by_bytes.total_weight());
-        prop_assert_eq!(suite_runs.fraction_of_runs_le(4096), runs.fraction_of_runs_le(4096));
-
-        let mut sizes = FileSizeAnalysis::analyze(&sessions);
-        let mut suite_sizes = suite.sizes.clone();
-        prop_assert_eq!(suite_sizes.by_files.total_weight(), sizes.by_files.total_weight());
+        let complete: Vec<_> = sessions.complete().collect();
+        let bytes: u64 = complete.iter().map(|s| s.bytes_transferred()).sum();
+        prop_assert_eq!(suite.sequentiality.total_accesses(), complete.len() as u64);
+        prop_assert_eq!(suite.sequentiality.total_bytes(), bytes);
+        prop_assert_eq!(suite.sizes.by_files.total_weight(), complete.len() as u64);
+        prop_assert_eq!(suite.sizes.by_bytes.total_weight(), bytes);
+        let timed = complete.iter().filter(|s| s.open_duration_ms().is_some()).count();
+        prop_assert_eq!(suite.open_times.durations_ms.total_weight(), timed as u64);
+        let runs = sessions.all().iter().flat_map(|s| &s.runs);
+        prop_assert_eq!(suite.run_lengths.by_runs.total_weight(), runs.clone().count() as u64);
         prop_assert_eq!(
-            suite_sizes.fraction_of_accesses_le(10 * 1024),
-            sizes.fraction_of_accesses_le(10 * 1024)
+            suite.run_lengths.by_bytes.total_weight(),
+            runs.map(|r| r.len).sum::<u64>()
         );
-
-        let mut open_times = OpenTimeAnalysis::analyze(&sessions);
-        let mut suite_open = suite.open_times.clone();
-        prop_assert_eq!(suite_open.median_ms(), open_times.median_ms());
-        prop_assert_eq!(
-            suite_open.fraction_le_secs(10.0),
-            open_times.fraction_le_secs(10.0)
-        );
-
-        let lifetimes = LifetimeAnalysis::analyze(&trace);
-        prop_assert_eq!(suite.lifetimes.events.clone(), lifetimes.events);
-        prop_assert_eq!(suite.lifetimes.censored, lifetimes.censored);
-
-        let mut gaps = EventGapAnalysis::analyze(&trace);
-        let mut suite_gaps = suite.gaps.clone();
-        prop_assert_eq!(suite_gaps.gaps_ms.total_weight(), gaps.gaps_ms.total_weight());
-        prop_assert_eq!(suite_gaps.fraction_le_secs(0.5), gaps.fraction_le_secs(0.5));
-
-        let users = UserAnalysis::analyze(&trace);
-        prop_assert_eq!(suite.users.users.clone(), users.users);
     }
 
     /// The shared pass against independent copies of the pre-change
@@ -224,9 +199,8 @@ proptest! {
     #[test]
     fn run_lengths_match_construction(specs in prop::collection::vec(arb_session(), 1..30)) {
         let (trace, expected) = build(&specs);
-        let sessions = trace.sessions();
-        prop_assert_eq!(sessions.anomalies(), 0);
-        let mut analysis = RunLengthAnalysis::analyze(&sessions);
+        prop_assert_eq!(trace.sessions().anomalies(), 0);
+        let mut analysis = suite(&trace).run_lengths;
         let total_runs: usize = expected.iter().map(Vec::len).sum();
         let total_bytes: u64 = expected.iter().flatten().sum();
         prop_assert_eq!(analysis.by_runs.total_weight(), total_runs as u64);
@@ -242,7 +216,7 @@ proptest! {
     #[test]
     fn sequentiality_matches_bruteforce(specs in prop::collection::vec(arb_session(), 1..30)) {
         let (trace, expected) = build(&specs);
-        let report = SequentialityReport::analyze(&trace.sessions());
+        let report = suite(&trace).sequentiality;
         let brute_sequential = expected.iter().filter(|r| r.len() <= 1).count() as u64;
         let got = report.read_only.sequential
             + report.write_only.sequential
@@ -255,7 +229,7 @@ proptest! {
     #[test]
     fn activity_conserves_bytes(specs in prop::collection::vec(arb_session(), 1..30)) {
         let (trace, expected) = build(&specs);
-        let act = ActivityAnalysis::analyze(&trace, &[10]);
+        let act = suite(&trace).activity;
         let total: u64 = expected.iter().flatten().sum();
         prop_assert_eq!(act.total_bytes, total);
         let distinct: std::collections::HashSet<u32> =
@@ -267,7 +241,7 @@ proptest! {
     #[test]
     fn user_analysis_partitions_bytes(specs in prop::collection::vec(arb_session(), 1..30)) {
         let (trace, expected) = build(&specs);
-        let ua = UserAnalysis::analyze(&trace);
+        let ua = suite(&trace).users;
         let total: u64 = expected.iter().flatten().sum();
         let sum: u64 = ua.users.iter().map(|u| u.bytes).sum();
         prop_assert_eq!(sum, total);
@@ -288,7 +262,7 @@ proptest! {
             let max_run_end = s.runs.iter().map(|r| r.end()).max().unwrap_or(0);
             prop_assert!(s.size_at_close() >= max_run_end);
         }
-        let a = FileSizeAnalysis::analyze(&sessions);
+        let a = suite(&trace).sizes;
         prop_assert_eq!(a.by_files.total_weight(), specs.len() as u64);
     }
 
@@ -297,7 +271,7 @@ proptest! {
     #[test]
     fn lifetimes_are_causal(specs in prop::collection::vec(arb_session(), 1..30)) {
         let (trace, _) = build(&specs);
-        let lt = LifetimeAnalysis::analyze(&trace);
+        let lt = suite(&trace).lifetimes;
         for e in &lt.events {
             prop_assert!(e.died_ms >= e.born_ms);
         }

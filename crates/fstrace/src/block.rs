@@ -1,14 +1,8 @@
 //! Columnar batched decoding: a [`RecordBlock`] of column vectors.
 //!
-//! The scalar codec ([`crate::codec::decode_from`]) turns bytes into one
-//! [`TraceRecord`] at a time: every field is a separate bounds-checked
-//! varint loop, and every record round-trips through a `Result` before
-//! the consumer sees it. That shape is the replay bottleneck once the
-//! simulators themselves are fast (see DESIGN.md §13).
-//!
-//! [`decode_block`] instead decodes a whole run of records — a full
-//! archive chunk, or a fixed-size batch of a flat stream — into column
-//! vectors in one pass over a zero-copy byte slice:
+//! [`decode_block`] decodes a whole run of records — a full archive
+//! chunk, or a fixed-size batch of a flat stream — into column vectors
+//! in one pass over a zero-copy byte slice:
 //!
 //! * timestamps are materialized from the delta chain as absolute ticks,
 //! * op codes (the wire tags) land in a contiguous tag column,
@@ -16,15 +10,30 @@
 //! * per-record end offsets are kept so streaming readers can still
 //!   account byte positions record by record.
 //!
-//! The inner varint reads go through [`get_varint_fast`], a
-//! word-at-a-time reader that loads eight bytes at once, locates the
-//! terminating byte with a single bit scan, and assembles the value
-//! with branch-free shift-mask steps. Batched decode is
-//! **bit-identical** to the scalar path —
-//! same records, same errors at the same buffer offsets — which the
-//! property tests in `tests/props.rs` enforce by feeding both decoders
-//! random traces and adversarial byte strings. The scalar path stays
-//! as the oracle.
+//! # Two paths, one record decoder
+//!
+//! Each record takes one of two paths. The bit-parallel path loads
+//! eight bytes as one word and takes a record whose varints all stop
+//! inside that window (two windows for `open`/`create`), with one bit
+//! scan per varint. It carries the machine-local ids of single-machine
+//! traces and ingest frames. Every other record — a buffer tail, an
+//! unknown tag, or a varint too long for the window, such as the
+//! six-byte ids of a stored fleet, whose machines sit 2^40 apart —
+//! falls back to the crate's one per-tag record decoder, which reads
+//! the delta and then each payload field into a row. It checks the
+//! access mode right after reading it, the user id after the last
+//! field, and reports an unknown tag after the delta. The fallback
+//! hands it [`get_varint_fast`], a word-at-a-time varint reader; the
+//! scalar [`crate::codec::decode_from`] hands it the byte-at-a-time
+//! [`get_varint`]. Both turn the checked row into an event with one
+//! conversion, the one [`RecordBlock::get`] uses.
+//!
+//! So batched decode is **bit-identical** to the scalar path — same
+//! records, same errors at the same buffer offsets. The property tests
+//! in `tests/props.rs` check both against a frozen copy of the earlier
+//! scalar decoder, on random traces (machine-local and fleet ids),
+//! byte soup, single-byte corruptions and every truncation. DESIGN.md
+//! §13 gives the traffic each path carries.
 //!
 //! Consumers iterate the flat columns directly ([`RecordBlock::get`]
 //! materializes one record view on demand, [`FillRecords`] adapts a
@@ -40,7 +49,7 @@ use crate::ids::{FileId, OpenId, Timestamp, UserId};
 
 /// Payload columns per record: the widest event (`open`) carries five
 /// varints, so the value column has a fixed stride of five.
-const FIELDS: usize = 5;
+pub(crate) const FIELDS: usize = 5;
 
 /// Default record count per batch for flat-stream decoding: large
 /// enough to amortize per-batch work, small enough that a batch of
@@ -204,49 +213,9 @@ impl RecordBlock {
     ///
     /// Infallible: every field was validated during [`decode_block`].
     pub fn get(&self, i: usize) -> TraceRecord {
-        let v = self.fields(i);
-        let tag = self.tags[i];
-        let event = match tag {
-            TAG_OPEN | TAG_CREATE => TraceEvent::Open {
-                open_id: OpenId(v[0]),
-                file_id: FileId(v[1]),
-                user_id: UserId(v[2] as u32),
-                mode: match v[3] {
-                    MODE_RO => AccessMode::ReadOnly,
-                    MODE_WO => AccessMode::WriteOnly,
-                    _ => AccessMode::ReadWrite,
-                },
-                size: v[4],
-                created: tag == TAG_CREATE,
-            },
-            TAG_CLOSE => TraceEvent::Close {
-                open_id: OpenId(v[0]),
-                final_pos: v[1],
-            },
-            TAG_SEEK => TraceEvent::Seek {
-                open_id: OpenId(v[0]),
-                old_pos: v[1],
-                new_pos: v[2],
-            },
-            TAG_UNLINK => TraceEvent::Unlink {
-                file_id: FileId(v[0]),
-                user_id: UserId(v[1] as u32),
-            },
-            TAG_TRUNCATE => TraceEvent::Truncate {
-                file_id: FileId(v[0]),
-                new_len: v[1],
-                user_id: UserId(v[2] as u32),
-            },
-            TAG_EXECVE => TraceEvent::Execve {
-                file_id: FileId(v[0]),
-                user_id: UserId(v[1] as u32),
-                size: v[2],
-            },
-            other => unreachable!("decode_block only stores validated tags, found {other}"),
-        };
         TraceRecord {
             time: Timestamp::from_ticks(self.ticks[i]),
-            event,
+            event: row_event(self.tags[i], self.fields(i)),
         }
     }
 
@@ -312,8 +281,10 @@ pub fn decode_block(
     Ok(ticks)
 }
 
-/// Decodes one record into the columns. Field order, validation order,
-/// and error positions mirror the scalar `decode_from` exactly.
+/// Decodes one record into the columns: through the bit-parallel path
+/// when the record fits its window, else through the shared record
+/// decoder, so field order, validation order and error positions are
+/// the scalar `decode_from`'s.
 ///
 /// On failure a partial value row may be left in `out.vals`; the caller
 /// ([`decode_block`]) truncates it back, keeping the cleanup off the
@@ -336,10 +307,11 @@ fn decode_one(
     decode_one_slow(buf, pos, tag, prev_ticks, out)
 }
 
-/// The per-varint decode loop: handles the records the bit-parallel
-/// fast path declines (buffer tail, nine-byte-plus varints, unknown
-/// tags) and owns all the malformed-input error reporting. Kept out of
-/// line so the hot loop stays small.
+/// The fallback for the records the bit-parallel fast path declines
+/// (buffer tail, varints too long for its window, unknown tags): the
+/// shared record decoder with the word-at-a-time varint reader, writing
+/// straight into the value column. Kept out of line so the hot loop
+/// stays small.
 #[inline(never)]
 fn decode_one_slow(
     buf: &[u8],
@@ -348,69 +320,138 @@ fn decode_one_slow(
     prev_ticks: u64,
     out: &mut RecordBlock,
 ) -> Result<u64, DecodeError> {
-    let dt = get_varint_fast(buf, pos)?;
-    // Saturate like the scalar decoder: a corrupt delta must not wrap
-    // the clock (or panic in debug builds).
-    let ticks = prev_ticks.saturating_add(dt);
-    // Write fields straight into the value column — the zero-filled row
-    // is the stride padding, so no per-record scratch copy is needed.
+    // The zero-filled row is the stride padding, so no per-record
+    // scratch copy is needed.
     let base = out.vals.len();
     out.vals.resize(base + FIELDS, 0);
-    let v: &mut [u64; FIELDS] = (&mut out.vals[base..base + FIELDS])
+    let row = (&mut out.vals[base..])
         .try_into()
         .expect("row is FIELDS wide");
+    let ticks = decode_row(buf, pos, tag, prev_ticks, row, get_varint_fast)?;
+    out.tags.push(tag);
+    out.ticks.push(ticks);
+    out.ends.push(*pos as u32);
+    Ok(ticks)
+}
+
+/// The one per-tag record decoder: reads the timestamp delta after
+/// `tag`, then each payload field into `v` in wire order, with
+/// `varint` as the varint reader. Returns the record's tick count.
+///
+/// The access mode is checked right after it is read, the user id
+/// after the last field, and an unknown tag is reported after the
+/// delta. On error `v` may hold a partial row and `*pos` lies inside
+/// the failing record, as `varint` left it.
+#[inline(always)]
+pub(crate) fn decode_row<V>(
+    buf: &[u8],
+    pos: &mut usize,
+    tag: u8,
+    prev_ticks: u64,
+    v: &mut [u64; FIELDS],
+    varint: V,
+) -> Result<u64, DecodeError>
+where
+    V: Fn(&[u8], &mut usize) -> Result<u64, DecodeError>,
+{
+    let dt = varint(buf, pos)?;
+    // Saturate: a corrupt delta must not wrap the clock (or panic in
+    // debug builds).
+    let ticks = prev_ticks.saturating_add(dt);
     match tag {
         TAG_OPEN | TAG_CREATE => {
-            v[0] = get_varint_fast(buf, pos)?;
-            v[1] = get_varint_fast(buf, pos)?;
-            v[2] = get_varint_fast(buf, pos)?;
-            v[3] = get_varint_fast(buf, pos)?;
+            v[0] = varint(buf, pos)?;
+            v[1] = varint(buf, pos)?;
+            v[2] = varint(buf, pos)?;
+            v[3] = varint(buf, pos)?;
             if v[3] > MODE_RW {
                 return Err(DecodeError::BadField("access mode"));
             }
-            v[4] = get_varint_fast(buf, pos)?;
+            v[4] = varint(buf, pos)?;
             if v[2] > u64::from(u32::MAX) {
                 return Err(DecodeError::BadField("user id"));
             }
         }
         TAG_CLOSE => {
-            v[0] = get_varint_fast(buf, pos)?;
-            v[1] = get_varint_fast(buf, pos)?;
+            v[0] = varint(buf, pos)?;
+            v[1] = varint(buf, pos)?;
         }
         TAG_SEEK => {
-            v[0] = get_varint_fast(buf, pos)?;
-            v[1] = get_varint_fast(buf, pos)?;
-            v[2] = get_varint_fast(buf, pos)?;
+            v[0] = varint(buf, pos)?;
+            v[1] = varint(buf, pos)?;
+            v[2] = varint(buf, pos)?;
         }
         TAG_UNLINK => {
-            v[0] = get_varint_fast(buf, pos)?;
-            v[1] = get_varint_fast(buf, pos)?;
+            v[0] = varint(buf, pos)?;
+            v[1] = varint(buf, pos)?;
             if v[1] > u64::from(u32::MAX) {
                 return Err(DecodeError::BadField("user id"));
             }
         }
         TAG_TRUNCATE => {
-            v[0] = get_varint_fast(buf, pos)?;
-            v[1] = get_varint_fast(buf, pos)?;
-            v[2] = get_varint_fast(buf, pos)?;
+            v[0] = varint(buf, pos)?;
+            v[1] = varint(buf, pos)?;
+            v[2] = varint(buf, pos)?;
             if v[2] > u64::from(u32::MAX) {
                 return Err(DecodeError::BadField("user id"));
             }
         }
         TAG_EXECVE => {
-            v[0] = get_varint_fast(buf, pos)?;
-            v[1] = get_varint_fast(buf, pos)?;
-            v[2] = get_varint_fast(buf, pos)?;
+            v[0] = varint(buf, pos)?;
+            v[1] = varint(buf, pos)?;
+            v[2] = varint(buf, pos)?;
             if v[1] > u64::from(u32::MAX) {
                 return Err(DecodeError::BadField("user id"));
             }
         }
         other => return Err(DecodeError::BadTag(other)),
     }
-    out.tags.push(tag);
-    out.ticks.push(ticks);
-    out.ends.push(*pos as u32);
     Ok(ticks)
+}
+
+/// The one row → event conversion: turns a row that passed
+/// [`decode_row`]'s checks (or the fast path's, which are the same)
+/// into its event.
+#[inline(always)]
+pub(crate) fn row_event(tag: u8, v: &[u64]) -> TraceEvent {
+    match tag {
+        TAG_OPEN | TAG_CREATE => TraceEvent::Open {
+            open_id: OpenId(v[0]),
+            file_id: FileId(v[1]),
+            user_id: UserId(v[2] as u32),
+            mode: match v[3] {
+                MODE_RO => AccessMode::ReadOnly,
+                MODE_WO => AccessMode::WriteOnly,
+                _ => AccessMode::ReadWrite,
+            },
+            size: v[4],
+            created: tag == TAG_CREATE,
+        },
+        TAG_CLOSE => TraceEvent::Close {
+            open_id: OpenId(v[0]),
+            final_pos: v[1],
+        },
+        TAG_SEEK => TraceEvent::Seek {
+            open_id: OpenId(v[0]),
+            old_pos: v[1],
+            new_pos: v[2],
+        },
+        TAG_UNLINK => TraceEvent::Unlink {
+            file_id: FileId(v[0]),
+            user_id: UserId(v[1] as u32),
+        },
+        TAG_TRUNCATE => TraceEvent::Truncate {
+            file_id: FileId(v[0]),
+            new_len: v[1],
+            user_id: UserId(v[2] as u32),
+        },
+        TAG_EXECVE => TraceEvent::Execve {
+            file_id: FileId(v[0]),
+            user_id: UserId(v[1] as u32),
+            size: v[2],
+        },
+        other => unreachable!("decoders only pass validated tags, found {other}"),
+    }
 }
 
 /// Extracts the next varint from the loaded window `x`, given its stop

@@ -16,11 +16,21 @@
 //! ```
 //!
 //! Payloads per tag are sequences of varints (see `encode_into`).
+//!
+//! # Decoding
+//!
+//! One per-tag record decoder, in [`crate::block`], reads every binary
+//! record. [`decode_from`] runs it one record at a time with the
+//! byte-at-a-time [`get_varint`]; [`TraceReader`] decodes in batches
+//! through [`decode_block`], whose bit-parallel path takes the records
+//! that fit an eight-byte window and hands the rest to the same
+//! decoder. Both produce the same records and the same errors at the
+//! same offsets.
 
 use std::io::{self, Read, Write};
 use std::sync::OnceLock;
 
-use crate::block::{decode_block, RecordBlock, BATCH_RECORDS};
+use crate::block::{decode_block, decode_row, row_event, RecordBlock, BATCH_RECORDS, FIELDS};
 use crate::event::{AccessMode, TraceEvent, TraceRecord};
 use crate::ids::{FileId, OpenId, Timestamp, UserId};
 
@@ -192,15 +202,6 @@ fn mode_code(mode: AccessMode) -> u64 {
     }
 }
 
-fn mode_from_code(code: u64) -> Result<AccessMode, DecodeError> {
-    match code {
-        MODE_RO => Ok(AccessMode::ReadOnly),
-        MODE_WO => Ok(AccessMode::WriteOnly),
-        MODE_RW => Ok(AccessMode::ReadWrite),
-        _ => Err(DecodeError::BadField("access mode")),
-    }
-}
-
 /// Encodes one record into `out`, delta-encoding its timestamp against
 /// `prev_ticks` (pass 0 for the first record). Returns the record's own
 /// tick count for chaining.
@@ -275,6 +276,10 @@ pub fn encode_into(out: &mut Vec<u8>, rec: &TraceRecord, prev_ticks: u64) -> u64
 
 /// Decodes one record from `buf` at `*pos`; `prev_ticks` is the previous
 /// record's tick count. Returns the record and its tick count.
+///
+/// The scalar decoder: the crate's one per-tag record decoder (shared
+/// with the batched decoder's fallback, see [`crate::block`]) reading
+/// one varint byte at a time with [`get_varint`].
 pub fn decode_from(
     buf: &[u8],
     pos: &mut usize,
@@ -285,67 +290,13 @@ pub fn decode_from(
         records: 0,
     })?;
     *pos += 1;
-    let dt = get_varint(buf, pos)?;
-    // Saturate: a corrupt delta must not wrap the clock (or panic in
-    // debug builds).
-    let ticks = prev_ticks.saturating_add(dt);
-    let time = Timestamp::from_ticks(ticks);
-    let event = match tag {
-        TAG_OPEN | TAG_CREATE => {
-            let open_id = OpenId(get_varint(buf, pos)?);
-            let file_id = FileId(get_varint(buf, pos)?);
-            let user = get_varint(buf, pos)?;
-            let mode = mode_from_code(get_varint(buf, pos)?)?;
-            let size = get_varint(buf, pos)?;
-            TraceEvent::Open {
-                open_id,
-                file_id,
-                user_id: UserId(u32::try_from(user).map_err(|_| DecodeError::BadField("user id"))?),
-                mode,
-                size,
-                created: tag == TAG_CREATE,
-            }
-        }
-        TAG_CLOSE => TraceEvent::Close {
-            open_id: OpenId(get_varint(buf, pos)?),
-            final_pos: get_varint(buf, pos)?,
-        },
-        TAG_SEEK => TraceEvent::Seek {
-            open_id: OpenId(get_varint(buf, pos)?),
-            old_pos: get_varint(buf, pos)?,
-            new_pos: get_varint(buf, pos)?,
-        },
-        TAG_UNLINK => {
-            let file_id = FileId(get_varint(buf, pos)?);
-            let user = get_varint(buf, pos)?;
-            TraceEvent::Unlink {
-                file_id,
-                user_id: UserId(u32::try_from(user).map_err(|_| DecodeError::BadField("user id"))?),
-            }
-        }
-        TAG_TRUNCATE => {
-            let file_id = FileId(get_varint(buf, pos)?);
-            let new_len = get_varint(buf, pos)?;
-            let user = get_varint(buf, pos)?;
-            TraceEvent::Truncate {
-                file_id,
-                new_len,
-                user_id: UserId(u32::try_from(user).map_err(|_| DecodeError::BadField("user id"))?),
-            }
-        }
-        TAG_EXECVE => {
-            let file_id = FileId(get_varint(buf, pos)?);
-            let user = get_varint(buf, pos)?;
-            let size = get_varint(buf, pos)?;
-            TraceEvent::Execve {
-                file_id,
-                user_id: UserId(u32::try_from(user).map_err(|_| DecodeError::BadField("user id"))?),
-                size,
-            }
-        }
-        other => return Err(DecodeError::BadTag(other)),
+    let mut row = [0u64; FIELDS];
+    let ticks = decode_row(buf, pos, tag, prev_ticks, &mut row, get_varint)?;
+    let record = TraceRecord {
+        time: Timestamp::from_ticks(ticks),
+        event: row_event(tag, &row),
     };
-    Ok((TraceRecord { time, event }, ticks))
+    Ok((record, ticks))
 }
 
 /// Streaming writer of binary trace files.

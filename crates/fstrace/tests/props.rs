@@ -10,14 +10,22 @@ use fstrace::{
     TraceEvent, TraceReader, TraceRecord, UserId,
 };
 
-/// Whole-buffer scalar decode: the oracle both batched paths must match
-/// record for record and error for error.
-fn scalar_decode(buf: &[u8]) -> (Vec<TraceRecord>, Option<DecodeError>) {
+mod oracle;
+
+/// What decoding a whole buffer gave: the records before the first
+/// error, and that error.
+type Outcome = (Vec<TraceRecord>, Option<DecodeError>);
+
+/// A record-at-a-time decoder with `decode_from`'s signature.
+type RecordDecoder = fn(&[u8], &mut usize, u64) -> Result<(TraceRecord, u64), DecodeError>;
+
+/// Whole-buffer decode, one record at a time with `decode`.
+fn one_at_a_time(buf: &[u8], decode: RecordDecoder) -> Outcome {
     let mut out = Vec::new();
     let mut pos = 0usize;
     let mut prev = 0u64;
     while pos < buf.len() {
-        match decode_from(buf, &mut pos, prev) {
+        match decode(buf, &mut pos, prev) {
             Ok((r, t)) => {
                 out.push(r);
                 prev = t;
@@ -28,9 +36,21 @@ fn scalar_decode(buf: &[u8]) -> (Vec<TraceRecord>, Option<DecodeError>) {
     (out, None)
 }
 
+/// Whole-buffer decode through the frozen copy of the earlier scalar
+/// decoder (`oracle/mod.rs`): the oracle `decode_from` and the batched
+/// decoder must match record for record and error for error.
+fn oracle_decode(buf: &[u8]) -> Outcome {
+    one_at_a_time(buf, oracle::decode_from)
+}
+
+/// Whole-buffer scalar decode through `codec::decode_from`.
+fn scalar_decode(buf: &[u8]) -> Outcome {
+    one_at_a_time(buf, decode_from)
+}
+
 /// Batched decode of the same buffer, in deliberately small batches so
 /// the cross-batch tick chaining is exercised.
-fn batched_decode(buf: &[u8]) -> (Vec<TraceRecord>, Option<DecodeError>) {
+fn batched_decode(buf: &[u8]) -> Outcome {
     let mut block = RecordBlock::new();
     let mut out = Vec::new();
     let mut pos = 0usize;
@@ -53,12 +73,16 @@ fn batched_decode(buf: &[u8]) -> (Vec<TraceRecord>, Option<DecodeError>) {
     (out, None)
 }
 
-fn assert_same_outcome(
-    scalar: (Vec<TraceRecord>, Option<DecodeError>),
-    batched: (Vec<TraceRecord>, Option<DecodeError>),
-) {
-    assert_eq!(scalar.0, batched.0);
-    assert_eq!(format!("{:?}", scalar.1), format!("{:?}", batched.1));
+fn assert_same_outcome(want: &Outcome, got: &Outcome) {
+    assert_eq!(want.0, got.0);
+    assert_eq!(format!("{:?}", want.1), format!("{:?}", got.1));
+}
+
+/// `decode_from` and the batched decoder both match the oracle on `buf`.
+fn assert_decoders_match_oracle(buf: &[u8]) {
+    let want = oracle_decode(buf);
+    assert_same_outcome(&want, &scalar_decode(buf));
+    assert_same_outcome(&want, &batched_decode(buf));
 }
 
 fn arb_mode() -> impl Strategy<Value = AccessMode> {
@@ -69,7 +93,9 @@ fn arb_mode() -> impl Strategy<Value = AccessMode> {
     ]
 }
 
-fn arb_event() -> impl Strategy<Value = TraceEvent> {
+/// An event with machine-local ids: open and file ids below 1,000,
+/// user ids below 64.
+fn arb_local_event() -> impl Strategy<Value = TraceEvent> {
     prop_oneof![
         (
             0u64..1000,
@@ -113,6 +139,29 @@ fn arb_event() -> impl Strategy<Value = TraceEvent> {
             size: s,
         }),
     ]
+}
+
+/// Id stride between the machines of a fleet, as
+/// `workload::FleetConfig::machine_offsets` lays them out: machine `m`'s
+/// open and file ids start at m·2^40 and its user ids at m·2^16.
+const FLEET_ID_STRIDE: u64 = 1 << 40;
+const FLEET_USER_STRIDE: u32 = 1 << 16;
+
+/// An event whose ids sit in machine `m`'s band of a fleet of twelve.
+/// Half the events are machine-local (`m` = 0), the shape of
+/// single-machine traces and ingest frames, which the batched decoder's
+/// bit-parallel path takes; the other half carry a machine's offsets
+/// (`m` in 1..12), the six-byte ids that send a stored fleet's records
+/// to its fallback.
+fn arb_event() -> impl Strategy<Value = TraceEvent> {
+    (arb_local_event(), prop_oneof![Just(0u32), 1u32..12]).prop_map(|(e, m)| {
+        let band = IdOffsets {
+            open: u64::from(m) * FLEET_ID_STRIDE,
+            file: u64::from(m) * FLEET_ID_STRIDE,
+            user: m * FLEET_USER_STRIDE,
+        };
+        remap_record(&TraceRecord::new(0, e), band).event
+    })
 }
 
 fn arb_trace() -> impl Strategy<Value = Trace> {
@@ -404,18 +453,20 @@ proptest! {
         }
     }
 
-    /// Batched ≡ scalar on pure adversarial byte soup.
+    /// Scalar and batched decoders ≡ the oracle on pure adversarial
+    /// byte soup.
     #[test]
     fn decoders_agree_on_adversarial_bytes(
         bytes in prop::collection::vec(any::<u8>(), 0..300),
     ) {
-        assert_same_outcome(scalar_decode(&bytes), batched_decode(&bytes));
+        assert_decoders_match_oracle(&bytes);
     }
 
-    /// Batched ≡ scalar on corrupted real traces: a valid record stream
-    /// with one byte flipped and random trailing garbage. This walks
-    /// the deep error paths (bad tags, bad modes, out-of-range users,
-    /// truncations mid-payload) that byte soup rarely reaches.
+    /// Scalar and batched decoders ≡ the oracle on corrupted real
+    /// traces: a valid record stream with one byte flipped and random
+    /// trailing garbage. This walks the deep error paths (bad tags, bad
+    /// modes, out-of-range users, truncations mid-payload) that byte
+    /// soup rarely reaches, in machine-local and fleet-band records.
     #[test]
     fn decoders_agree_on_corrupted_traces(
         trace in arb_trace(),
@@ -429,17 +480,40 @@ proptest! {
             let i = flip % bytes.len();
             bytes[i] ^= xor;
         }
-        assert_same_outcome(scalar_decode(&bytes), batched_decode(&bytes));
+        assert_decoders_match_oracle(&bytes);
     }
 
-    /// Batched ≡ scalar on every valid trace (the bit-identity claim on
-    /// the success path, including timestamps resolved across batches).
+    /// Scalar and batched decoders ≡ the oracle on every valid trace
+    /// (the bit-identity claim on the success path, including
+    /// timestamps resolved across batches), and all three give the
+    /// trace back.
     #[test]
     fn decoders_agree_on_valid_traces(trace in arb_trace()) {
         let bytes = trace.to_binary();
+        assert_decoders_match_oracle(&bytes[5..]);
         let (recs, err) = batched_decode(&bytes[5..]);
         prop_assert!(err.is_none());
         prop_assert_eq!(&recs[..], trace.records());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Scalar and batched decoders ≡ the oracle on every truncation of
+    /// an encoded trace: the same records before the cut and the same
+    /// error at the same offset.
+    #[test]
+    fn decoders_agree_on_every_truncation(
+        pairs in prop::collection::vec((0u64..1_000_000u64, arb_event()), 0..40),
+    ) {
+        let trace = Trace::from_records(
+            pairs.into_iter().map(|(t, e)| TraceRecord::new(t, e)).collect(),
+        );
+        let bytes = trace.to_binary();
+        for cut in 5..=bytes.len() {
+            assert_decoders_match_oracle(&bytes[5..cut]);
+        }
     }
 }
 

@@ -14,9 +14,10 @@
 //!
 //! Input format is sniffed by magic: `FSTR` is a flat binary trace,
 //! `FSTA` a segmented archive (see the `tracestore` crate docs),
-//! anything else is parsed as text. `dump`, `pack`, and `unpack`
-//! stream record by record in bounded memory (plus, for archives, one
-//! chunk); `summary` and `sessions` load the whole trace.
+//! anything else is parsed as text. Every command reads each format one
+//! way: `dump`, `pack`, and `unpack` stream record by record in bounded
+//! memory (plus, for archives, one chunk); `summary` and `sessions`
+//! collect the same stream into the whole trace.
 //!
 //! `pack` options: `--chunk-kib N` (raw chunk target, default 256),
 //! `--no-compress`, `--name NAME` (footer trace name, default the
@@ -133,21 +134,13 @@ fn open_archive(path: &str) -> Archive {
     Archive::open(Path::new(path)).unwrap_or_else(|e| die(&format!("open {path}: {e}")))
 }
 
+/// Loads the whole trace, any format, through [`stream_records`]: the
+/// same reader `dump`, `pack` and `unpack` use, so damage aborts with
+/// the same diagnostic.
 fn load(path: &str) -> Trace {
-    let (_, format) = open_sniffed(path);
-    if format == Format::Archive {
-        // Whole-trace commands want everything intact: fail on damage.
-        let mut records = Vec::new();
-        stream_records(path, &mut records, false);
-        return Trace::from_records(records);
-    }
-    let bytes = fs::read(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
-    if bytes.starts_with(b"FSTR") {
-        Trace::from_binary(&bytes).unwrap_or_else(|e| die(&format!("decode {path}: {e}")))
-    } else {
-        let text = String::from_utf8(bytes).unwrap_or_else(|_| die("trace is not UTF-8 text"));
-        Trace::from_text(&text).unwrap_or_else(|e| die(&format!("parse {path}: {e}")))
-    }
+    let mut records = Vec::new();
+    stream_records(path, &mut records, false);
+    Trace::from_records(records)
 }
 
 /// Parses `pack` flags after the two positional paths.

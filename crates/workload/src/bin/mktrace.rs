@@ -67,7 +67,8 @@ fn main() {
                 hours = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--hours needs a number"))
+                    .filter(|h: &f64| h.is_finite() && *h > 0.0)
+                    .unwrap_or_else(|| die("--hours needs a finite positive number"))
             }
             "--seed" => {
                 seed = args
@@ -93,8 +94,8 @@ fn main() {
                 user_scale = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .filter(|&s: &f64| s > 0.0)
-                    .unwrap_or_else(|| die("--user-scale needs a positive number"))
+                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                    .unwrap_or_else(|| die("--user-scale needs a finite positive number"))
             }
             "--epoch-ms" => {
                 epoch_ms = args

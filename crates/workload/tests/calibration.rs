@@ -2,10 +2,7 @@
 //! paper's distribution shapes (loose bounds around Section 5's
 //! findings, wide enough to tolerate seed-to-seed variation).
 
-use fsanalysis::{
-    ActivityAnalysis, EventGapAnalysis, FileSizeAnalysis, LifetimeAnalysis, OpenTimeAnalysis,
-    SequentialityReport,
-};
+use fsanalysis::run_analyzers;
 use fstrace::EventKind;
 use workload::{generate, GeneratedTrace, MachineProfile, WorkloadConfig};
 
@@ -37,8 +34,7 @@ fn c4_shape_matches_paper() {
 fn check_shape(out: GeneratedTrace) {
     assert_eq!(out.errors, 0, "workload commands failed");
     let trace = &out.trace;
-    let sessions = trace.sessions();
-    assert_eq!(sessions.anomalies(), 0);
+    assert_eq!(trace.sessions().anomalies(), 0);
     assert!(trace.len() > 2_000, "trace too small: {}", trace.len());
 
     // Event mix (Table III shape): opens dominate, seeks substantial,
@@ -55,9 +51,12 @@ fn check_shape(out: GeneratedTrace) {
     assert!((0.02..=0.10).contains(&frac(EventKind::Unlink)));
     assert!((0.03..=0.12).contains(&frac(EventKind::Execve)));
 
+    // Every Section 5 analysis in one pass.
+    let mut suite = run_analyzers(trace.records(), &[600, 10]);
+
     // Table V: most accesses whole-file and sequential; read-write
     // accesses mostly non-sequential.
-    let seq = SequentialityReport::analyze(&sessions);
+    let seq = &suite.sequentiality;
     assert!(
         (0.60..=0.95).contains(&seq.whole_file_fraction()),
         "whole-file {}",
@@ -75,7 +74,7 @@ fn check_shape(out: GeneratedTrace) {
 
     // Figure 2: most accesses are to short files, but they carry a
     // minority of the bytes.
-    let mut sizes = FileSizeAnalysis::analyze(&sessions);
+    let sizes = &mut suite.sizes;
     let acc_small = sizes.fraction_of_accesses_le(10 * 1024);
     let bytes_small = sizes.fraction_of_bytes_le(10 * 1024);
     assert!(
@@ -86,7 +85,7 @@ fn check_shape(out: GeneratedTrace) {
     assert!(bytes_small < 0.5);
 
     // Figure 3: files are open briefly.
-    let mut ot = OpenTimeAnalysis::analyze(&sessions);
+    let ot = &mut suite.open_times;
     assert!(
         (0.65..=0.98).contains(&ot.fraction_le_secs(0.5)),
         "open<0.5s {}",
@@ -99,12 +98,12 @@ fn check_shape(out: GeneratedTrace) {
     );
 
     // Section 3.1: event gaps bound transfer times tightly.
-    let mut gaps = EventGapAnalysis::analyze(trace);
+    let gaps = &mut suite.gaps;
     assert!(gaps.fraction_le_secs(0.5) > 0.7);
     assert!(gaps.fraction_le_secs(30.0) > 0.9);
 
     // Figure 4: short lifetimes, with the 3-minute daemon spike.
-    let mut lt = LifetimeAnalysis::analyze(trace);
+    let lt = &mut suite.lifetimes;
     assert!(lt.events.len() > 100, "too few deaths: {}", lt.events.len());
     let spike = lt.fraction_of_files_between_secs(178.0, 182.0);
     assert!(spike > 0.2, "daemon spike missing: {spike}");
@@ -112,7 +111,7 @@ fn check_shape(out: GeneratedTrace) {
 
     // Table IV: a few hundred bytes/second per active user over
     // ten-minute windows, a few kbytes/second over ten-second windows.
-    let act = ActivityAnalysis::analyze(trace, &[600, 10]);
+    let act = &suite.activity;
     let thpt10m = act.windows[0].avg_throughput();
     let thpt10s = act.windows[1].avg_throughput();
     assert!(
@@ -165,8 +164,8 @@ fn event_mix_holds_paper_tolerance_bands() {
 fn profiles_are_similar_but_distinct() {
     let a5 = run(MachineProfile::ucbarpa());
     let c4 = run(MachineProfile::ucbcad());
-    let seq_a = SequentialityReport::analyze(&a5.trace.sessions());
-    let seq_c = SequentialityReport::analyze(&c4.trace.sessions());
+    let seq_a = run_analyzers(a5.trace.records(), &[600]).sequentiality;
+    let seq_c = run_analyzers(c4.trace.records(), &[600]).sequentiality;
     // Broad agreement on sequentiality…
     assert!((seq_a.whole_file_fraction() - seq_c.whole_file_fraction()).abs() < 0.2);
     // …but different traces.

@@ -7,7 +7,7 @@
 //! cargo run --release --example cad_workload -- [hours]
 //! ```
 
-use fsanalysis::{FileSizeAnalysis, SequentialityReport};
+use fsanalysis::run_analyzers;
 use workload::{generate, MachineProfile, WorkloadConfig};
 
 fn main() {
@@ -26,9 +26,9 @@ fn main() {
             ..WorkloadConfig::default()
         })
         .expect("generation");
-        let sessions = out.trace.sessions();
-        let seq = SequentialityReport::analyze(&sessions);
-        let mut sizes = FileSizeAnalysis::analyze(&sessions);
+        let mut suite = run_analyzers(out.trace.records(), &[600, 10]);
+        let seq = &suite.sequentiality;
+        let sizes = &mut suite.sizes;
         rows.push((
             name,
             out.trace.len(),

@@ -6,7 +6,7 @@
 //! cargo run --release --example diskless_workstation -- [hours]
 //! ```
 
-use fsanalysis::ActivityAnalysis;
+use fsanalysis::run_analyzers;
 use workload::{generate, MachineProfile, WorkloadConfig};
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
         ..WorkloadConfig::default()
     })
     .expect("generation");
-    let act = ActivityAnalysis::analyze(&out.trace, &[600, 10]);
+    let act = run_analyzers(out.trace.records(), &[600, 10]).activity;
 
     let per_user = act.windows[0].avg_throughput(); // Bytes/sec sustained.
     let burst = act.windows[1]

@@ -5,7 +5,7 @@
 //! cargo run --release --example program_development -- [hours]
 //! ```
 
-use fsanalysis::{ActivityAnalysis, LifetimeAnalysis, OpenTimeAnalysis, SequentialityReport};
+use fsanalysis::run_analyzers;
 use workload::{generate, MachineProfile, WorkloadConfig};
 
 fn main() {
@@ -30,8 +30,9 @@ fn main() {
         summary.peak_opens_per_second
     );
 
-    let sessions = trace.sessions();
-    let seq = SequentialityReport::analyze(&sessions);
+    // Every Section 5 analysis in one pass over the trace.
+    let mut suite = run_analyzers(trace.records(), &[600, 10]);
+    let seq = &suite.sequentiality;
     println!(
         "access patterns (paper values in parens):\n  \
          whole-file transfers: {:.0}% of accesses (~70%)\n  \
@@ -44,14 +45,14 @@ fn main() {
         100.0 * seq.read_write.sequential_fraction(),
     );
 
-    let mut ot = OpenTimeAnalysis::analyze(&sessions);
+    let ot = &mut suite.open_times;
     println!(
         "open times: {:.0}% under 0.5 s (paper ~75%), {:.0}% under 10 s (paper ~90%)",
         100.0 * ot.fraction_le_secs(0.5),
         100.0 * ot.fraction_le_secs(10.0)
     );
 
-    let mut lt = LifetimeAnalysis::analyze(trace);
+    let lt = &mut suite.lifetimes;
     println!(
         "lifetimes: {} new files died during the trace; {:.0}% within 3 min;\n  \
          {:.0}% in the 179-181 s daemon spike (paper 30-40%)",
@@ -60,7 +61,7 @@ fn main() {
         100.0 * lt.fraction_of_files_between_secs(179.0, 181.0),
     );
 
-    let act = ActivityAnalysis::analyze(trace, &[600, 10]);
+    let act = &suite.activity;
     println!(
         "activity: {} users, {:.1} active on average per 10 min,\n  \
          {:.0} bytes/sec per active user (paper ~370); {:.1} kbytes/sec over 10 s bursts",

@@ -5,7 +5,7 @@
 //! ```
 
 use bsdfs::{Fs, FsParams, OpenFlags, SeekFrom};
-use fsanalysis::SequentialityReport;
+use fsanalysis::run_analyzers;
 
 fn main() {
     // 1. Make a file system. All times are simulated milliseconds that
@@ -63,7 +63,7 @@ fn main() {
         );
     }
 
-    let report = SequentialityReport::analyze(&sessions);
+    let report = run_analyzers(trace.records(), &[600]).sequentiality;
     println!(
         "\nsequentiality: {:.0}% of accesses whole-file, {:.0}% of bytes sequential",
         100.0 * report.whole_file_fraction(),

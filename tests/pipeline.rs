@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: workload → bsdfs → trace → codecs →
 //! analyses, exercising every crate together.
 
-use fsanalysis::{ActivityAnalysis, SequentialityReport};
+use fsanalysis::run_analyzers;
 use fstrace::Trace;
 use workload::{generate, MachineProfile, WorkloadConfig};
 
@@ -23,8 +23,8 @@ fn workload_trace_survives_binary_roundtrip_with_identical_analysis() {
     assert_eq!(back, out.trace);
 
     // The analyses of original and decoded traces agree exactly.
-    let a = SequentialityReport::analyze(&out.trace.sessions());
-    let b = SequentialityReport::analyze(&back.sessions());
+    let a = run_analyzers(out.trace.records(), &[600]).sequentiality;
+    let b = run_analyzers(back.records(), &[600]).sequentiality;
     assert_eq!(a.total_accesses(), b.total_accesses());
     assert_eq!(a.total_bytes(), b.total_bytes());
     assert_eq!(a.read_write.sequential, b.read_write.sequential);
@@ -62,7 +62,7 @@ fn file_system_remains_consistent_after_workload() {
 fn analyzer_totals_agree_with_summary() {
     let out = small_trace();
     let summary = out.trace.summary();
-    let act = ActivityAnalysis::analyze(&out.trace, &[600]);
+    let act = run_analyzers(out.trace.records(), &[600]).activity;
     assert_eq!(act.total_bytes, summary.total_bytes_transferred);
     let sessions = out.trace.sessions();
     assert_eq!(
